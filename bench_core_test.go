@@ -5,7 +5,7 @@
 // trajectory") next to the evaluator suite, so the core perf trajectory
 // accumulates one data point per run:
 //
-//	go test -run '^$' -bench 'BenchmarkBFS|BenchmarkMSBFS|BenchmarkAPSP|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096' \
+//	go test -run '^$' -bench 'BenchmarkBFS|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkAPSP|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096' \
 //	    -benchtime 1x . | go run ./cmd/benchjson > BENCH_core.json
 //
 // The graphs are seeded random connected graphs with mean degree 8, the
@@ -41,6 +41,52 @@ func BenchmarkBFS(b *testing.B) {
 			_ = dist
 		})
 	}
+}
+
+// BenchmarkStreamPairDist measures one stretch-query distance on a
+// scalar streaming reader both ways over a fixed pair set: "row" reads
+// it from the source's BFS row (the Row fallback serving used to take
+// for every query), "pair" asks the reader's PairReader, a
+// bidirectional BFS. Sources almost never repeat back to back, so the
+// row path recomputes its row on nearly every call.
+func BenchmarkStreamPairDist(b *testing.B) {
+	const n = 4096
+	g := benchGraph(n)
+	pairs := benchPairs(n, 4096, 5)
+	rd := shortest.NewStreamSource(g).NewReader()
+	pr := rd.(shortest.PairReader)
+	b.Run(fmt.Sprintf("row/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			pairDistSink += rd.Row(p[0])[p[1]]
+		}
+	})
+	b.Run(fmt.Sprintf("pair/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			pairDistSink += pr.Dist(p[0], p[1])
+		}
+	})
+}
+
+// pairDistSink keeps the compiler from eliding the measured reads.
+var pairDistSink int32
+
+// benchPairs draws count seeded ordered pairs u != v over [0, n).
+func benchPairs(n, count int, seed uint64) [][2]graph.NodeID {
+	r := xrand.New(seed)
+	pairs := make([][2]graph.NodeID, count)
+	for i := range pairs {
+		u := graph.NodeID(r.Intn(n))
+		v := graph.NodeID(r.Intn(n - 1))
+		if v >= u {
+			v++
+		}
+		pairs[i] = [2]graph.NodeID{u, v}
+	}
+	return pairs
 }
 
 // BenchmarkBFSTree measures the parent-port tree build used by scheme
@@ -128,16 +174,7 @@ func BenchmarkRouteVisit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := xrand.New(3)
-	pairs := make([][2]graph.NodeID, 4096)
-	for i := range pairs {
-		u := graph.NodeID(r.Intn(n))
-		v := graph.NodeID(r.Intn(n - 1))
-		if v >= u {
-			v++
-		}
-		pairs[i] = [2]graph.NodeID{u, v}
-	}
+	pairs := benchPairs(n, 4096, 3)
 	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 		b.ReportAllocs()
 		var hops int

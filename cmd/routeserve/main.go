@@ -20,8 +20,9 @@
 // over the worker pool of internal/serve (per-query errors annotate the
 // output line; they never abort the stream). -distmode selects the
 // oracle backend for stretch queries exactly as in routelab/memreq:
-// dense precomputes the n^2 table, stream recomputes rows per worker
-// (O(workers*n) resident memory), cache keeps a bounded LRU. Answers
+// dense precomputes the n^2 table, stream answers each stretch query by
+// a bidirectional BFS between its endpoints (O(workers*n) resident
+// memory), cache keeps a bounded LRU of rows. Answers
 // are bit-identical to the serial routing package for every backend,
 // batch size and worker count.
 //
@@ -59,6 +60,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -231,7 +233,11 @@ func main() {
 				if err != nil {
 					fail(1, err)
 				}
-				if err := os.WriteFile(*deltaOut, blob, 0o644); err != nil {
+				err = schemeio.WriteFileAtomic(*deltaOut, func(w io.Writer) error {
+					_, err := w.Write(blob)
+					return err
+				})
+				if err != nil {
 					fail(1, err)
 				}
 				fmt.Fprintf(os.Stderr, "routeserve: generation patch 1->%d written to %s (%d bytes)\n",
@@ -289,19 +295,14 @@ func main() {
 	}
 
 	if *save != "" {
-		f, err := os.Create(*save)
+		// Atomic replace: a server mapping the old file keeps its bytes.
+		err := schemeio.WriteFileAtomic(*save, func(w io.Writer) error {
+			if enc != nil {
+				return schemeio.WriteFileV2Encoded(w, g, enc) // fresh build: blob already encoded once
+			}
+			return schemeio.WriteFileV2(w, g, s) // -load + -save: re-encode (canonical) into a v2 container
+		})
 		if err != nil {
-			fail(1, err)
-		}
-		if enc != nil {
-			err = schemeio.WriteFileV2Encoded(f, g, enc) // fresh build: blob already encoded once
-		} else {
-			err = schemeio.WriteFileV2(f, g, s) // -load + -save: re-encode (canonical) into a v2 container
-		}
-		if err != nil {
-			fail(1, err)
-		}
-		if err := f.Close(); err != nil {
 			fail(1, err)
 		}
 	}

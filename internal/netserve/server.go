@@ -80,6 +80,7 @@ type Server struct {
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
+	quit   chan struct{} // closed by Close: wakes an accept backoff
 
 	wg sync.WaitGroup // connection goroutines
 }
@@ -101,6 +102,7 @@ func NewServerInto(h BatchHandlerInto, opt Options) *Server {
 		opt:   opt,
 		sem:   make(chan struct{}, opt.MaxInFlight),
 		conns: make(map[net.Conn]struct{}),
+		quit:  make(chan struct{}),
 	}
 }
 
@@ -115,8 +117,19 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
+// Accept backoff bounds: a temporary accept failure is retried after a
+// delay that doubles from acceptBackoffMin up to acceptBackoffMax, as
+// net/http does.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 // Serve accepts connections on ln until Close. It returns nil after a
-// graceful Close, or the first fatal accept error.
+// graceful Close, or the first fatal accept error. Temporary accept
+// errors — running out of file descriptors (EMFILE, ENFILE) above all —
+// are retried with capped exponential backoff, so a burst of
+// connections past the fd limit pauses accepting instead of ending it.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -126,14 +139,27 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
+	var delay time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			if s.isClosed() {
 				return nil
 			}
-			return err
+			if !isTemporary(err) {
+				return err
+			}
+			delay = min(max(2*delay, acceptBackoffMin), acceptBackoffMax)
+			t := time.NewTimer(delay)
+			select {
+			case <-t.C:
+			case <-s.quit:
+				t.Stop()
+				return nil
+			}
+			continue
 		}
+		delay = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -145,6 +171,15 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		go s.handleConn(conn)
 	}
+}
+
+// isTemporary reports whether an accept error is worth retrying: the
+// Temporary method of net.Error, which syscall.Errno answers true for
+// EMFILE, ENFILE and EINTR. net.Error deprecates the method for general
+// use; accept loops are the use it still serves.
+func isTemporary(err error) bool {
+	var te interface{ Temporary() bool }
+	return errors.As(err, &te) && te.Temporary()
 }
 
 func (s *Server) isClosed() bool {
@@ -282,6 +317,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.quit)
 	ln := s.ln
 	// Wake readers blocked waiting for a frame: their read returns a
 	// timeout, the loop observes closed and exits. Connections mid-batch

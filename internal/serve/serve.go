@@ -153,7 +153,7 @@ func (l *lazySource) get() (shortest.DistanceSource, error) {
 func (l *lazySource) Order() int { return l.n }
 
 // NewReader implements shortest.DistanceSource. The reader resolves the
-// underlying source on its first Row call, so handing readers to
+// underlying source on its first distance read, so handing readers to
 // workers stays free for batches that never ask for a distance.
 func (l *lazySource) NewReader() shortest.RowReader { return &lazyReader{l: l} }
 
@@ -168,37 +168,44 @@ func (l *lazySource) ResidentRows(workers int) int {
 	return src.ResidentRows(workers)
 }
 
-// rowErrReader is the optional error side-channel of a RowReader: a
-// reader that can fail to produce rows reports why here after Row
-// returned nil. Only the lazy reader implements it today; serveOne
-// checks for it only on a nil row, so healthy readers pay nothing.
-type rowErrReader interface {
-	Err() error
-}
-
 type lazyReader struct {
 	l   *lazySource
 	rd  shortest.RowReader
 	err error
 }
 
-func (r *lazyReader) Row(src graph.NodeID) []int32 {
-	if r.rd == nil {
-		if r.err != nil {
-			return nil
-		}
+// reader resolves the wrapped source's reader on first use; a failed
+// build is sticky for this reader.
+func (r *lazyReader) reader() (shortest.RowReader, error) {
+	if r.rd == nil && r.err == nil {
 		s, err := r.l.get()
 		if err != nil {
 			r.err = err
-			return nil
+			return nil, err
 		}
 		r.rd = s.NewReader()
 	}
-	return r.rd.Row(src)
+	return r.rd, r.err
 }
 
-// Err implements rowErrReader: the sticky build failure, if any.
-func (r *lazyReader) Err() error { return r.err }
+func (r *lazyReader) Row(src graph.NodeID) []int32 {
+	rd, err := r.reader()
+	if err != nil {
+		return nil
+	}
+	return rd.Row(src)
+}
+
+// dist forwards the wrapped reader's capabilities to oracleDist: its
+// PairReader when it has one, its rows otherwise, and the sticky build
+// error in place of a distance.
+func (r *lazyReader) dist(u, v graph.NodeID) (int32, error) {
+	rd, err := r.reader()
+	if err != nil {
+		return 0, err
+	}
+	return oracleDist(rd, u, v)
+}
 
 // New returns a server for scheme fn on g. src supplies the oracle
 // distances of OpStretch queries (shortest.DistanceSource: a dense
@@ -330,17 +337,10 @@ func (sv *Server) serveOne(q Query, rd shortest.RowReader) Result {
 		if err != nil {
 			return Result{Err: err}
 		}
-		row := rd.Row(q.U)
-		if row == nil {
-			err := fmt.Errorf("serve: distance source produced no row for %d", q.U)
-			if er, ok := rd.(rowErrReader); ok {
-				if e := er.Err(); e != nil {
-					err = e
-				}
-			}
+		d, err := oracleDist(rd, q.U, q.V)
+		if err != nil {
 			return Result{Err: err}
 		}
-		d := row[q.V]
 		if d == shortest.Unreachable {
 			return Result{Err: fmt.Errorf("serve: pair %d->%d unreachable", q.U, q.V)}
 		}
@@ -348,4 +348,22 @@ func (sv *Server) serveOne(q Query, rd shortest.RowReader) Result {
 	default:
 		return Result{Err: fmt.Errorf("serve: unknown op %d", q.Op)}
 	}
+}
+
+// oracleDist returns d_G(u, v) from rd: one Dist call when the reader is
+// a shortest.PairReader, an entry of u's row otherwise (the fallback
+// foreign readers such as tracing wrappers take). The two paths give
+// identical answers by the PairReader contract.
+func oracleDist(rd shortest.RowReader, u, v graph.NodeID) (int32, error) {
+	switch r := rd.(type) {
+	case *lazyReader:
+		return r.dist(u, v)
+	case shortest.PairReader:
+		return r.Dist(u, v), nil
+	}
+	row := rd.Row(u)
+	if row == nil {
+		return 0, fmt.Errorf("serve: distance source produced no row for %d", u)
+	}
+	return row[v], nil
 }

@@ -58,6 +58,22 @@ type RowBatcher interface {
 	RowBatch() int
 }
 
+// PairReader is optionally implemented by RowReaders that can answer one
+// distance without materializing a whole row. Dist(u, v) has exactly the
+// contract of Row(u)[v] — d_G(u, v), 0 for u == v, Unreachable across
+// components, dead ports (w < 0) skipped — but may be far cheaper:
+// single-pair callers (the serving tier's stretch queries) check for it
+// and fall back to Row when it is absent. Like Row, it is NOT safe for
+// concurrent use, and it never invalidates a row an earlier Row call on
+// the same reader returned.
+//
+// Implemented by the dense table (*APSP, an index) and by the scalar
+// hop-metric streaming reader (NewStreamSource, a bidirectional BFS).
+// Weighted, cached and batched readers are row-only.
+type PairReader interface {
+	Dist(u, v graph.NodeID) int32
+}
+
 func normWorkers(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -81,6 +97,7 @@ func (a *APSP) ResidentRows(workers int) int { return a.n }
 
 var _ DistanceSource = (*APSP)(nil)
 var _ RowReader = (*APSP)(nil)
+var _ PairReader = (*APSP)(nil)
 
 // --- row kernels: the metric behind a streaming or cached source ---
 
@@ -134,9 +151,12 @@ func dijkstraKernel(g *graph.Graph, w Weights) rowKernel {
 // else — residency, reader discipline, determinism — is metric-blind.
 type StreamSource struct {
 	n      int
-	batch  int          // rows a reader computes per aligned claim (1 = scalar)
-	kernel rowKernel    // per-row path (batch == 1)
-	g      *graph.Graph // batch path (batch > 1): MSBFSInto reads the CSR directly
+	batch  int       // rows a reader computes per aligned claim (1 = scalar)
+	kernel rowKernel // per-row path (batch == 1)
+	// g is the hop-metric graph, nil under the weighted kernel. The batch
+	// path (batch > 1) runs MSBFSInto over its CSR directly; scalar
+	// readers answer PairReader.Dist by bidirectional BFS over it.
+	g *graph.Graph
 }
 
 // NewStreamSource returns a streaming source of BFS (hop metric) rows
@@ -144,10 +164,12 @@ type StreamSource struct {
 // per reader contract is part of recorded experiment output. The graph
 // is frozen to its CSR layout here — the last serial point before
 // readers fan out across workers — so every per-row traversal walks
-// contiguous arcs. NewStreamSourceKernel opts into the batched kernel.
+// contiguous arcs. Its readers are also PairReaders: a single distance
+// costs a bidirectional BFS instead of a row. NewStreamSourceKernel opts
+// into the batched kernel.
 func NewStreamSource(g *graph.Graph) *StreamSource {
 	g.Freeze()
-	return &StreamSource{n: g.Order(), batch: 1, kernel: bfsKernel(g)}
+	return &StreamSource{n: g.Order(), batch: 1, kernel: bfsKernel(g), g: g}
 }
 
 // NewStreamSourceKernel is NewStreamSource with an explicit row kernel.
@@ -194,6 +216,9 @@ func (s *StreamSource) RowBatch() int { return s.batch }
 func (s *StreamSource) NewReader() RowReader {
 	if s.batch > 1 {
 		return &msbfsReader{g: s.g, n: s.n, batch: s.batch, start: -1}
+	}
+	if s.g != nil {
+		return &bfsStreamReader{streamReader: streamReader{compute: s.kernel()}, pair: pairBFS{g: s.g}}
 	}
 	return &streamReader{compute: s.kernel()}
 }
@@ -274,7 +299,25 @@ func (r *streamReader) Row(src graph.NodeID) []int32 {
 	return r.dist
 }
 
+// bfsStreamReader is the scalar hop-metric reader: Row recomputes one
+// BFS row like every streamReader, and Dist answers one pair from the
+// resident row when it is u's, by bidirectional BFS otherwise. The pair
+// search has its own scratch, so Dist never overwrites a returned row.
+type bfsStreamReader struct {
+	streamReader
+	pair pairBFS
+}
+
+// Dist implements PairReader.
+func (r *bfsStreamReader) Dist(u, v graph.NodeID) int32 {
+	if r.valid && r.src == u {
+		return r.dist[v]
+	}
+	return r.pair.dist(u, v)
+}
+
 var _ DistanceSource = (*StreamSource)(nil)
+var _ PairReader = (*bfsStreamReader)(nil)
 
 // --- cached backend: a bounded LRU of rows ---
 
