@@ -92,7 +92,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generator seed when building")
 	save := flag.String("save", "", "persist the built scheme+graph to this file (schemeio container v2)")
 	load := flag.String("load", "", "load scheme+graph from this file instead of building")
-	mmap := flag.Bool("mmap", false, "with -load: memory-map the container (v2 files only) and decode router payloads lazily on first touch")
+	mmap := flag.Bool("mmap", false, "with -load: memory-map the container and decode router payloads lazily on first touch")
 	queries := flag.String("queries", "", "serve queries from this file ('-' = stdin); lines: route|len|stretch u v")
 	batch := flag.Int("batch", 1024, "queries per served batch")
 	workers := flag.Int("workers", 0, "worker pool size per batch (0 = all cores)")

@@ -62,10 +62,10 @@ func TestReplaceWhileMapped(t *testing.T) {
 	const n = 600 // three lazily decoded table stripes
 	g1, s1 := seededTables(t, n, 1)
 	g2, s2 := seededTables(t, n+40, 2)
-	for _, opt := range []MapOptions{{}, {DisableMmap: true}} {
+	for _, tryMmap := range []bool{true, false} {
 		path := filepath.Join(t.TempDir(), "scheme.rsf")
 		saveAtomic(t, path, g1, s1)
-		m, err := OpenMappedWith(path, opt)
+		m, err := openMappedFile(path, tryMmap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestReplaceWhileMapped(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := OpenMappedWith(path, opt)
+		fresh, err := openMappedFile(path, tryMmap)
 		if err != nil {
 			t.Fatal(err)
 		}

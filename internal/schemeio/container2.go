@@ -1,13 +1,13 @@
 package schemeio
 
-// Container format v2 ("RSF2"): the mmap-friendly layout of the scheme
-// file container. Where v1 is a stream (uvarint-length-prefixed
-// sections, readable only front to back), v2 is a random-access
-// structure: a fixed-width section directory up front, every section
-// starting on an 8-byte boundary, and a fixed-width per-router payload
-// offset index — so a reader can map the file, validate the directory
-// and index in O(index) work, and locate any router's serialized span
-// without decoding anything before it.
+// Container format v2 ("RSF2"): the scheme file container, a
+// random-access structure — a fixed-width section directory up front,
+// every section starting on an 8-byte boundary, and a fixed-width
+// per-router payload offset index — so a reader can map the file,
+// validate the directory and index in O(index) work, and locate any
+// router's serialized span without decoding anything before it. It is
+// the only container: the earlier v1 stream ("RSF1") is no longer read
+// or written, and its magic fails like any other.
 //
 //	offset 0   magic "RSF2" (4 bytes)
 //	offset 4   u32 section count (always 3)
@@ -19,7 +19,7 @@ package schemeio
 //	           file ending exactly at the last section's end
 //
 // GRAPH is the ported graph serialization (graph.WritePorted), SCHEME
-// the v1 scheme blob (Encode — wire header + payload, byte-padded),
+// the scheme blob (Encode — wire header + payload, byte-padded),
 // and INDEX the random-access metadata: u64 router count n, u64 exact
 // payload bit length, then n+1 u64 absolute bit offsets — router x's
 // serialized span is bits [offs[x], offs[x+1]) of the SCHEME section
@@ -33,7 +33,6 @@ package schemeio
 // are CRC32-Castagnoli.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -61,10 +60,14 @@ var v2Magic = [4]byte{'R', 'S', 'F', '2'}
 // first section starts here, which is 8-byte aligned by construction.
 const v2DirSize = 4 + 4 + 3*24 + 8
 
+// MaxFileSection caps each section of a scheme file. Section lengths
+// are attacker-controlled; without the cap a crafted directory could
+// demand a multi-gigabyte allocation before the first parse error.
+const MaxFileSection = 1 << 28
+
 // maxV2FileSize bounds a whole v2 container: three cap-checked sections
-// plus directory and alignment slack. Like MaxFileSection it exists so
-// a crafted header cannot demand an absurd allocation from the
-// streaming reader before the first parse error.
+// plus directory and alignment slack. ReadFile reads at most this many
+// bytes from its stream, and OpenMapped refuses larger files.
 const maxV2FileSize = v2DirSize + 3*(MaxFileSection+8)
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -133,15 +136,17 @@ func parseIndexSection(b []byte, schemeLen int64) (offs []uint64, payloadBits in
 }
 
 // parseV2Directory validates the fixed header + directory (the first
-// v2DirSize bytes) against the total file size. Offsets, order and
-// alignment are all forced to the single canonical layout.
+// v2DirSize bytes, or the whole file when it is shorter) against the
+// total file size. The magic is checked first, so any non-v2 file fails
+// as a bad magic. Offsets, order and alignment are all forced to the
+// single canonical layout.
 func parseV2Directory(hdr []byte, fileSize int64) (v2Layout, error) {
 	var l v2Layout
+	if len(hdr) < len(v2Magic) || [4]byte(hdr[:4]) != v2Magic {
+		return l, fmt.Errorf("schemeio: bad file magic %q", hdr[:min(len(hdr), len(v2Magic))])
+	}
 	if len(hdr) < v2DirSize {
 		return l, fmt.Errorf("schemeio: v2 container of %d bytes is shorter than its %d-byte directory", len(hdr), v2DirSize)
-	}
-	if [4]byte(hdr[:4]) != v2Magic {
-		return l, fmt.Errorf("schemeio: bad v2 magic %q", hdr[:4])
 	}
 	if count := binary.LittleEndian.Uint32(hdr[4:]); count != 3 {
 		return l, fmt.Errorf("schemeio: v2 directory declares %d sections, want 3", count)
@@ -222,8 +227,8 @@ func appendV2(gb, sb, ib []byte) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFileV2 frames g and s into one v2 container stream — the
-// mmap-friendly counterpart of WriteFile.
+// WriteFileV2 frames g (ported serialization, exact labeling) and s
+// (Encode) into one v2 container stream.
 func WriteFileV2(w io.Writer, g *graph.Graph, s routing.Scheme) error {
 	enc, err := Encode(g, s)
 	if err != nil {
@@ -247,88 +252,27 @@ func WriteFileV2Encoded(w io.Writer, g *graph.Graph, enc *Encoded) error {
 	return err
 }
 
-// decodeContainerV2 is the heap (fully materializing) v2 reader: it
-// validates the directory, every checksum, the alignment padding and
-// the index, decodes graph and scheme, and finally re-derives the index
-// from the decoded scheme — so acceptance proves data is the one
-// canonical v2 container of its (graph, scheme) pair, exactly as Decode
-// proves it for scheme blobs.
-func decodeContainerV2(data []byte) (*graph.Graph, routing.Scheme, error) {
-	l, err := parseV2Directory(data, int64(len(data)))
+// ReadFile parses a stream written by WriteFileV2, returning the graph
+// and the fully decoded heap scheme bound to it (a *table.Scheme for
+// tables, never a lazy view). It is the mapped parse over the bytes in
+// memory followed by one full decode, so heap and mapped readers share
+// every container check. Malformed files error without panicking, and
+// at most maxV2FileSize bytes are read.
+func ReadFile(r io.Reader) (*graph.Graph, routing.Scheme, error) {
+	data, err := io.ReadAll(io.LimitReader(r, maxV2FileSize+1))
 	if err != nil {
-		return nil, nil, err
-	}
-	section := func(off, length int64, crc uint32, what string) ([]byte, error) {
-		b := data[off : off+length]
-		if got := crc32.Checksum(b, castagnoli); got != crc {
-			return nil, fmt.Errorf("schemeio: %s section checksum %#x, computed %#x", what, crc, got)
-		}
-		return b, nil
-	}
-	for _, gap := range [][2]int64{
-		{l.graphOff + l.graphLen, l.schemeOff},
-		{l.schemeOff + l.schemeLen, l.indexOff},
-	} {
-		for _, b := range data[gap[0]:gap[1]] {
-			if b != 0 {
-				return nil, nil, fmt.Errorf("schemeio: nonzero alignment padding before section")
-			}
-		}
-	}
-	gb, err := section(l.graphOff, l.graphLen, l.graphCRC, "graph")
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := graph.ReadPorted(bytes.NewReader(gb))
-	if err != nil {
-		return nil, nil, err
-	}
-	ib, err := section(l.indexOff, l.indexLen, l.indexCRC, "index")
-	if err != nil {
-		return nil, nil, err
-	}
-	offs, payloadBits, err := parseIndexSection(ib, l.schemeLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(offs) != g.Order()+1 {
-		return nil, nil, fmt.Errorf("schemeio: index is for %d routers, graph has order %d", len(offs)-1, g.Order())
-	}
-	sb, err := section(l.schemeOff, l.schemeLen, l.schemeCRC, "scheme")
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := Decode(sb, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The scheme blob is canonical (Decode's re-encode gate); the index
-	// must be the one derived from it, or the container as a whole would
-	// alias.
-	re, err := Encode(g, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if re.PayloadBits != payloadBits {
-		return nil, nil, fmt.Errorf("schemeio: index declares %d payload bits, scheme encodes to %d", payloadBits, re.PayloadBits)
-	}
-	for i, off := range re.RouterOffs {
-		if uint64(off) != offs[i] {
-			return nil, nil, fmt.Errorf("schemeio: index offset %d is %d, scheme encodes router span at %d", i, offs[i], off)
-		}
-	}
-	return g, s, nil
-}
-
-// readFileV2 slurps and decodes a v2 container from a stream whose
-// magic has been peeked (not consumed).
-func readFileV2(br *bufio.Reader) (*graph.Graph, routing.Scheme, error) {
-	data, err := io.ReadAll(io.LimitReader(br, maxV2FileSize+1))
-	if err != nil {
-		return nil, nil, fmt.Errorf("schemeio: v2 container: %w", err)
+		return nil, nil, fmt.Errorf("schemeio: read container: %w", err)
 	}
 	if int64(len(data)) > maxV2FileSize {
-		return nil, nil, fmt.Errorf("schemeio: v2 container exceeds %d bytes", maxV2FileSize)
+		return nil, nil, fmt.Errorf("schemeio: container exceeds %d bytes", maxV2FileSize)
 	}
-	return decodeContainerV2(data)
+	m, err := parseContainer(&byteBacking{data: data}, int64(len(data)))
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := m.decodeScheme()
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.g, s, nil
 }

@@ -51,8 +51,7 @@ func assertSameRoutes(t *testing.T, g *graph.Graph, want, got routing.Scheme) {
 }
 
 // TestFileV2RoundTrip pins the heap path of the v2 container for every
-// scheme kind: ReadFile dispatches on the magic, returns an
-// identically-routing scheme, and re-framing what was loaded
+// scheme kind: ReadFile returns an identically-routing scheme, and re-framing what was loaded
 // reproduces the accepted file byte-for-byte (the container-level
 // canonicality claim).
 func TestFileV2RoundTrip(t *testing.T) {
@@ -125,32 +124,49 @@ func TestOpenMappedBackings(t *testing.T) {
 	if err := os.WriteFile(path, writeV2(t, ts), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []MapOptions{{}, {DisableMmap: true}} {
-		m, err := OpenMappedWith(path, opt)
+	for _, tryMmap := range []bool{true, false} {
+		m, err := openMappedFile(path, tryMmap)
 		if err != nil {
-			t.Fatalf("DisableMmap=%v: %v", opt.DisableMmap, err)
+			t.Fatalf("tryMmap=%v: %v", tryMmap, err)
 		}
 		if err := m.Verify(); err != nil {
-			t.Fatalf("DisableMmap=%v: %v", opt.DisableMmap, err)
+			t.Fatalf("tryMmap=%v: %v", tryMmap, err)
 		}
 		assertSameRoutes(t, m.Graph(), ts.s, m.Scheme())
 		if err := m.Close(); err != nil {
-			t.Fatalf("DisableMmap=%v: close: %v", opt.DisableMmap, err)
+			t.Fatalf("tryMmap=%v: close: %v", tryMmap, err)
 		}
 	}
-	// A v1 file must be refused by the mapped opener with a pointed
-	// error, not misparsed.
+	// A file in the retired v1 stream container must be refused on its
+	// magic, not misparsed.
 	v1 := filepath.Join(t.TempDir(), "scheme.rsf1")
-	var buf bytes.Buffer
-	if err := WriteFile(&buf, ts.g, ts.s); err != nil {
+	if err := os.WriteFile(v1, v1Image(t, ts), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(v1, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapped(v1); err == nil || !strings.Contains(err.Error(), "memory-mapped") {
+	if _, err := OpenMapped(v1); err == nil || !strings.Contains(err.Error(), "bad file magic") {
 		t.Fatalf("v1 via OpenMapped: got err %v", err)
 	}
+}
+
+// v1Image frames one test scheme in the retired v1 stream container
+// ("RSF1", then uvarint-length-prefixed graph and scheme sections) —
+// bytes every reader must now reject on the magic.
+func v1Image(t *testing.T, ts testScheme) []byte {
+	t.Helper()
+	var gb bytes.Buffer
+	if err := ts.g.WritePorted(&gb); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := Encode(ts.g, ts.s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []byte("RSF1")
+	for _, section := range [][]byte{gb.Bytes(), enc.Bytes} {
+		out = binary.AppendUvarint(out, uint64(len(section)))
+		out = append(out, section...)
+	}
+	return out
 }
 
 // refreshCRCs recomputes every checksum of a v2 image in place —
@@ -200,8 +216,8 @@ func TestFileV2Rejects(t *testing.T) {
 		}
 	}
 
-	mutate := func(name, wantErr string, fn func(b []byte)) {
-		bad := append([]byte{}, data...)
+	mutate := func(name, wantErr string, image []byte, fn func(b []byte)) {
+		bad := append([]byte{}, image...)
 		fn(bad)
 		refreshCRCs(bad)
 		if _, _, err := ReadFile(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), wantErr) {
@@ -215,37 +231,39 @@ func TestFileV2Rejects(t *testing.T) {
 			}
 		}
 	}
-	mutate("section count", "sections, want 3", func(b []byte) {
+	mutate("section count", "sections, want 3", data, func(b []byte) {
 		binary.LittleEndian.PutUint32(b[4:], 4)
 	})
-	mutate("misaligned scheme section", "want aligned", func(b []byte) {
+	mutate("misaligned scheme section", "want aligned", data, func(b []byte) {
 		e := b[8+24:]
 		binary.LittleEndian.PutUint64(e[0:], binary.LittleEndian.Uint64(e[0:])+1)
 	})
-	mutate("graph section displaced", "graph section at", func(b []byte) {
+	mutate("graph section displaced", "graph section at", data, func(b []byte) {
 		binary.LittleEndian.PutUint64(b[8:], v2DirSize+8)
 	})
-	mutate("file length mismatch", "sections end at", func(b []byte) {
+	mutate("file length mismatch", "sections end at", data, func(b []byte) {
 		e := b[8+48:]
 		binary.LittleEndian.PutUint64(e[8:], binary.LittleEndian.Uint64(e[8:])-8)
 	})
-	mutate("index offset past payload", "past payload end", func(b []byte) {
+	mutate("index offset past payload", "past payload end", data, func(b []byte) {
 		e := b[8+48:]
 		ioff := binary.LittleEndian.Uint64(e[0:])
 		ilen := binary.LittleEndian.Uint64(e[8:])
 		last := ioff + ilen - 8
 		binary.LittleEndian.PutUint64(b[last:], binary.LittleEndian.Uint64(b[last:])+1<<40)
 	})
-	mutate("index offset decreasing", "decreases", func(b []byte) {
+	mutate("index offset decreasing", "decreases", data, func(b []byte) {
 		ioff := binary.LittleEndian.Uint64(b[8+48:])
 		binary.LittleEndian.PutUint64(b[ioff+16:], ^uint64(0)>>1)
 	})
-	// A monotone but wrong index must still be rejected: the heap path
-	// re-derives the index from the decoded scheme, the mapped path
-	// fails the span's exact-consumption/canonicality checks.
-	mutate("index offset skewed", "", func(b []byte) {
-		ioff := binary.LittleEndian.Uint64(b[8+48:])
-		second := b[ioff+24:]
-		binary.LittleEndian.PutUint64(second, binary.LittleEndian.Uint64(second)+1)
-	})
+	// A monotone but wrong index must be rejected for every kind: the
+	// full decode checks it against the canonical re-encoding, and the
+	// table stripes fail their exact-consumption check.
+	for _, ts := range testSchemes(t) {
+		mutate(ts.name+": index offset skewed", "", writeV2(t, ts), func(b []byte) {
+			ioff := binary.LittleEndian.Uint64(b[8+48:])
+			second := b[ioff+24:]
+			binary.LittleEndian.PutUint64(second, binary.LittleEndian.Uint64(second)+1)
+		})
+	}
 }

@@ -199,11 +199,9 @@ func FuzzDecodeHeader(f *testing.F) {
 	})
 }
 
-// FuzzReadFile exercises the file container end to end: junk must be
-// rejected, and anything accepted must hold a Validate-clean graph and
-// a routable scheme. Every input is also pushed through the v2
-// streaming reader's dispatch (a v1 seed corpus keeps the v1 branch
-// hot; crossover mutates magics freely).
+// FuzzReadFile exercises the streaming heap reader on its own: junk
+// must be rejected, and anything accepted must hold a Validate-clean
+// graph and a routable scheme that re-encodes to its canonical bytes.
 func FuzzReadFile(f *testing.F) {
 	g := fuzzGraph()
 	s, err := table.New(g, nil, table.MinPort)
@@ -211,7 +209,7 @@ func FuzzReadFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFile(&buf, g, s); err != nil {
+	if err := WriteFileV2(&buf, g, s); err != nil {
 		f.Fatal(err)
 	}
 	addMutations(f, buf.Bytes())
@@ -234,12 +232,16 @@ func FuzzReadFile(f *testing.F) {
 	})
 }
 
-// FuzzReadFileMapped holds the mapped reader to the heap reader's
-// verdict on arbitrary bytes: both must agree on accept/reject without
-// panicking, an accepted image must re-frame byte-identically through
-// WriteFileV2, and the mapped scheme must route exactly like the heap
-// one. Seeds cover a valid v2 image, its mutations, and a v1 file
-// (which the mapped opener must refuse by version dispatch).
+// FuzzReadFileMapped exercises the file container end to end and holds
+// its two readers to one verdict on arbitrary bytes: ReadFile and the
+// mapped reader (MapBytes + Verify) must agree on accept/reject without
+// panicking. An accepted image must hold a Validate-clean graph and a
+// routable scheme whose section is its canonical encoding, must
+// re-frame byte-identically through WriteFileV2, and the mapped scheme
+// must route exactly like the heap one. Seeds cover a valid table image
+// and its mutations and a valid landmark image; the committed corpus
+// under testdata/fuzz adds a skewed-index landmark image and a file in
+// the retired v1 container, which both readers reject.
 func FuzzReadFileMapped(f *testing.F) {
 	g := fuzzGraph()
 	s, err := table.New(g, nil, table.MinPort)
@@ -251,14 +253,17 @@ func FuzzReadFileMapped(f *testing.F) {
 		f.Fatal(err)
 	}
 	addMutations(f, v2.Bytes())
-	var v1 bytes.Buffer
-	if err := WriteFile(&v1, g, s); err != nil {
+	land, err := landmark.New(g, nil, landmark.Options{Seed: 17})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
+	var lv2 bytes.Buffer
+	if err := WriteFileV2(&lv2, g, land); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lv2.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hg, hs, herr := ReadFile(bytes.NewReader(data))
-		heapOK := herr == nil && len(data) > 0 && data[0] == 'R' && len(data) > 3 && data[3] == '2'
 		m, merr := MapBytes(data)
 		if merr == nil {
 			if verr := m.Verify(); verr != nil {
@@ -266,13 +271,17 @@ func FuzzReadFileMapped(f *testing.F) {
 				merr = verr
 			}
 		}
-		if heapOK != (merr == nil) {
+		if (herr == nil) != (merr == nil) {
 			t.Fatalf("heap reader err %v, mapped reader err %v", herr, merr)
 		}
 		if merr != nil {
 			return
 		}
 		defer m.Close()
+		if err := hg.Validate(); err != nil {
+			t.Fatalf("accepted file with invalid graph: %v", err)
+		}
+		checkDecoded(t, hg, hs, data[m.schemeOff:m.schemeOff+m.schemeLen])
 		var re bytes.Buffer
 		if err := WriteFileV2(&re, hg, hs); err != nil {
 			t.Fatalf("accepted image does not re-frame: %v", err)

@@ -1,14 +1,15 @@
 package schemeio
 
-// Mapped is the zero-copy v2 container reader. Where ReadFile
-// materializes everything before returning, OpenMapped does O(index)
-// work up front — directory, checksummed graph and index sections, and
-// the scheme wire header — and defers the scheme payload entirely: the
-// section's checksum is verified and its routers decoded only when the
-// first query touches them. Against an mmap backing the payload bytes
-// are never copied at all; the lazy readers decode straight out of the
-// mapping (page cache), which is what turns scheme load from O(scheme)
-// into O(index).
+// Mapped is the zero-copy v2 container reader and the package's only
+// container parser: ReadFile runs the same parse over a heap copy and
+// then decodes everything before returning, while OpenMapped does
+// O(index) work up front — directory, checksummed graph and index
+// sections, and the scheme wire header — and defers the scheme payload
+// entirely: the section's checksum is verified and its routers decoded
+// only when the first query touches them. Against an mmap backing the
+// payload bytes are never copied at all; the lazy readers decode
+// straight out of the mapping (page cache), which is what turns scheme
+// load from O(scheme) into O(index).
 
 import (
 	"bytes"
@@ -24,7 +25,8 @@ import (
 )
 
 // backing abstracts where container bytes live: an mmap'd region, an
-// opened file read via pread, or an in-memory slice (tests, fuzzers).
+// opened file read via pread, or an in-memory slice (ReadFile, tests,
+// fuzzers).
 type backing interface {
 	// view returns length bytes at off. Implementations may return a
 	// subslice of a shared region; callers must treat it as read-only.
@@ -59,8 +61,8 @@ func (b *byteBacking) close() error {
 }
 
 // fileBacking serves views by pread — the fallback for platforms or
-// filesystems where mapping is unavailable or disabled. Each view is a
-// fresh copy, so closing the backing never invalidates issued views.
+// filesystems where mapping is unavailable. Each view is a fresh copy,
+// so closing the backing never invalidates issued views.
 type fileBacking struct {
 	f    *os.File
 	size int64
@@ -78,14 +80,6 @@ func (b *fileBacking) view(off, length int64) ([]byte, error) {
 }
 
 func (b *fileBacking) close() error { return b.f.Close() }
-
-// MapOptions configure OpenMappedWith.
-type MapOptions struct {
-	// DisableMmap forces the pread fallback even where mapping would
-	// work — the -mmap=false path of routeserve, and how tests cover
-	// both backings on one platform.
-	DisableMmap bool
-}
 
 // Mapped is an opened v2 container: graph decoded, index parsed and
 // verified, scheme payload left lazy. Scheme() routes identically to
@@ -115,11 +109,13 @@ type Mapped struct {
 // OpenMapped opens path as a v2 container, mapping it when the
 // platform allows and falling back to pread otherwise.
 func OpenMapped(path string) (*Mapped, error) {
-	return OpenMappedWith(path, MapOptions{})
+	return openMappedFile(path, true)
 }
 
-// OpenMappedWith is OpenMapped with explicit options.
-func OpenMappedWith(path string, opt MapOptions) (*Mapped, error) {
+// openMappedFile is OpenMapped with the mapping optional: tryMmap=false
+// forces the pread backing, which is how tests cover both backings on
+// one platform.
+func openMappedFile(path string, tryMmap bool) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -135,7 +131,7 @@ func OpenMappedWith(path string, opt MapOptions) (*Mapped, error) {
 		return nil, fmt.Errorf("schemeio: container of %d bytes exceeds %d", size, maxV2FileSize)
 	}
 	var b backing
-	if !opt.DisableMmap {
+	if tryMmap {
 		if data, unmap, merr := mmapFile(f, size); merr == nil {
 			f.Close() // the mapping outlives the descriptor
 			b = &byteBacking{data: data, unmap: unmap}
@@ -159,15 +155,37 @@ func MapBytes(data []byte) (*Mapped, error) {
 	return openMapped(&byteBacking{data: data}, int64(len(data)))
 }
 
-// openMapped does the eager part of an open: directory, padding,
-// graph + index sections (checksummed), scheme wire header sanity.
+// openMapped parses the container and attaches the lazily-decoding
+// scheme view: table.Lazy for tables, lazyWhole for every other kind.
 func openMapped(b backing, size int64) (*Mapped, error) {
-	hdr, err := b.view(0, v2DirSize)
+	m, err := parseContainer(b, size)
+	if err != nil {
+		return nil, err
+	}
+	if m.kind == KindTable {
+		lz, err := table.NewLazy(m.g, m.offs, m.payloadBytes)
+		if err != nil {
+			return nil, err
+		}
+		m.s = lz
+	} else {
+		// Schemes with shared sections (landmark epilogues, label
+		// permutations) cannot be row-sliced; they stay whole-payload
+		// lazy: nothing decoded until first touch, then decodeScheme.
+		m.s = &lazyWhole{m: m}
+	}
+	return m, nil
+}
+
+// parseContainer is the one container parser, shared by ReadFile and
+// every mapped open. It does the eager part: directory, alignment
+// padding, graph + index sections (checksummed), scheme wire header
+// sanity. The scheme section itself is left to payloadBytes, and the
+// returned Mapped carries no scheme view yet.
+func parseContainer(b backing, size int64) (*Mapped, error) {
+	hdr, err := b.view(0, min(size, v2DirSize))
 	if err != nil {
 		return nil, fmt.Errorf("schemeio: v2 directory: %w", err)
-	}
-	if [4]byte(hdr[:4]) == fileMagic {
-		return nil, fmt.Errorf("schemeio: v1 container cannot be memory-mapped; re-save as v2 or load without -mmap")
 	}
 	l, err := parseV2Directory(hdr, size)
 	if err != nil {
@@ -218,15 +236,12 @@ func openMapped(b backing, size int64) (*Mapped, error) {
 	}
 	// Scheme wire header: read just enough bytes to know kind and order
 	// before committing to anything payload-sized.
-	hlen := l.schemeLen
-	if hlen > 32 {
-		hlen = 32
-	}
-	shb, err := b.view(l.schemeOff, hlen)
+	shb, err := b.view(l.schemeOff, min(l.schemeLen, 32))
 	if err != nil {
 		return nil, err
 	}
-	wh, err := coding.NewBitReader(shb, len(shb)*8).ReadWireHeader()
+	hr := coding.NewBitReader(shb, len(shb)*8)
+	wh, err := hr.ReadWireHeader()
 	if err != nil {
 		return nil, err
 	}
@@ -243,25 +258,13 @@ func openMapped(b backing, size int64) (*Mapped, error) {
 		// A table payload is wire header + row spans and nothing else, so
 		// the index must account for every bit — checked here, while the
 		// header bit position is in hand.
-		hdrBits := coding.NewBitReader(shb, len(shb)*8)
-		if _, err := hdrBits.ReadWireHeader(); err != nil {
-			return nil, err
-		}
-		if offs[0] != uint64(hdrBits.Pos()) || offs[len(offs)-1] != uint64(payloadBits) {
+		if offs[0] != uint64(hr.Pos()) || offs[len(offs)-1] != uint64(payloadBits) {
 			return nil, fmt.Errorf("schemeio: table index spans [%d,%d) bits, payload is header %d + %d total",
-				offs[0], offs[len(offs)-1], hdrBits.Pos(), payloadBits)
+				offs[0], offs[len(offs)-1], hr.Pos(), payloadBits)
 		}
-		lz, err := table.NewLazy(g, offs, m.payloadBytes)
-		if err != nil {
-			return nil, err
-		}
-		m.s = lz
 	case KindInterval, KindTree, KindLandmark, KindKnFriendly, KindKnAdversarial, KindECube:
-		// Schemes with shared sections (landmark epilogues, label
-		// permutations) cannot be row-sliced; they stay whole-payload
-		// lazy: nothing decoded until first touch, then one full Decode
-		// with its canonicality gate.
-		m.s = &lazyWhole{m: m}
+		// Whole-payload kinds: decodeScheme checks their index against
+		// the canonical re-encoding.
 	default:
 		return nil, fmt.Errorf("schemeio: unknown scheme kind %d", wh.Kind)
 	}
@@ -301,6 +304,30 @@ func (m *Mapped) payloadBytes() ([]byte, error) {
 	return m.payload, m.payloadErr
 }
 
+// decodeScheme fully decodes the scheme section (Decode's canonicality
+// gate included) and checks the persisted index against the gate's
+// re-encoding, so an accepted container is the one canonical v2 image
+// of its (graph, scheme) pair. ReadFile and lazyWhole both end here.
+func (m *Mapped) decodeScheme() (routing.Scheme, error) {
+	blob, err := m.payloadBytes()
+	if err != nil {
+		return nil, err
+	}
+	s, re, err := decode(blob, m.g)
+	if err != nil {
+		return nil, err
+	}
+	if re.PayloadBits != m.payloadBits {
+		return nil, fmt.Errorf("schemeio: index declares %d payload bits, scheme encodes to %d", m.payloadBits, re.PayloadBits)
+	}
+	for i, off := range re.RouterOffs {
+		if uint64(off) != m.offs[i] {
+			return nil, fmt.Errorf("schemeio: index offset %d is %d, scheme encodes router span at %d", i, m.offs[i], off)
+		}
+	}
+	return s, nil
+}
+
 // Graph returns the decoded graph (always materialized at open).
 func (m *Mapped) Graph() *graph.Graph { return m.g }
 
@@ -315,14 +342,10 @@ func (m *Mapped) Kind() uint64 { return m.kind }
 // ReadFile would have checked — instead of on first touch. The
 // conformance and fuzz suites call it to make lazy errors observable.
 func (m *Mapped) Verify() error {
-	switch s := m.s.(type) {
-	case *table.Lazy:
-		return s.Preload()
-	case *lazyWhole:
-		_, err := s.resolve()
-		return err
+	if lz, ok := m.s.(*table.Lazy); ok {
+		return lz.Preload()
 	}
-	_, err := m.payloadBytes()
+	_, err := m.s.(*lazyWhole).resolve()
 	return err
 }
 
@@ -330,8 +353,9 @@ func (m *Mapped) Verify() error {
 // caveat with mmap backings.
 func (m *Mapped) Close() error { return m.b.close() }
 
-// lazyWhole defers a non-table scheme until first touch: one full
-// Decode (canonicality gate included) guarded by a sync.Once. A failed
+// lazyWhole defers a non-table scheme until first touch: one
+// decodeScheme (canonicality gate and index check included) guarded by
+// a sync.Once. A failed
 // decode poisons the scheme — every port answer is NoPort, surfacing
 // as per-route errors, never a panic.
 type lazyWhole struct {
@@ -343,12 +367,7 @@ type lazyWhole struct {
 
 func (l *lazyWhole) resolve() (routing.Scheme, error) {
 	l.once.Do(func() {
-		blob, err := l.m.payloadBytes()
-		if err != nil {
-			l.err = err
-			return
-		}
-		l.s, l.err = Decode(blob, l.m.g)
+		l.s, l.err = l.m.decodeScheme()
 	})
 	return l.s, l.err
 }

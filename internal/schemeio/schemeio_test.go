@@ -2,6 +2,8 @@ package schemeio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,19 +156,25 @@ func TestRoundTripStable(t *testing.T) {
 	}
 }
 
-// TestFileRoundTrip pins the container: WriteFile then ReadFile yields
-// a graph with the identical ported serialization and a scheme that
-// routes identically (spot-checked; full identity is TestRoundTripStable).
+// TestFileRoundTrip pins what ReadFile hands back: for every kind the
+// graph's exact ported serialization and a fully decoded heap scheme of
+// the writer's own concrete type (a *table.Scheme for tables, which
+// delta application patches — never a lazy view holding the container
+// bytes) that routes identically (spot-checked; full identity is
+// TestFileV2RoundTrip).
 func TestFileRoundTrip(t *testing.T) {
 	for _, ts := range testSchemes(t) {
 		t.Run(ts.name, func(t *testing.T) {
 			var f bytes.Buffer
-			if err := WriteFile(&f, ts.g, ts.s); err != nil {
+			if err := WriteFileV2(&f, ts.g, ts.s); err != nil {
 				t.Fatal(err)
 			}
 			g2, s2, err := ReadFile(bytes.NewReader(f.Bytes()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got, want := reflect.TypeOf(s2), reflect.TypeOf(ts.s); got != want {
+				t.Fatalf("ReadFile returned %v, want heap %v", got, want)
 			}
 			var a, b bytes.Buffer
 			if err := ts.g.WritePorted(&a); err != nil {
@@ -301,21 +309,25 @@ func (unknownScheme) Next(x graph.NodeID, h routing.Header) routing.Header { ret
 func (unknownScheme) LocalBits(x graph.NodeID) int                         { return 0 }
 func (unknownScheme) Name() string                                         { return "unknown" }
 
-// TestFileRejects pins the container's hardening: bad magic, oversized
-// sections and truncation all error.
+// TestFileRejects pins ReadFile's hardening: bad magic (the retired v1
+// "RSF1" container included), oversized sections and truncation all
+// error.
 func TestFileRejects(t *testing.T) {
 	ts := testSchemes(t)[0]
 	var f bytes.Buffer
-	if err := WriteFile(&f, ts.g, ts.s); err != nil {
+	if err := WriteFileV2(&f, ts.g, ts.s); err != nil {
 		t.Fatal(err)
 	}
 	data := f.Bytes()
-	if _, _, err := ReadFile(bytes.NewReader([]byte("XXXX"))); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("bad magic: got err %v", err)
+	for name, bad := range map[string][]byte{"junk": []byte("XXXX"), "v1": v1Image(t, ts)} {
+		if _, _, err := ReadFile(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "bad file magic") {
+			t.Fatalf("%s magic: got err %v", name, err)
+		}
 	}
 	// A section length over the cap must be rejected before allocating.
-	huge := append([]byte{}, fileMagic[:]...)
-	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) // uvarint far over MaxFileSection
+	huge := append([]byte{}, data...)
+	binary.LittleEndian.PutUint64(huge[8+8:], MaxFileSection+1)
+	refreshCRCs(huge)
 	if _, _, err := ReadFile(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized section: got err %v", err)
 	}
