@@ -1,11 +1,12 @@
 // Core-kernel micro-benchmarks: the hot loops every paper quantity
 // funnels through — BFS arc relaxation, all-pairs table construction,
-// route simulation, and the streaming evaluator that composes all three.
+// routing-table derivation, route simulation, and the streaming
+// evaluator that composes them.
 // CI archives these as BENCH_core.json (see DESIGN.md "Bench
 // trajectory") next to the evaluator suite, so the core perf trajectory
 // accumulates one data point per run:
 //
-//	go test -run '^$' -bench 'BenchmarkBFS|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkAPSP|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096' \
+//	go test -run '^$' -bench 'BenchmarkBFS|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkAPSP|BenchmarkTableNew|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096' \
 //	    -benchtime 1x . | go run ./cmd/benchjson > BENCH_core.json
 //
 // The graphs are seeded random connected graphs with mean degree 8, the
@@ -159,6 +160,25 @@ func BenchmarkAPSP(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				shortest.NewAPSPParallel(g, 0)
+			}
+		})
+	}
+}
+
+// BenchmarkTableNew measures the routing-table build from a finished
+// all-pairs table (MinPort) — the largest layer of a tables set-up. The
+// APSP is built outside the timer; the build fans routers out over
+// GOMAXPROCS, so the figure depends on the core count.
+func BenchmarkTableNew(b *testing.B) {
+	for _, n := range []int{2048, 4096} {
+		g := benchGraph(n)
+		apsp := shortest.NewAPSPParallel(g, 0)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := table.New(g, apsp, table.MinPort); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

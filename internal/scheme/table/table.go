@@ -13,6 +13,8 @@ package table
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/coding"
 	"repro/internal/graph"
@@ -56,55 +58,160 @@ func newScheme(g *graph.Graph, n int) *Scheme {
 }
 
 // New builds shortest-path routing tables for g under the given policy.
-// apsp may be nil.
+// apsp may be nil, in which case the all-pairs table is built here with
+// the pooled batch kernel. Routers are derived in parallel over
+// GOMAXPROCS workers (see build); the tables do not depend on the
+// worker count.
 func New(g *graph.Graph, apsp *shortest.APSP, pol Policy) (*Scheme, error) {
 	if apsp == nil {
-		apsp = shortest.NewAPSP(g)
+		apsp = shortest.NewAPSPParallel(g, 0)
 	}
+	return build(g, apsp, nil, pol)
+}
+
+// buildClaim is the number of consecutive routers a build worker claims
+// at a time, the same granularity as one MS-BFS batch of NewAPSPWith.
+const buildClaim = 64
+
+// build is the shared body of New (w == nil, hop metric) and
+// NewWeighted: it checks the table and fans the routers out over
+// GOMAXPROCS workers in claims of buildClaim. Rows are independent —
+// RunGreedy's chain state never leaves its row — so the finished scheme
+// is the same for every worker count. A table that admits no first arc
+// for some pair fails the build with the error of the lowest such
+// router, which is also what a serial build reports, so the error text
+// does not depend on the worker count either.
+func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) (*Scheme, error) {
 	n := g.Order()
+	if apsp.Order() != n {
+		return nil, fmt.Errorf("table: apsp order %d, graph order %d", apsp.Order(), n)
+	}
 	if !apsp.Connected() {
 		return nil, graph.ErrNotConnected
 	}
 	s := newScheme(g, n)
-	for x := 0; x < n; x++ {
+	claims := (n + buildClaim - 1) / buildClaim
+	workers := min(runtime.GOMAXPROCS(0), claims)
+	if workers <= 1 {
+		if err := s.buildRows(apsp, w, pol, 0, n); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	errs := make([]error, claims)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range next {
+				lo := c * buildClaim
+				errs[c] = s.buildRows(apsp, w, pol, lo, min(lo+buildClaim, n))
+			}
+		}()
+	}
+	for c := range claims {
+		next <- c
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// buildRows derives the rows of routers [lo, hi) into s, stopping at the
+// first router whose row has a destination without a first arc.
+func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, lo, hi int) error {
+	n := len(s.ports)
+	var av arcView
+	for x := lo; x < hi; x++ {
 		xi := graph.NodeID(x)
-		arcs := g.Arcs(xi)
+		arcs := s.g.Arcs(xi)
+		av.load(apsp, arcs, xi, w)
 		row := make([]graph.Port, n)
 		prev := graph.NoPort
 		for v := 0; v < n; v++ {
 			if v == x {
 				continue
 			}
-			// The d(·,v) column equals the contiguous row of v by symmetry.
-			rowV := apsp.Row(graph.NodeID(v))
-			dxv := rowV[x]
-			chosen := graph.NoPort
-			if pol == RunGreedy && prev != graph.NoPort {
-				if w := arcs[prev-1]; w != graph.DeadEnd && rowV[w]+1 == dxv {
-					chosen = prev
-				}
-			}
+			chosen := av.pick(v, prev)
 			if chosen == graph.NoPort {
-				for i, w := range arcs {
-					if w == graph.DeadEnd {
-						continue // hole left by a removed edge
-					}
-					if rowV[w]+1 == dxv {
-						chosen = graph.Port(i + 1)
-						break
-					}
+				metric := "shortest"
+				if w != nil {
+					metric = "minimum-cost"
 				}
-			}
-			if chosen == graph.NoPort {
-				return nil, fmt.Errorf("table: no shortest first arc %d->%d", x, v)
+				return fmt.Errorf("table: no %s first arc %d->%d", metric, x, v)
 			}
 			row[v] = chosen
-			prev = chosen
+			if pol == RunGreedy {
+				prev = chosen
+			}
 		}
 		s.ports[x] = row
 		s.bits[x] = encodedRowBits(row, xi, len(arcs))
 	}
-	return s, nil
+	return nil
+}
+
+// arcView is router x's row-major view of the distance table. Distances
+// are symmetric, so d(v,x) = Row(x)[v] and d(v,w) = Row(w)[v]: every
+// entry of x's row reads only Row(x) and the rows of x's neighbours,
+// deg+1 rows streamed in destination order, instead of a different
+// n-entry row of the matrix per destination.
+type arcView struct {
+	dx   []int32   // Row(x)
+	nb   [][]int32 // nb[i] = row of the neighbour behind port i+1; nil at a dead slot
+	cost []int32   // cost[i] = cost of port i+1
+	ones []int32   // the hop metric's all-ones costs, grown to the largest degree loaded
+}
+
+// load points the view at router x, whose arcs are arcs, under weights w
+// (nil for the hop metric), reusing the view's slices.
+func (a *arcView) load(apsp *shortest.APSP, arcs []graph.NodeID, x graph.NodeID, w shortest.Weights) {
+	a.dx = apsp.Row(x)
+	a.nb = a.nb[:0]
+	for _, nb := range arcs {
+		if nb == graph.DeadEnd {
+			a.nb = append(a.nb, nil) // hole left by a removed edge
+			continue
+		}
+		a.nb = append(a.nb, apsp.Row(nb))
+	}
+	if w != nil {
+		a.cost = w[x]
+		return
+	}
+	for len(a.ones) < len(arcs) {
+		a.ones = append(a.ones, 1)
+	}
+	a.cost = a.ones[:len(arcs)]
+}
+
+// pick returns the port x uses toward v: prev when it still begins a
+// minimum-cost path (RunGreedy's run extension; NoPort skips the check),
+// else the lowest live port that does, else NoPort. Sums run in int64:
+// with near-MaxInt32 costs the int32 sum d(w,v) + cost can wrap negative
+// and hide (or fake) a first arc. For the hop metric the int64 test is
+// the int32 test d(w,v)+1 == d(x,v) exactly, since distances are never
+// negative.
+func (a *arcView) pick(v int, prev graph.Port) graph.Port {
+	d := int64(a.dx[v])
+	if prev != graph.NoPort {
+		if r := a.nb[prev-1]; r != nil && int64(r[v])+int64(a.cost[prev-1]) == d {
+			return prev
+		}
+	}
+	for i, r := range a.nb {
+		if r != nil && int64(r[v])+int64(a.cost[i]) == d {
+			return graph.Port(i + 1)
+		}
+	}
+	return graph.NoPort
 }
 
 // Name implements routing.Scheme.

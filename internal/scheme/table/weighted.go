@@ -1,8 +1,6 @@
 package table
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/shortest"
 )
@@ -17,7 +15,8 @@ import (
 // apsp, when non-nil, must be the weighted all-pairs table for (g, w) —
 // mirroring New's contract — so callers that already hold one (the E19
 // sweep, memreq's dense weighted path) don't pay a second n² build; nil
-// computes it here.
+// computes it here. The rows are derived exactly as New derives them
+// (the shared build), with arc costs in place of unit hops.
 func NewWeighted(g *graph.Graph, w shortest.Weights, apsp *shortest.APSP, pol Policy) (*Scheme, error) {
 	if apsp == nil {
 		var err error
@@ -28,50 +27,5 @@ func NewWeighted(g *graph.Graph, w shortest.Weights, apsp *shortest.APSP, pol Po
 	} else if err := w.Validate(g); err != nil {
 		return nil, err
 	}
-	if !apsp.Connected() {
-		return nil, graph.ErrNotConnected
-	}
-	n := g.Order()
-	s := newScheme(g, n)
-	for x := 0; x < n; x++ {
-		xi := graph.NodeID(x)
-		arcs := g.Arcs(xi)
-		wx := w[x]
-		row := make([]graph.Port, n)
-		prev := graph.NoPort
-		for v := 0; v < n; v++ {
-			if v == x {
-				continue
-			}
-			// Weighted distances are symmetric (Weights.Validate enforces
-			// symmetric costs), so the d(·,v) column is the row of v.
-			// Membership sums run in int64, like WeightedFirstArcs: with
-			// near-MaxInt32 costs the int32 sum d(nb,v) + w(x,nb) can wrap
-			// negative and hide (or fake) a minimum-cost first arc.
-			rowV := apsp.Row(graph.NodeID(v))
-			dxv := int64(rowV[x])
-			chosen := graph.NoPort
-			if pol == RunGreedy && prev != graph.NoPort {
-				if int64(rowV[arcs[prev-1]])+int64(wx[prev-1]) == dxv {
-					chosen = prev
-				}
-			}
-			if chosen == graph.NoPort {
-				for i, nb := range arcs {
-					if int64(rowV[nb])+int64(wx[i]) == dxv {
-						chosen = graph.Port(i + 1)
-						break
-					}
-				}
-			}
-			if chosen == graph.NoPort {
-				return nil, fmt.Errorf("table: no minimum-cost first arc %d->%d", x, v)
-			}
-			row[v] = chosen
-			prev = chosen
-		}
-		s.ports[x] = row
-		s.bits[x] = encodedRowBits(row, xi, len(arcs))
-	}
-	return s, nil
+	return build(g, apsp, w, pol)
 }
