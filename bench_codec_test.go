@@ -3,7 +3,7 @@
 // CI archives these as BENCH_codec.json (see DESIGN.md "Bench
 // trajectory") next to the evaluator, core and weighted suites:
 //
-//	go test -run '^$' -bench '^(BenchmarkEncodeScheme|BenchmarkDecodeScheme|BenchmarkServeBatch)$' \
+//	go test -run '^$' -bench '^(BenchmarkEncodeScheme|BenchmarkDecodeScheme|BenchmarkServeBatch|BenchmarkNetServeRoundTrip)$' \
 //	    -benchtime 1x . | go run ./cmd/benchjson > BENCH_codec.json
 //
 // The graphs are the seeded random connected family the core suite

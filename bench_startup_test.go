@@ -8,12 +8,16 @@
 //     O(index) validation now, router payloads decoded lazily on first
 //     touch, so cold-start cost is independent of scheme size.
 //
+// BenchmarkMappedVerify adds the cost a reloaded generation pays before
+// it goes live: the mapped open plus Verify, which decodes and checks
+// every stripe.
+//
 // CI archives these as BENCH_startup.json (see DESIGN.md "Bench
 // trajectory"); EXPERIMENTS.md E22 reads the v2-full vs v2-mapped ratio
 // off that document. The acceptance floor is mapped open >= 5x faster
 // than full decode at the largest benchmarked scheme:
 //
-//	go test -run '^$' -bench '^BenchmarkLoadContainer$' -benchtime 100x . \
+//	go test -run '^$' -bench '^(BenchmarkLoadContainer|BenchmarkMappedVerify)$' -benchtime 100x . \
 //	    | go run ./cmd/benchjson > BENCH_startup.json
 package repro
 
@@ -86,6 +90,30 @@ func BenchmarkLoadContainer(b *testing.B) {
 				m.Close()
 			}
 			reportFileBytes(b, v2Path)
+		})
+	}
+}
+
+// BenchmarkMappedVerify times OpenMapped + Verify on random-family
+// tables: the reload a serving generation pays before its swap, where
+// every row span is decoded, checked for exact consumption and
+// re-encoded for the canonical gate.
+func BenchmarkMappedVerify(b *testing.B) {
+	dir := b.TempDir()
+	for _, n := range []int{2048, 4096} {
+		path := benchContainerFile(b, dir, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := schemeio.OpenMapped(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Verify(); err != nil {
+					b.Fatal(err)
+				}
+				m.Close()
+			}
 		})
 	}
 }

@@ -13,9 +13,16 @@
 // up to an additive constant (the decoder program).
 package coding
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // BitWriter accumulates bits most-significant-first into a byte slice.
+// buf always holds exactly ceil(nbit/8) bytes, with the unused low bits
+// of the last byte zero; bytes past len(buf) in its capacity may hold
+// stale data and are overwritten, never or-ed into, when the writer
+// grows.
 type BitWriter struct {
 	buf  []byte
 	nbit int // total bits written
@@ -51,14 +58,34 @@ func (w *BitWriter) WriteBit(b uint) {
 }
 
 // WriteBits appends the width lowest bits of v, most significant first.
-// width may be 0 (writes nothing) up to 64.
+// width may be 0 (writes nothing) up to 64; bits of v above width are
+// ignored. The bits go in as at most one partial-byte top-up plus one
+// 64-bit store.
 func (w *BitWriter) WriteBits(v uint64, width int) {
 	if width < 0 || width > 64 {
 		panic("coding: width out of range")
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(uint((v >> uint(i)) & 1))
+	if width == 0 {
+		return
 	}
+	u := v << uint(64-width) // left-justified; bits above width shift out
+	if used := w.nbit & 7; used != 0 {
+		free := 8 - used
+		w.buf[len(w.buf)-1] |= byte(u >> uint(56+used))
+		if width <= free {
+			w.nbit += width
+			return
+		}
+		u <<= uint(free)
+		width -= free
+		w.nbit += free
+	}
+	// Byte-aligned: store a whole word, then keep only the bytes the
+	// remaining width covers. The dropped tail bytes stay in capacity,
+	// where the next write overwrites them.
+	w.buf = binary.BigEndian.AppendUint64(w.buf, u)
+	w.buf = w.buf[:len(w.buf)-8+(width+7)>>3]
+	w.nbit += width
 }
 
 // BitReader consumes bits most-significant-first from a byte slice.
@@ -118,20 +145,50 @@ func (r *BitReader) ReadBit() (uint, error) {
 }
 
 // ReadBits consumes width bits and returns them as the low bits of a
-// uint64, most significant first.
+// uint64, most significant first. A read of more bits than remain
+// consumes the rest and fails with "read past end at bit nbit".
 func (r *BitReader) ReadBits(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		return 0, fmt.Errorf("coding: read width %d out of range [0,64]", width)
 	}
-	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
+	if width > r.nbit-r.pos {
+		r.pos = r.nbit
+		return 0, fmt.Errorf("coding: read past end at bit %d", r.pos)
 	}
+	if width == 0 {
+		return 0, nil
+	}
+	if width > 56 {
+		// One window holds at least 57 bits past pos; split wider reads.
+		hi := r.window() >> 32
+		r.pos += 32
+		lo := r.window() >> uint(96-width)
+		r.pos += width - 32
+		return hi<<uint(width-32) | lo, nil
+	}
+	v := r.window() >> uint(64-width)
+	r.pos += width
 	return v, nil
+}
+
+// window returns the buffer bits from pos on, left-justified in a
+// uint64: at least 57 of them are buffer bits (fewer near the end of
+// buf, zero-filled below). Bits at or past nbit may be among them;
+// callers only ever keep bits below nbit.
+func (r *BitReader) window() uint64 {
+	i := r.pos >> 3
+	var w uint64
+	if i+8 <= len(r.buf) {
+		w = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		for j := i; j < i+8; j++ {
+			w <<= 8
+			if j < len(r.buf) {
+				w |= uint64(r.buf[j])
+			}
+		}
+	}
+	return w << uint(r.pos&7)
 }
 
 // BitsFor returns the minimum width in bits needed to store values in

@@ -1,28 +1,38 @@
 package coding
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // WriteUnary appends the unary code of v >= 0: v ones then a zero. Used
 // as the prefix of gamma codes and for tiny counters.
 func (w *BitWriter) WriteUnary(v uint64) {
-	for i := uint64(0); i < v; i++ {
-		w.WriteBit(1)
+	for ; v >= 64; v -= 64 {
+		w.WriteBits(^uint64(0), 64)
 	}
-	w.WriteBit(0)
+	w.WriteBits((uint64(1)<<v-1)<<1, int(v)+1)
 }
 
-// ReadUnary consumes a unary code.
+// ReadUnary consumes a unary code, counting a window's leading ones at
+// a time.
 func (r *BitReader) ReadUnary() (uint64, error) {
 	var v uint64
 	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+		avail := r.nbit - r.pos
+		if avail <= 0 {
+			return 0, fmt.Errorf("coding: read past end at bit %d", r.pos)
 		}
-		if b == 0 {
-			return v, nil
+		k := 64 - r.pos&7 // bits of the window that come from buf
+		if k > avail {
+			k = avail
 		}
-		v++
+		if ones := bits.LeadingZeros64(^r.window()); ones < k {
+			r.pos += ones + 1
+			return v + uint64(ones), nil
+		}
+		v += uint64(k)
+		r.pos += k
 	}
 }
 

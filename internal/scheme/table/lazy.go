@@ -23,7 +23,9 @@ package table
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/coding"
 	"repro/internal/graph"
@@ -138,12 +140,18 @@ func (l *Lazy) decodeStripe(si int) ([]graph.Port, error) {
 	return arena, nil
 }
 
+// stripe returns stripe si's arena, decoding it on first use.
+func (l *Lazy) stripe(si int) *stripeState {
+	st := &l.stripes[si]
+	st.once.Do(func() { st.rows, st.err = l.decodeStripe(si) })
+	return st
+}
+
 // row returns router x's decoded row, or nil when its stripe is
 // poisoned by a decode error.
 func (l *Lazy) row(x graph.NodeID) []graph.Port {
 	si := int(x) / lazyStripe
-	st := &l.stripes[si]
-	st.once.Do(func() { st.rows, st.err = l.decodeStripe(si) })
+	st := l.stripe(si)
 	if st.err != nil {
 		return nil
 	}
@@ -151,15 +159,27 @@ func (l *Lazy) row(x graph.NodeID) []graph.Port {
 	return st.rows[(int(x)-lo)*l.n : (int(x)-lo+1)*l.n]
 }
 
-// Preload decodes every stripe (and hence verifies the whole payload),
-// returning the first error. Tests and eager callers use it; serving
-// never needs to.
+// Preload decodes every stripe (and hence verifies the whole payload)
+// on min(GOMAXPROCS, stripes) workers that claim stripes from a shared
+// counter. It returns the lowest-indexed stripe's error once every
+// stripe is done, so the report does not depend on the worker count.
+// Tests and eager callers use it; serving never needs to.
 func (l *Lazy) Preload() error {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(l.stripes)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for si := int(next.Add(1)) - 1; si < len(l.stripes); si = int(next.Add(1)) - 1 {
+				l.stripe(si)
+			}
+		}()
+	}
+	wg.Wait()
 	for si := range l.stripes {
-		st := &l.stripes[si]
-		st.once.Do(func() { st.rows, st.err = l.decodeStripe(si) })
-		if st.err != nil {
-			return st.err
+		if err := l.stripes[si].err; err != nil {
+			return err
 		}
 	}
 	return nil
