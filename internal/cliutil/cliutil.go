@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/evaluate"
@@ -70,16 +68,13 @@ func ParseKernelFlag(kernel string, weighted bool) (shortest.Kernel, error) {
 
 // ValidateServeFlags checks routeserve's serving flags: the batch size
 // must be positive (a batch of zero queries would spin forever making
-// no progress) and the bench query count nonnegative. Workers are
-// validated by ValidateEvalFlags alongside the shared flags; this
-// covers the serving-only ones, with the same fail-fast contract —
-// negative values are errors, never silent fallbacks.
-func ValidateServeFlags(batch, benchQueries int) error {
+// no progress). Workers are validated by ValidateEvalFlags alongside
+// the shared flags; this covers the serving-only ones, with the same
+// fail-fast contract — nonpositive values are errors, never silent
+// fallbacks.
+func ValidateServeFlags(batch int) error {
 	if batch < 1 {
 		return fmt.Errorf("-batch must be >= 1, got %d", batch)
-	}
-	if benchQueries < 0 {
-		return fmt.Errorf("-benchqueries must be >= 0 (0 = default), got %d", benchQueries)
 	}
 	return nil
 }
@@ -117,48 +112,6 @@ func ValidateNetFlags(listen string, shards int, deadline time.Duration, maxInFl
 		return fmt.Errorf("-maxinflight must be >= 1, got %d", maxInFlight)
 	}
 	return nil
-}
-
-// ValidateLoadgenFlags checks loadgen's open-loop knobs: a positive
-// arrival rate, a positive bounded duration and a positive batch size.
-// A zero rate would schedule no arrivals and a negative one is
-// nonsense; both fail fast instead of producing an empty BENCH file.
-func ValidateLoadgenFlags(rate int, duration time.Duration, batch int) error {
-	if rate < 1 {
-		return fmt.Errorf("-rate must be >= 1 query/s, got %d", rate)
-	}
-	if duration <= 0 {
-		return fmt.Errorf("-duration must be positive, got %v", duration)
-	}
-	if duration > time.Hour {
-		return fmt.Errorf("-duration must be <= 1h (open-loop latencies are recorded in memory), got %v", duration)
-	}
-	if batch < 1 {
-		return fmt.Errorf("-batch must be >= 1, got %d", batch)
-	}
-	return nil
-}
-
-// ParseIntList parses a comma-separated list of positive ints ("1,2,8")
-// for loadgen's sweep flags. Empty entries, malformed numbers, zeros
-// and negatives are errors naming the offending flag.
-func ParseIntList(flagName, s string) ([]int, error) {
-	if s == "" {
-		return nil, fmt.Errorf("%s must not be empty", flagName)
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad entry %q: %w", flagName, p, err)
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("%s: entries must be >= 1, got %d", flagName, v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // ValidateWeightFlags checks the weighted-metric flags: -maxweight must

@@ -147,13 +147,14 @@ func TestWeightedBitIdenticalToSerial(t *testing.T) {
 	w := shortest.UniformWeights(g)
 	r := xrand.New(17)
 	for u := 0; u < g.Order(); u++ {
-		g.ForEachArc(graph.NodeID(u), func(p graph.Port, v graph.NodeID) {
+		backs := g.BackPorts(graph.NodeID(u))
+		for i, v := range g.Arcs(graph.NodeID(u)) {
 			if graph.NodeID(u) < v {
 				c := int32(r.Intn(5) + 1)
-				w[u][p-1] = c
-				w[v][g.BackPort(graph.NodeID(u), p)-1] = c
+				w[u][i] = c
+				w[v][backs[i]-1] = c
 			}
-		})
+		}
 	}
 	s, err := table.NewWeighted(g, w, nil, table.MinPort)
 	if err != nil {

@@ -45,17 +45,18 @@ func (g *Graph) WriteDOT(w io.Writer, opt DOTOptions) error {
 		fmt.Fprintf(&b, "  n%d [label=\"%s\"%s];\n", u, label, attr)
 	}
 	for u := 0; u < g.Order(); u++ {
-		g.ForEachArc(NodeID(u), func(p Port, v NodeID) {
-			if NodeID(u) > v {
-				return // each edge once
+		backs := g.BackPorts(NodeID(u))
+		for i, v := range g.Arcs(NodeID(u)) {
+			if v == DeadEnd || NodeID(u) > v {
+				continue // a removed edge's hole, or the edge's other end
 			}
 			if opt.ShowPorts {
 				fmt.Fprintf(&b, "  n%d -- n%d [taillabel=\"%d\", headlabel=\"%d\"];\n",
-					u, v, p, g.BackPort(NodeID(u), p))
+					u, v, i+1, backs[i])
 			} else {
 				fmt.Fprintf(&b, "  n%d -- n%d;\n", u, v)
 			}
-		})
+		}
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

@@ -41,3 +41,35 @@ func TestWriteDOTCustomLabels(t *testing.T) {
 		t.Fatalf("custom label/attr not rendered:\n%s", buf.String())
 	}
 }
+
+// TestWriteDOTSkipsRemovedEdge pins the drawing of a faulted graph: the
+// hole a removed edge leaves is not drawn, every surviving edge is drawn
+// once, and the port labels are the stable ones (port numbers do not
+// shift when an earlier port dies).
+func TestWriteDOTSkipsRemovedEdge(t *testing.T) {
+	g := New(4)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 0)
+	g.AddEdge(2, 3)
+	g.RemoveEdge(0, 1)
+	head := "graph G {\n  node [shape=circle];\n" +
+		"  n0 [label=\"0\"];\n  n1 [label=\"1\"];\n  n2 [label=\"2\"];\n  n3 [label=\"3\"];\n"
+	for _, c := range []struct {
+		showPorts bool
+		edges     string
+	}{
+		{false, "  n0 -- n2;\n  n1 -- n2;\n  n2 -- n3;\n"},
+		{true, "  n0 -- n2 [taillabel=\"2\", headlabel=\"2\"];\n" +
+			"  n1 -- n2 [taillabel=\"2\", headlabel=\"1\"];\n" +
+			"  n2 -- n3 [taillabel=\"3\", headlabel=\"1\"];\n"},
+	} {
+		var buf bytes.Buffer
+		if err := g.WriteDOT(&buf, DOTOptions{ShowPorts: c.showPorts}); err != nil {
+			t.Fatal(err)
+		}
+		if want := head + c.edges + "}\n"; buf.String() != want {
+			t.Fatalf("ShowPorts=%v:\n%s\nwant:\n%s", c.showPorts, buf.String(), want)
+		}
+	}
+}

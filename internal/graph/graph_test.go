@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -273,6 +275,30 @@ func TestPortedSerializeRoundTrip(t *testing.T) {
 				t.Fatalf("port labeling changed at (%d, %d)", u, p)
 			}
 		}
+	}
+}
+
+// TestReadPortedHeaderAllocation pins what a header alone can make the
+// ported reader allocate: the empty n-vertex graph (two slice headers
+// per vertex, 48 B) and nothing twice. A header-only input is the
+// cheapest hostile payload, so this bound is what MaxSerializedOrder's
+// worst case rests on.
+func TestReadPortedHeaderAllocation(t *testing.T) {
+	const n = 1 << 16
+	limit := uint64(3 * 48 * n / 2)
+	var before, after runtime.MemStats
+	best := ^uint64(0)
+	for range 3 {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := ReadPorted(strings.NewReader("65536\n")); err == nil {
+			t.Fatal("header-only input accepted")
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > limit {
+		t.Fatalf("ReadPorted allocated %d bytes for a header-only order-%d input, want <= %d", best, n, limit)
 	}
 }
 

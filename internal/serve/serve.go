@@ -216,16 +216,6 @@ func New(g *graph.Graph, fn routing.Function, src shortest.DistanceSource, opt O
 	return &Server{g: g, fn: fn, src: src, opt: opt}
 }
 
-// WithWorkers returns a server over the same graph, scheme and distance
-// source with a different pool size. Servers are immutable, so the
-// original keeps serving unchanged — this is how routeserve's -bench
-// sweeps its worker ladder over one loaded scheme.
-func (sv *Server) WithWorkers(workers int) *Server {
-	c := *sv
-	c.opt.Workers = workers
-	return &c
-}
-
 // Workers returns the worker count a batch of the given size runs with.
 func (sv *Server) Workers(batch int) int {
 	w := sv.opt.Workers
