@@ -6,8 +6,8 @@
 // trajectory") next to the evaluator suite, so the core perf trajectory
 // accumulates one data point per run:
 //
-//	go test -run '^$' -bench 'BenchmarkBFS|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkAPSP|BenchmarkTableNew|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096' \
-//	    -benchtime 1x . | go run ./cmd/benchjson > BENCH_core.json
+//	go test -run '^$' -bench '^(BenchmarkBFS|BenchmarkBFSTree|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkAPSP|BenchmarkAPSPBatched|BenchmarkTableNew|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096)$' \
+//	    -benchtime 1x -count 5 -timeout 30m . | go run ./cmd/benchjson > BENCH_core.json
 //
 // The graphs are seeded random connected graphs with mean degree 8, the
 // same family the evaluator scaling experiment (E18) sweeps, at the
@@ -127,20 +127,26 @@ func BenchmarkMSBFS(b *testing.B) {
 	}
 }
 
-// BenchmarkAPSPBatched measures all-pairs table construction with each
-// kernel pinned explicitly — the scalar-vs-batch comparison behind the
-// -kernel flag, at the same orders BenchmarkAPSP sweeps.
+// BenchmarkAPSPBatched isolates the row kernel of a table build: scalar
+// is the serial one-BFS-per-row NewAPSP, batch is NewAPSPParallel on one
+// worker (64-source MS-BFS passes). Both run on one goroutine, so the
+// pair measures the shared arc scan alone, at the same orders
+// BenchmarkAPSP sweeps.
 func BenchmarkAPSPBatched(b *testing.B) {
 	for _, n := range []int{512, 4096} {
 		g := benchGraph(n)
-		for _, k := range []shortest.Kernel{shortest.KernelScalar, shortest.KernelBatch} {
-			b.Run(fmt.Sprintf("%s/n=%d", k, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					shortest.NewAPSPWith(g, shortest.APSPOptions{Kernel: k})
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("scalar/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				shortest.NewAPSP(g)
+			}
+		})
+		b.Run(fmt.Sprintf("batch/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				shortest.NewAPSPParallel(g, 1)
+			}
+		})
 	}
 }
 

@@ -5,14 +5,14 @@
 // (see DESIGN.md "Bench trajectory") next to the other suites:
 //
 //	go test -run '^$' -bench '^(BenchmarkFaultRepair|BenchmarkFaultRebuild|BenchmarkDeltaApply)$' \
-//	    -benchtime 1x . | go run ./cmd/benchjson > BENCH_faults.json
+//	    -benchtime 1x -count 5 -timeout 30m . | go run ./cmd/benchjson > BENCH_faults.json
 //
 // Read FaultRepair against FaultRebuild at the same (n, kills). The
 // conservative dirty criterion (|d(v,a)-d(v,b)| = 1 for a removed edge
 // {a,b}) marks nearly every root dirty on small-diameter and bipartite
 // families (2036 of 2048 here), so the repair redoes almost all the
-// work. The rebuild is faster in wall time: about 3x at n=2048 (median
-// of 5 on a 2-vCPU Xeon VM: 828 ms repair, 254 ms rebuild), because
+// work. The rebuild is faster in wall time: about 3.5x at n=2048 (median
+// of 5 on a 2-vCPU Xeon VM: 664 ms repair, 186 ms rebuild), because
 // its table build reads contiguous distance rows over a worker pool,
 // while Repair reads one distance row per dirty destination and the
 // refresh runs scalar BFS, both on one goroutine. The repair's wins

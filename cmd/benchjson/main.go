@@ -15,6 +15,13 @@
 //	  ]
 //	}
 //
+// Result lines that share a name — the repeats `go test -count N` prints
+// — fold into one entry, in the order names first appear: "metrics"
+// holds the median of each metric over the runs, and "runs", "min" and
+// "max" record the run count and the extremes. A benchmark that ran once
+// has none of the three fields, so single-run input converts exactly as
+// before.
+//
 // Usage:
 //
 //	go test -run '^$' -bench 'BenchmarkEvaluate' -benchtime 1x . | benchjson > BENCH_evaluate.json
@@ -32,15 +39,21 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one parsed result line, or the fold of its repeats: then
+// Iterations is the first run's, Metrics the per-metric median, and
+// Runs, Min and Max are set.
 type Benchmark struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	Runs       int                `json:"runs,omitempty"`
+	Min        map[string]float64 `json:"min,omitempty"`
+	Max        map[string]float64 `json:"max,omitempty"`
 }
 
 // Document is the archived artifact.
@@ -52,9 +65,12 @@ type Document struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// Parse reads `go test -bench` output and assembles the document.
+// Parse reads `go test -bench` output and assembles the document,
+// folding repeated names into one entry each.
 func Parse(r io.Reader) (*Document, error) {
 	doc := &Document{Benchmarks: []Benchmark{}}
+	var names []string
+	runs := map[string][]Benchmark{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -70,12 +86,48 @@ func Parse(r io.Reader) (*Document, error) {
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			b, ok := parseBenchLine(line)
-			if ok {
-				doc.Benchmarks = append(doc.Benchmarks, b)
+			if !ok {
+				continue
 			}
+			if _, seen := runs[b.Name]; !seen {
+				names = append(names, b.Name)
+			}
+			runs[b.Name] = append(runs[b.Name], b)
 		}
 	}
+	for _, name := range names {
+		doc.Benchmarks = append(doc.Benchmarks, fold(runs[name]))
+	}
 	return doc, sc.Err()
+}
+
+// fold merges the runs of one benchmark: a single run is returned as
+// is; repeats become the per-metric median, minimum and maximum over the
+// runs that reported the metric.
+func fold(rs []Benchmark) Benchmark {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	b := Benchmark{
+		Name: rs[0].Name, Iterations: rs[0].Iterations, Runs: len(rs),
+		Metrics: map[string]float64{}, Min: map[string]float64{}, Max: map[string]float64{},
+	}
+	vals := map[string][]float64{}
+	for _, r := range rs {
+		for unit, v := range r.Metrics {
+			vals[unit] = append(vals[unit], v)
+		}
+	}
+	for unit, vs := range vals {
+		slices.Sort(vs)
+		k := len(vs) / 2
+		med := vs[k]
+		if len(vs)%2 == 0 {
+			med = (vs[k-1] + vs[k]) / 2
+		}
+		b.Metrics[unit], b.Min[unit], b.Max[unit] = med, vs[0], vs[len(vs)-1]
+	}
+	return b
 }
 
 // parseBenchLine parses "BenchmarkName-8  10  123 ns/op  4 B/op ...":

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -93,5 +95,48 @@ func TestParseOverlongLineError(t *testing.T) {
 	long := "BenchmarkHuge 1 " + strings.Repeat("9", 2*1024*1024) + " ns/op"
 	if _, err := Parse(strings.NewReader(long)); err == nil {
 		t.Fatal("overlong line parsed without error")
+	}
+}
+
+// TestParseFoldsRepeats pins the -count N fold: three runs of each of
+// two interleaved benchmarks become two entries in first-appearance
+// order, whose metrics are the per-metric medians and whose runs, min
+// and max record the repeats, while a benchmark that ran once keeps the
+// single-run JSON shape.
+func TestParseFoldsRepeats(t *testing.T) {
+	const repeats = `goos: linux
+BenchmarkAPSP/n=512-2   1  300 ns/op  10 B/op  2 allocs/op
+BenchmarkBFS/n=64-2     1   40 ns/op
+BenchmarkAPSP/n=512-2   1  100 ns/op  30 B/op  2 allocs/op
+BenchmarkBFS/n=64-2     1   60 ns/op
+BenchmarkAPSP/n=512-2   1  200 ns/op  20 B/op  2 allocs/op
+BenchmarkBFS/n=64-2     1   50 ns/op
+BenchmarkOnce-2         4    7 ns/op
+PASS
+`
+	doc, err := Parse(strings.NewReader(repeats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "BenchmarkAPSP/n=512", Iterations: 1, Runs: 3,
+			Metrics: map[string]float64{"ns/op": 200, "B/op": 20, "allocs/op": 2},
+			Min:     map[string]float64{"ns/op": 100, "B/op": 10, "allocs/op": 2},
+			Max:     map[string]float64{"ns/op": 300, "B/op": 30, "allocs/op": 2}},
+		{Name: "BenchmarkBFS/n=64", Iterations: 1, Runs: 3,
+			Metrics: map[string]float64{"ns/op": 50},
+			Min:     map[string]float64{"ns/op": 40},
+			Max:     map[string]float64{"ns/op": 60}},
+		{Name: "BenchmarkOnce", Iterations: 4, Metrics: map[string]float64{"ns/op": 7}},
+	}
+	if !reflect.DeepEqual(doc.Benchmarks, want) {
+		t.Fatalf("folded benchmarks:\n%+v\nwant\n%+v", doc.Benchmarks, want)
+	}
+	once, err := json.Marshal(doc.Benchmarks[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(once); got != `{"name":"BenchmarkOnce","iterations":4,"metrics":{"ns/op":7}}` {
+		t.Fatalf("single-run entry encodes as %s", got)
 	}
 }

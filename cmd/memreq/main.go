@@ -17,15 +17,9 @@
 // stream recomputes one row per claimed source inside each worker
 // (O(workers*n) distance memory — the beyond-RAM mode), cache streams
 // through a bounded LRU of rows. All three report bit-identical numbers.
-//
-// -kernel picks the hop-metric row kernel: scalar runs one BFS per row,
-// batch runs 64 sources per word-parallel MS-BFS pass (shared arc
-// scans). Kernels return bit-identical rows; under -distmode stream the
-// batch kernel's readers hold a 64-row prefetch block each, and the
-// resident-rows line reports that honestly (O(workers*64*n) instead of
-// O(workers*n)). batch is rejected with -weighted (no Dijkstra batch
-// kernel exists) and with -distmode cache (rows are cached one at a
-// time) — explicit errors, never silent fallbacks.
+// The dense table is built from 64-source MS-BFS batches; stream readers
+// compute one BFS row each, so the resident-rows line reads one row per
+// worker.
 //
 // -weighted switches the measured metric to cost stretch under symmetric
 // integer arc costs drawn uniformly from [1, -maxweight] off -seed
@@ -66,7 +60,6 @@ func main() {
 	sampleSeed := flag.Uint64("sampleseed", 1, "seed for -sample pair selection (independent of -seed)")
 	distmode := flag.String("distmode", "dense", "distance backend: dense|stream|cache (stream/cache never materialize the n^2 table)")
 	cacheRows := flag.Int("cacherows", 0, "row capacity for -distmode cache (0 = default)")
-	kernel := flag.String("kernel", "auto", "hop-metric row kernel: auto|scalar|batch (batch = 64-source MS-BFS; incompatible with -weighted and -distmode cache)")
 	weighted := flag.Bool("weighted", false, "measure cost stretch under random symmetric arc costs instead of hop stretch")
 	maxWeight := flag.Int("maxweight", 8, "largest arc cost for -weighted (costs uniform on [1, maxweight], drawn off -seed)")
 	flag.Parse()
@@ -80,11 +73,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "memreq: %v\n", err)
 		os.Exit(2)
 	}
-	kern, err := cliutil.ParseKernelFlag(*kernel, *weighted)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "memreq: %v\n", err)
-		os.Exit(2)
-	}
 	g, ins, err := buildGraph(*family, *n, *eps, *seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "memreq: %v\n", err)
@@ -94,7 +82,7 @@ func main() {
 	if *weighted {
 		wts = shortest.RandomWeights(g, *maxWeight, xrand.New(*seed))
 	}
-	opt := evaluate.Options{Workers: *workers, Sample: *sample, Seed: *sampleSeed, DistMode: mode, CacheRows: *cacheRows, Kernel: kern}
+	opt := evaluate.Options{Workers: *workers, Sample: *sample, Seed: *sampleSeed, DistMode: mode, CacheRows: *cacheRows}
 	// The dense tables are the only O(n^2) objects of this pipeline: build
 	// them only in dense mode, where scheme construction and evaluation
 	// read them. Stream/cache runs construct the scheme from BFS rows and
@@ -120,7 +108,7 @@ func main() {
 		}
 	}
 	if needHop {
-		apsp = shortest.NewAPSPWith(g, shortest.APSPOptions{Workers: opt.Workers, Kernel: kern})
+		apsp = shortest.NewAPSPParallel(g, opt.Workers)
 	}
 	// distTable is the dense table of the MEASURED metric (nil when
 	// streaming): the hop table built above, or the weighted one — built

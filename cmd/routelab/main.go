@@ -10,7 +10,6 @@
 //	routelab -workers 8            # size of the all-pairs worker pool
 //	routelab -sample 10000 -seed 1 # sampled (approximate) evaluation
 //	routelab -distmode stream      # distance rows by per-worker BFS, no n^2 table
-//	routelab -kernel batch         # 64-source MS-BFS rows (hop metric only)
 //	routelab -run E18 -e18large    # the large-n backend scaling sweep
 //	routelab -run E19              # the weighted (Dijkstra-row) backend sweep
 //	routelab -format json -o r.json
@@ -22,14 +21,9 @@
 // EXPERIMENTS.md numbers always use exhaustive mode. -distmode swaps the
 // distance backend (dense table, streaming BFS rows, bounded row cache)
 // under every stretch measurement; backends return bit-identical rows,
-// so this flag moves memory and time, never the numbers. -kernel picks
-// the hop-metric row kernel behind dense and stream backends (scalar
-// one-BFS-per-row vs the word-parallel 64-source batch); kernels too
-// return bit-identical rows, but note -kernel batch changes the stream
-// backend's RESIDENT-ROW accounting (64 rows per reader), so E18's
-// recorded rows/distMiB columns are reproduced by the default kernel,
-// and experiments with weighted measurements (E17, E19, E20's weighted
-// round-trip check) reject -kernel batch explicitly.
+// so this flag moves memory and time, never the numbers. Dense tables
+// are built from 64-source MS-BFS batches and streaming readers compute
+// one BFS row each; neither choice is a flag.
 //
 // All experiments are deterministic; see EXPERIMENTS.md for the recorded
 // outputs and their interpretation against the paper.
@@ -54,7 +48,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed for -sample pair selection")
 	distmode := flag.String("distmode", "dense", "distance backend: dense|stream|cache")
 	cacheRows := flag.Int("cacherows", 0, "row capacity for -distmode cache (0 = default)")
-	kernel := flag.String("kernel", "auto", "hop-metric row kernel: auto|scalar|batch (batch = 64-source MS-BFS; weighted measurements such as E19 reject it)")
 	e18large := flag.Bool("e18large", false, "extend E18 to the large-n ladder (n up to 32768; slow, sampled)")
 	format := flag.String("format", "text", "output format: text|json|csv")
 	out := flag.String("o", "", "write output to this file instead of stdout")
@@ -77,12 +70,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "routelab: %v\n", err)
 		os.Exit(2)
 	}
-	kern, err := cliutil.ParseKernelFlag(*kernel, false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "routelab: %v\n", err)
-		os.Exit(2)
-	}
-	exp.SetEvalOptions(evaluate.Options{Workers: *workers, Sample: *sample, Seed: *seed, DistMode: mode, CacheRows: *cacheRows, Kernel: kern})
+	exp.SetEvalOptions(evaluate.Options{Workers: *workers, Sample: *sample, Seed: *seed, DistMode: mode, CacheRows: *cacheRows})
 	exp.SetScalingLarge(*e18large)
 
 	ids := []string{}

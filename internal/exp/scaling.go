@@ -135,14 +135,6 @@ func runE18() ([]*Table, error) {
 				opts.Sample = w.sample
 				opts.Seed = 1
 				opts.Distances = nil
-				if mode == evaluate.DistCache {
-					// The cache backend caches rows one at a time, so it
-					// cannot serve the 64-row batch kernel (SourceFor rejects
-					// the combination). The sweep's cache column is defined
-					// as the scalar path; -kernel batch applies to the dense
-					// and stream columns.
-					opts.Kernel = shortest.KernelAuto
-				}
 				var denseArg *shortest.APSP
 				if mode == evaluate.DistDense {
 					denseArg = apsp

@@ -39,13 +39,22 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return readFrameInto(r, &scratch)
 }
 
+// frameGrowChunk is the smallest buffer grown for a frame body that
+// does not fit the caller's scratch.
+const frameGrowChunk = 64 << 10
+
 // readFrameInto is readFrame with a caller-recycled buffer: the payload
-// is read into *scratch when it fits, growing (and retaining) it
-// otherwise. Both loop ends — the server's per-connection read loop and
-// the client's pooled connections — hold one scratch per stream, so a
-// warm connection reads frames with zero buffer allocation. The
-// returned slice aliases the scratch and is valid only until the next
-// call; every decoder above this layer copies what it keeps.
+// is read into *scratch when it is large enough, and a larger buffer
+// replaces *scratch otherwise. Both loop ends — the server's
+// per-connection read loop and the client's pooled connections — hold
+// one scratch per stream, so a warm connection reads frames with zero
+// buffer allocation. A frame larger than the scratch is read into a
+// buffer that doubles as bytes arrive — from at least frameGrowChunk,
+// never past the declared length — so what a peer can make this side
+// allocate is bounded by about twice the bytes it actually sent, not by
+// the length it declared. The returned slice aliases the scratch and is
+// valid only until the next call; every decoder above this layer copies
+// what it keeps.
 func readFrameInto(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	length, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -57,14 +66,23 @@ func readFrameInto(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	if length > MaxFrameBytes {
 		return nil, fmt.Errorf("netserve: frame of %d bytes exceeds limit %d", length, MaxFrameBytes)
 	}
-	buf := *scratch
-	if uint64(cap(buf)) < length {
-		buf = make([]byte, length)
-		*scratch = buf
-	}
-	buf = buf[:length]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("netserve: frame body: %w", err)
+	n := int(length)
+	buf := (*scratch)[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(max(2*cap(buf), frameGrowChunk), n))
+			copy(grown, buf)
+			buf = grown
+			*scratch = buf
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF // the body ended between chunks
+			}
+			return nil, fmt.Errorf("netserve: frame body: %w", err)
+		}
 	}
 	return buf, nil
 }

@@ -3,10 +3,13 @@ package netserve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/coding"
 	"repro/internal/routing"
@@ -212,6 +215,48 @@ func TestFrameRoundTripAndCaps(t *testing.T) {
 	}
 	if err := writeFrame(&bytes.Buffer{}, make([]byte, MaxFrameBytes+1)); err == nil {
 		t.Error("oversized frame written")
+	}
+}
+
+// TestFrameBodyAllocatesWhatArrives pins the large-frame guard: a header
+// declaring MaxFrameBytes followed by 16 body bytes and EOF fails as a
+// truncated body without allocating anywhere near the declared 64 MiB,
+// and a frame several growth chunks long still round-trips byte for
+// byte through a reader that delivers it in pieces.
+func TestFrameBodyAllocatesWhatArrives(t *testing.T) {
+	var lie bytes.Buffer
+	var lenBuf [binary.MaxVarintLen64]byte
+	lie.Write(lenBuf[:binary.PutUvarint(lenBuf[:], MaxFrameBytes)])
+	lie.Write(make([]byte, 16))
+	br := bufio.NewReader(&lie)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(br)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "frame body") {
+		t.Fatalf("truncated MaxFrameBytes frame: got %v, want a frame body error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("truncated MaxFrameBytes frame allocated %d B, want < 1 MiB", alloc)
+	}
+
+	payload := make([]byte, 5*frameGrowChunk+123)
+	for i := range payload {
+		payload[i] = byte(i*7 + i>>9)
+	}
+	var buf bytes.Buffer
+	for _, p := range [][]byte{payload, payload[:100]} {
+		if err := writeFrame(&buf, p); err != nil {
+			t.Fatalf("writeFrame: %v", err)
+		}
+	}
+	br = bufio.NewReader(iotest.HalfReader(&buf))
+	var scratch []byte
+	for _, want := range [][]byte{payload, payload[:100]} {
+		got, err := readFrameInto(br, &scratch)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte frame did not round-trip: err %v, equal %v", len(want), err, bytes.Equal(got, want))
+		}
 	}
 }
 

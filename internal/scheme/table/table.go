@@ -70,7 +70,7 @@ func New(g *graph.Graph, apsp *shortest.APSP, pol Policy) (*Scheme, error) {
 }
 
 // buildClaim is the number of consecutive routers a build worker claims
-// at a time, the same granularity as one MS-BFS batch of NewAPSPWith.
+// at a time, the same granularity as one MS-BFS batch of NewAPSPParallel.
 const buildClaim = 64
 
 // build is the shared body of New (w == nil, hop metric) and

@@ -1,7 +1,6 @@
 package shortest
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -10,64 +9,6 @@ import (
 // MSBFSWidth is the number of BFS sources one multi-source pass carries:
 // one bit lane per source in a uint64 frontier/visited word.
 const MSBFSWidth = 64
-
-// Kernel selects HOW unweighted (hop-metric) distance rows are computed
-// by the constructors that take one — never WHAT they contain: every
-// kernel produces rows bit-identical to BFSInto, so the choice moves
-// wall-clock time and per-reader residency, not a single number. The
-// weighted metric has no batch kernel (Dijkstra rows are priority-queue
-// driven and do not share scans), so weighted constructors reject
-// KernelBatch explicitly instead of silently falling back.
-type Kernel int
-
-const (
-	// KernelAuto picks the fastest kernel that preserves the
-	// constructor's historical observable contract: batch for dense
-	// all-pairs builds (a finished table's residency is n rows either
-	// way), scalar for streaming readers (whose one-row-per-reader
-	// residency contract is part of recorded experiment output; the
-	// 64-row prefetch is opt-in via KernelBatch).
-	KernelAuto Kernel = iota
-	// KernelScalar computes one BFS row per source — the PR 3 kernel.
-	KernelScalar
-	// KernelBatch runs up to MSBFSWidth sources per pass through
-	// MSBFSInto, sharing every arc scan across all active lanes.
-	KernelBatch
-)
-
-// String names the kernel as the CLIs spell it.
-func (k Kernel) String() string {
-	switch k {
-	case KernelScalar:
-		return "scalar"
-	case KernelBatch:
-		return "batch"
-	default:
-		return "auto"
-	}
-}
-
-// ParseKernel maps a -kernel flag value to a Kernel. Unknown values are
-// an explicit error, never a silent fallback.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "scalar":
-		return KernelScalar, nil
-	case "batch":
-		return KernelBatch, nil
-	default:
-		return KernelAuto, fmt.Errorf("shortest: unknown distance kernel %q (want auto, scalar or batch)", s)
-	}
-}
-
-// validKernel reports whether k is one of the defined kernels; resolvers
-// that receive a Kernel from outside ParseKernel check it so an
-// out-of-range value becomes an error, not a panic deep in a worker.
-func validKernel(k Kernel) bool {
-	return k == KernelAuto || k == KernelScalar || k == KernelBatch
-}
 
 // MSBFSScratch is the caller-owned scratch of MSBFSInto: the per-vertex
 // visited/frontier words and the frontier vertex lists, reused across

@@ -135,61 +135,47 @@ func TestMSBFSIntoReusesScratch(t *testing.T) {
 	}
 }
 
-// TestNewAPSPWithKernels pins the constructor knob: scalar and batch
-// builds are bit-identical to the serial reference at several worker
-// counts, for a graph whose order is not a multiple of the batch width.
-func TestNewAPSPWithKernels(t *testing.T) {
-	g := pathGraph(67) // 67 % 64 != 0: last batch is ragged
-	ref := NewAPSP(g)
-	for _, k := range []Kernel{KernelAuto, KernelScalar, KernelBatch} {
-		for _, workers := range []int{1, 3, 8} {
-			a := NewAPSPWith(g, APSPOptions{Workers: workers, Kernel: k})
-			for u := 0; u < g.Order(); u++ {
-				if !reflect.DeepEqual(a.Row(graph.NodeID(u)), ref.Row(graph.NodeID(u))) {
-					t.Fatalf("kernel=%s workers=%d: row %d differs from NewAPSP", k, workers, u)
+// FuzzMSBFS pins the batch kernel to BFSInto on the graphs
+// fuzzPairGraph decodes from data[1:] — dead ports left by removed edges,
+// removed vertices, several components. data[0] sets the source count
+// (1..130, so batches cross the 64-lane boundary) and the sources are
+// the bytes of data[1:] read cyclically modulo n, duplicates included.
+// One dist block and one scratch serve two calls — the full list, then
+// its reversed second half — so state a wide batch leaves behind would
+// surface in the narrower one.
+func FuzzMSBFS(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		rest := data[1:]
+		g, _, _ := fuzzPairGraph(rest)
+		if g == nil {
+			return
+		}
+		n := g.Order()
+		srcs := make([]graph.NodeID, 1+int(data[0])%130)
+		for i := range srcs {
+			srcs[i] = graph.NodeID(int(rest[i%len(rest)]) % n)
+		}
+		var (
+			dist  []int32
+			scr   *MSBFSScratch
+			want  []int32
+			queue []graph.NodeID
+		)
+		for pass := 0; pass < 2; pass++ {
+			dist, scr = MSBFSInto(g, srcs, dist, scr)
+			for i, s := range srcs {
+				want, queue = BFSInto(g, s, want, queue)
+				if !reflect.DeepEqual(dist[i*n:(i+1)*n], want) {
+					t.Fatalf("pass %d: lane %d (source %d) = %v, BFSInto = %v", pass, i, s, dist[i*n:(i+1)*n], want)
 				}
 			}
+			srcs = srcs[len(srcs)/2:]
+			for i, j := 0, len(srcs)-1; i < j; i, j = i+1, j-1 {
+				srcs[i], srcs[j] = srcs[j], srcs[i]
+			}
 		}
-	}
-}
-
-// TestKernelParse pins the flag spelling round-trip and the unknown-value
-// error.
-func TestKernelParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-	}{{"", KernelAuto}, {"auto", KernelAuto}, {"scalar", KernelScalar}, {"batch", KernelBatch}} {
-		got, err := ParseKernel(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Fatal("ParseKernel accepted an unknown kernel name")
-	}
-	if KernelBatch.String() != "batch" || KernelScalar.String() != "scalar" || KernelAuto.String() != "auto" {
-		t.Fatal("Kernel.String does not round-trip the flag spellings")
-	}
-}
-
-// TestBatchedStreamSource pins the batched reader: rows equal BFS for
-// in-block, cross-block and repeated requests; RowBatch and ResidentRows
-// reflect the 64-row prefetch block.
-func TestBatchedStreamSource(t *testing.T) {
-	g := pathGraph(130) // three blocks: 64 + 64 + 2
-	src, err := NewStreamSourceKernel(g, KernelBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.RowBatch() != MSBFSWidth {
-		t.Fatalf("RowBatch() = %d, want %d", src.RowBatch(), MSBFSWidth)
-	}
-	rd := src.NewReader()
-	// Walk forward, jump back across blocks, and hit the ragged tail.
-	for _, v := range []int{0, 63, 64, 1, 129, 128, 65, 127, 0, 129} {
-		if got, want := rd.Row(graph.NodeID(v)), BFS(g, graph.NodeID(v)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("row %d = %v…, want %v…", v, got[:4], want[:4])
-		}
-	}
+	})
 }

@@ -2,7 +2,6 @@ package shortest
 
 import (
 	"container/list"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -46,14 +45,11 @@ type RowReader interface {
 	Row(src graph.NodeID) []int32
 }
 
-// RowBatcher is optionally implemented by sources whose readers compute
-// an ALIGNED block of consecutive rows per claim: a Row(src) miss
-// materializes rows [src - src%RowBatch(), …) in one pass, and further
-// Row calls inside that block are free. Row-claiming loops (the
-// evaluator's worker pool) check for it and claim RowBatch-aligned
-// row chunks instead of single rows, so one worker's claims line up
-// with its reader's prefetch blocks and no block is computed twice.
-// RowBatch is 1 for pure per-row sources.
+// RowBatcher names sources whose readers compute an aligned block of
+// RowBatch consecutive rows per claim. No source in this module
+// implements it any more: every reader computes one row per Row call.
+// The declaration stays only for wrappers outside this module that
+// still forward the capability.
 type RowBatcher interface {
 	RowBatch() int
 }
@@ -67,9 +63,9 @@ type RowBatcher interface {
 // concurrent use, and it never invalidates a row an earlier Row call on
 // the same reader returned.
 //
-// Implemented by the dense table (*APSP, an index) and by the scalar
+// Implemented by the dense table (*APSP, an index) and by the
 // hop-metric streaming reader (NewStreamSource, a bidirectional BFS).
-// Weighted, cached and batched readers are row-only.
+// Weighted and cached readers are row-only.
 type PairReader interface {
 	Dist(u, v graph.NodeID) int32
 }
@@ -151,45 +147,22 @@ func dijkstraKernel(g *graph.Graph, w Weights) rowKernel {
 // else — residency, reader discipline, determinism — is metric-blind.
 type StreamSource struct {
 	n      int
-	batch  int       // rows a reader computes per aligned claim (1 = scalar)
-	kernel rowKernel // per-row path (batch == 1)
-	// g is the hop-metric graph, nil under the weighted kernel. The batch
-	// path (batch > 1) runs MSBFSInto over its CSR directly; scalar
+	kernel rowKernel
+	// g is the hop-metric graph, nil under the weighted kernel; its
 	// readers answer PairReader.Dist by bidirectional BFS over it.
 	g *graph.Graph
 }
 
 // NewStreamSource returns a streaming source of BFS (hop metric) rows
-// over g, one row per claim — the scalar kernel, whose one resident row
-// per reader contract is part of recorded experiment output. The graph
+// over g, one BFS per row, so each reader keeps exactly one row
+// resident — a contract recorded experiment output depends on. The graph
 // is frozen to its CSR layout here — the last serial point before
 // readers fan out across workers — so every per-row traversal walks
 // contiguous arcs. Its readers are also PairReaders: a single distance
-// costs a bidirectional BFS instead of a row. NewStreamSourceKernel opts
-// into the batched kernel.
+// costs a bidirectional BFS instead of a row.
 func NewStreamSource(g *graph.Graph) *StreamSource {
 	g.Freeze()
-	return &StreamSource{n: g.Order(), batch: 1, kernel: bfsKernel(g), g: g}
-}
-
-// NewStreamSourceKernel is NewStreamSource with an explicit row kernel.
-// KernelBatch readers prefetch one MSBFSWidth-aligned block of rows per
-// claimed source — Row(src) computes rows [src-src%64, …) in one
-// word-parallel pass and serves the rest of the block for free — which
-// multiplies per-reader residency by the block width (see ResidentRows)
-// in exchange for amortizing every arc scan across up to 64 rows.
-// KernelAuto and KernelScalar select the per-row source unchanged; an
-// unknown kernel is an explicit error, never a silent fallback.
-func NewStreamSourceKernel(g *graph.Graph, k Kernel) (*StreamSource, error) {
-	switch k {
-	case KernelAuto, KernelScalar:
-		return NewStreamSource(g), nil
-	case KernelBatch:
-		g.Freeze()
-		return &StreamSource{n: g.Order(), batch: MSBFSWidth, g: g}, nil
-	default:
-		return nil, fmt.Errorf("shortest: unknown kernel %d", int(k))
-	}
+	return &StreamSource{n: g.Order(), kernel: bfsKernel(g), g: g}
 }
 
 // NewWeightedStreamSource returns a streaming source of Dijkstra rows
@@ -201,86 +174,24 @@ func NewWeightedStreamSource(g *graph.Graph, w Weights) (*StreamSource, error) {
 		return nil, err
 	}
 	g.Freeze()
-	return &StreamSource{n: g.Order(), batch: 1, kernel: dijkstraKernel(g, w)}, nil
+	return &StreamSource{n: g.Order(), kernel: dijkstraKernel(g, w)}, nil
 }
 
 // Order implements DistanceSource.
 func (s *StreamSource) Order() int { return s.n }
 
-// RowBatch implements RowBatcher: the number of consecutive rows a
-// reader materializes per aligned claim — MSBFSWidth for the batched
-// kernel, 1 for the scalar and weighted kernels.
-func (s *StreamSource) RowBatch() int { return s.batch }
-
 // NewReader implements DistanceSource.
 func (s *StreamSource) NewReader() RowReader {
-	if s.batch > 1 {
-		return &msbfsReader{g: s.g, n: s.n, batch: s.batch, start: -1}
-	}
 	if s.g != nil {
 		return &bfsStreamReader{streamReader: streamReader{compute: s.kernel()}, pair: pairBFS{g: s.g}}
 	}
 	return &streamReader{compute: s.kernel()}
 }
 
-// ResidentRows implements DistanceSource: each reader keeps one aligned
-// block of RowBatch rows resident (one row under the scalar kernels), so
-// the bound is workers × RowBatch, capped by the number of blocks that
-// exist and by n. For batch == 1 this reduces to the historical
-// one-row-per-worker bound exactly; the batched kernel's honest answer
-// is 64 rows per worker — memreq's beyond-RAM accounting reports what a
-// run will actually hold resident.
+// ResidentRows implements DistanceSource: each reader keeps one row
+// resident, so the bound is one row per worker, capped at n.
 func (s *StreamSource) ResidentRows(workers int) int {
-	w := normWorkers(workers)
-	blocks := 0
-	if s.batch > 0 {
-		blocks = (s.n + s.batch - 1) / s.batch
-	}
-	if w > blocks {
-		w = blocks
-	}
-	r := w * s.batch
-	if r > s.n {
-		r = s.n
-	}
-	return r
-}
-
-// msbfsReader is the batched streaming reader: one MSBFSWidth-aligned
-// block of rows resident at a time, computed by a single word-parallel
-// pass and carved from one contiguous block buffer. Rows of the resident
-// block stay valid until a Row call outside it — a superset of the
-// RowReader validity contract.
-type msbfsReader struct {
-	g     *graph.Graph
-	n     int
-	batch int
-	start int // first row of the resident block; -1 = none
-	width int // rows in the resident block
-	block []int32
-	scr   *MSBFSScratch
-	srcs  []graph.NodeID
-}
-
-func (r *msbfsReader) Row(src graph.NodeID) []int32 {
-	s := int(src)
-	if r.start >= 0 && s >= r.start && s < r.start+r.width {
-		i := s - r.start
-		return r.block[i*r.n : (i+1)*r.n]
-	}
-	start := s - s%r.batch
-	width := r.batch
-	if start+width > r.n {
-		width = r.n - start
-	}
-	r.srcs = r.srcs[:0]
-	for u := start; u < start+width; u++ {
-		r.srcs = append(r.srcs, graph.NodeID(u))
-	}
-	r.block, r.scr = MSBFSInto(r.g, r.srcs, r.block, r.scr)
-	r.start, r.width = start, width
-	i := s - start
-	return r.block[i*r.n : (i+1)*r.n]
+	return min(normWorkers(workers), s.n)
 }
 
 type streamReader struct {
@@ -299,7 +210,7 @@ func (r *streamReader) Row(src graph.NodeID) []int32 {
 	return r.dist
 }
 
-// bfsStreamReader is the scalar hop-metric reader: Row recomputes one
+// bfsStreamReader is the hop-metric reader: Row recomputes one
 // BFS row like every streamReader, and Dist answers one pair from the
 // resident row when it is u's, by bidirectional BFS otherwise. The pair
 // search has its own scratch, so Dist never overwrites a returned row.

@@ -203,56 +203,6 @@ func TestResidentRowsHints(t *testing.T) {
 	if got := NewCacheSource(g, 100).ResidentRows(4); got != 9 {
 		t.Fatalf("cache hint %d, want clamp to n=9", got)
 	}
-	// The explicit scalar kernel is the same source as NewStreamSource —
-	// same hints, and RowBatch advertises single-row claims.
-	scalar, err := NewStreamSourceKernel(g, KernelScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := scalar.ResidentRows(4); got != 4 {
-		t.Fatalf("scalar-kernel stream hint %d, want workers=4", got)
-	}
-	if scalar.RowBatch() != 1 {
-		t.Fatalf("scalar stream RowBatch() = %d, want 1", scalar.RowBatch())
-	}
-}
-
-// TestBatchedStreamResidentRows pins the batched kernel's resident-row
-// accounting: each reader holds one 64-row prefetch block, so the hint
-// is workers×64, capped by the number of blocks that exist and by n —
-// this is what keeps memreq's beyond-RAM claims honest when -kernel
-// batch multiplies per-reader residency.
-func TestBatchedStreamResidentRows(t *testing.T) {
-	big := graph.New(200) // 4 blocks: 64+64+64+8
-	for v := 0; v < 199; v++ {
-		big.AddEdge(graph.NodeID(v), graph.NodeID(v+1))
-	}
-	src, err := NewStreamSourceKernel(big, KernelBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ workers, want int }{
-		{1, 64},   // one reader, one block
-		{2, 128},  // two blocks
-		{3, 192},  // three blocks
-		{4, 200},  // 4*64 = 256 capped at n
-		{64, 200}, // more workers than blocks: every row could be resident
-	} {
-		if got := src.ResidentRows(tc.workers); got != tc.want {
-			t.Fatalf("batched stream ResidentRows(%d) = %d, want %d", tc.workers, got, tc.want)
-		}
-	}
-	// Small graphs: a single ragged block, never more than n.
-	small, err := NewStreamSourceKernel(sourceTestGraph(), KernelBatch) // n = 9
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := small.ResidentRows(4); got != 9 {
-		t.Fatalf("batched stream ResidentRows(4) on n=9 = %d, want 9", got)
-	}
-	if got := small.ResidentRows(1); got != 9 {
-		t.Fatalf("batched stream ResidentRows(1) on n=9 = %d, want 9", got)
-	}
 }
 
 // TestBFSIntoReusesScratch checks the zero-allocation steady state the

@@ -161,16 +161,12 @@ func TestPairDistInterleavedWithRow(t *testing.T) {
 }
 
 // TestPairReaderCapabilities pins which readers take the pair path:
-// the scalar streaming reader and the dense table do; weighted, cached
-// and batched readers stay row-only, so callers fall back to Row.
+// the hop-metric streaming reader and the dense table do; weighted and
+// cached readers stay row-only, so callers fall back to Row.
 func TestPairReaderCapabilities(t *testing.T) {
 	g := gen.Petersen()
 	w := shortest.UniformWeights(g)
 	wstream, err := shortest.NewWeightedStreamSource(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := shortest.NewStreamSourceKernel(g, shortest.KernelBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +179,6 @@ func TestPairReaderCapabilities(t *testing.T) {
 		{"stream", shortest.NewStreamSource(g), true},
 		{"cache", shortest.NewCacheSource(g, 4), false},
 		{"weighted stream", wstream, false},
-		{"batch stream", batch, false},
 	} {
 		if _, ok := tc.src.NewReader().(shortest.PairReader); ok != tc.pair {
 			t.Errorf("%s: PairReader = %v, want %v", tc.name, ok, tc.pair)
