@@ -1,10 +1,11 @@
 // Persistence + serving benchmarks: scheme encode/decode through the
 // schemeio wire codec and batched query serving through internal/serve.
 // CI archives these as BENCH_codec.json (see DESIGN.md "Bench
-// trajectory") next to the evaluator, core and weighted suites:
+// trajectory") next to the evaluator, core and weighted suites, as
+// medians of five runs:
 //
 //	go test -run '^$' -bench '^(BenchmarkEncodeScheme|BenchmarkDecodeScheme|BenchmarkServeBatch|BenchmarkNetServeRoundTrip)$' \
-//	    -benchtime 1x . | go run ./cmd/benchjson > BENCH_codec.json
+//	    -benchtime 1x -count 5 -timeout 30m . | go run ./cmd/benchjson > BENCH_codec.json
 //
 // The graphs are the seeded random connected family the core suite
 // sweeps; serving drives seeded stretch queries — the evaluator's pair

@@ -15,10 +15,11 @@
 // CI archives these as BENCH_startup.json (see DESIGN.md "Bench
 // trajectory"); EXPERIMENTS.md E22 reads the v2-full vs v2-mapped ratio
 // off that document. The acceptance floor is mapped open >= 5x faster
-// than full decode at the largest benchmarked scheme:
+// than full decode at the largest benchmarked scheme (medians of five
+// 100-iteration runs):
 //
-//	go test -run '^$' -bench '^(BenchmarkLoadContainer|BenchmarkMappedVerify)$' -benchtime 100x . \
-//	    | go run ./cmd/benchjson > BENCH_startup.json
+//	go test -run '^$' -bench '^(BenchmarkLoadContainer|BenchmarkMappedVerify)$' -benchtime 100x -count 5 \
+//	    -timeout 30m . | go run ./cmd/benchjson > BENCH_startup.json
 package repro
 
 import (

@@ -3,10 +3,11 @@
 // weighted all-pairs table construction (serial and worker-pool), and
 // the weighted streaming evaluator that composes them. CI archives these
 // as BENCH_weighted.json (see DESIGN.md "Bench trajectory") next to the
-// core and evaluator suites:
+// core and evaluator suites (-count 5: benchjson folds the repeats into
+// per-metric medians):
 //
-//	go test -run '^$' -bench 'BenchmarkDijkstra|BenchmarkWeightedAPSP|BenchmarkWeightedEvaluateStreaming' \
-//	    -benchtime 1x . | go run ./cmd/benchjson > BENCH_weighted.json
+//	go test -run '^$' -bench '^(BenchmarkDijkstra|BenchmarkWeightedAPSP|BenchmarkWeightedEvaluateStreaming)$' \
+//	    -benchtime 1x -count 5 -timeout 30m . | go run ./cmd/benchjson > BENCH_weighted.json
 //
 // The graphs are the same seeded random connected family the core suite
 // sweeps, under symmetric integer costs uniform on [1, 16].

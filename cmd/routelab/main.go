@@ -19,8 +19,8 @@
 // evaluates a seeded uniform subset of the ordered pairs instead —
 // deterministic for a fixed seed, but approximate, so the recorded
 // EXPERIMENTS.md numbers always use exhaustive mode. -distmode swaps the
-// distance backend (dense table, streaming BFS rows, bounded row cache)
-// under every stretch measurement; backends return bit-identical rows,
+// distance backend (dense table or streaming BFS rows) under every
+// stretch measurement; both backends return bit-identical rows,
 // so this flag moves memory and time, never the numbers. Dense tables
 // are built from 64-source MS-BFS batches and streaming readers compute
 // one BFS row each; neither choice is a flag.
@@ -46,8 +46,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for all-pairs evaluation (0 = all cores)")
 	sample := flag.Int("sample", 0, "evaluate only this many sampled ordered pairs per measurement (0 = exhaustive)")
 	seed := flag.Uint64("seed", 1, "seed for -sample pair selection")
-	distmode := flag.String("distmode", "dense", "distance backend: dense|stream|cache")
-	cacheRows := flag.Int("cacherows", 0, "row capacity for -distmode cache (0 = default)")
+	distmode := flag.String("distmode", "dense", "distance backend: dense|stream")
 	e18large := flag.Bool("e18large", false, "extend E18 to the large-n ladder (n up to 32768; slow, sampled)")
 	format := flag.String("format", "text", "output format: text|json|csv")
 	out := flag.String("o", "", "write output to this file instead of stdout")
@@ -65,12 +64,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "routelab: %v\n", err)
 		os.Exit(2)
 	}
-	mode, err := cliutil.ParseEvalFlags(*workers, *sample, *distmode, *cacheRows)
+	mode, err := cliutil.ParseEvalFlags(*workers, *sample, *distmode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "routelab: %v\n", err)
 		os.Exit(2)
 	}
-	exp.SetEvalOptions(evaluate.Options{Workers: *workers, Sample: *sample, Seed: *seed, DistMode: mode, CacheRows: *cacheRows})
+	exp.SetEvalOptions(evaluate.Options{Workers: *workers, Sample: *sample, Seed: *seed, DistMode: mode})
 	exp.SetScalingLarge(*e18large)
 
 	ids := []string{}

@@ -21,9 +21,8 @@
 // oracle backend for stretch queries exactly as in routelab/memreq:
 // dense precomputes the n^2 table, stream answers each stretch query by
 // a bidirectional BFS between its endpoints (O(workers*n) resident
-// memory), cache keeps a bounded LRU of rows. Answers
-// are bit-identical to the serial routing package for every backend,
-// batch size and worker count.
+// memory). Answers are bit-identical to the serial routing package for
+// both backends and every batch size and worker count.
 //
 // -kill injects a seeded fault before serving: it draws a deterministic
 // plan (internal/faults; -killmode edges|vertices, -killseed, -killweight
@@ -91,8 +90,7 @@ func main() {
 	queries := flag.String("queries", "", "serve queries from this file ('-' = stdin); lines: route|len|stretch u v")
 	batch := flag.Int("batch", 1024, "queries per served batch")
 	workers := flag.Int("workers", 0, "worker pool size per batch (0 = all cores)")
-	distmode := flag.String("distmode", "dense", "distance backend for stretch queries: dense|stream|cache")
-	cacheRows := flag.Int("cacherows", 0, "row capacity for -distmode cache (0 = default)")
+	distmode := flag.String("distmode", "dense", "distance backend for stretch queries: dense|stream")
 	listen := flag.String("listen", "", "serve the netserve wire protocol on this TCP address (host:port)")
 	shards := flag.Int("shards", 1, "with -listen: partition the router ID space across this many serving shards")
 	deadline := flag.Duration("deadline", 5*time.Second, "with -listen: per-connection read/write deadline and front-to-shard round-trip budget")
@@ -106,7 +104,7 @@ func main() {
 	applyDelta := flag.String("applydelta", "", "apply a generation patch (from -deltaout) to the scheme before serving")
 	flag.Parse()
 
-	mode, err := cliutil.ParseEvalFlags(*workers, 0, *distmode, *cacheRows)
+	mode, err := cliutil.ParseEvalFlags(*workers, 0, *distmode)
 	if err != nil {
 		fail(2, err)
 	}
@@ -319,10 +317,10 @@ func main() {
 	// actually reads a row. Route/len-only streams never pay for an
 	// oracle at all. Sharded serving calls shardSource once per shard:
 	// the dense table, when one exists, is shared (it is read-only and
-	// one n² block is plenty), while stream/cache shards each get their
-	// own backend so a shard's resident rows are exactly the rows its
+	// one n² block is plenty), while stream shards each get their own
+	// backend so a shard's resident rows are exactly the rows its
 	// owned sources asked for.
-	opt := evaluate.Options{Workers: *workers, DistMode: mode, CacheRows: *cacheRows}
+	opt := evaluate.Options{Workers: *workers, DistMode: mode}
 	var sharedSrc shortest.DistanceSource
 	if apsp != nil {
 		sharedSrc = apsp
@@ -490,7 +488,7 @@ func buildOrLoad(load string, useMmap bool, family string, n int, schemeName str
 	if err != nil {
 		return nil, nil, nil, nil, 0, err
 	}
-	streaming := mode == evaluate.DistStream || mode == evaluate.DistCache
+	streaming := mode == evaluate.DistStream
 	s, apsp, err := cliutil.BuildScheme(schemeName, g, cliutil.SchemeConfig{Seed: seed, Streaming: streaming, Workers: workers})
 	if err != nil {
 		return nil, nil, nil, nil, 0, err

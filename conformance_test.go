@@ -7,7 +7,7 @@
 //   - realized stretch >= 1 and each scheme's guarantee holds (tables
 //     and the structured stretch-1 schemes are exactly 1, landmark <= 3,
 //     the k-level oracle within [1, 2k-1]);
-//   - backend independence: dense, streaming and cached distance
+//   - backend independence: the dense and streaming distance
 //     backends produce bit-identical evaluation reports at several
 //     worker counts, exhaustive and sampled, all equal to the serial
 //     reference — the invariant that lets `-distmode stream` replace the
@@ -116,14 +116,11 @@ var confWorkers = []int{1, 2, 5}
 // shape (exhaustive or sampled).
 func backendOptions(base evaluate.Options) []evaluate.Options {
 	var out []evaluate.Options
-	for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream, evaluate.DistCache} {
+	for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream} {
 		for _, w := range confWorkers {
 			o := base
 			o.DistMode = mode
 			o.Workers = w
-			if mode == evaluate.DistCache {
-				o.CacheRows = 7 // small enough to force evictions on every family
-			}
 			out = append(out, o)
 		}
 	}

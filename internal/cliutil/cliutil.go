@@ -30,21 +30,11 @@ func ValidateEvalFlags(workers, sample int) error {
 
 // ParseEvalFlags validates the common evaluation flags and resolves the
 // -distmode string, returning the mode for evaluate.Options.
-func ParseEvalFlags(workers, sample int, distmode string, cacheRows int) (evaluate.DistMode, error) {
+func ParseEvalFlags(workers, sample int, distmode string) (evaluate.DistMode, error) {
 	if err := ValidateEvalFlags(workers, sample); err != nil {
 		return evaluate.DistDense, err
 	}
-	if cacheRows < 0 {
-		return evaluate.DistDense, fmt.Errorf("-cacherows must be >= 0 (0 = default), got %d", cacheRows)
-	}
-	mode, err := evaluate.ParseDistMode(distmode)
-	if err != nil {
-		return evaluate.DistDense, err
-	}
-	if cacheRows > 0 && mode != evaluate.DistCache {
-		return evaluate.DistDense, fmt.Errorf("-cacherows only applies with -distmode cache (got -distmode %s)", mode)
-	}
-	return mode, nil
+	return evaluate.ParseDistMode(distmode)
 }
 
 // ValidateServeFlags checks routeserve's serving flags: the batch size

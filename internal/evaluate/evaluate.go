@@ -66,9 +66,6 @@ const (
 	// BFS: O(workers·n) resident distance memory instead of O(n²), the
 	// beyond-RAM mode.
 	DistStream
-	// DistCache streams through a bounded LRU of rows (CacheRows), for
-	// sampled runs that revisit rows.
-	DistCache
 )
 
 // String names the mode as the CLIs spell it.
@@ -76,25 +73,21 @@ func (m DistMode) String() string {
 	switch m {
 	case DistStream:
 		return "stream"
-	case DistCache:
-		return "cache"
 	default:
 		return "dense"
 	}
 }
 
-// ParseDistMode maps a -distmode flag value to a DistMode; "" and the
-// older spelling "auto" name the dense default.
+// ParseDistMode maps a -distmode flag value to a DistMode; "" names the
+// dense default.
 func ParseDistMode(s string) (DistMode, error) {
 	switch s {
-	case "", "auto", "dense":
+	case "", "dense":
 		return DistDense, nil
 	case "stream":
 		return DistStream, nil
-	case "cache":
-		return DistCache, nil
 	default:
-		return DistDense, fmt.Errorf("evaluate: unknown distance mode %q (want dense, stream or cache)", s)
+		return DistDense, fmt.Errorf("evaluate: unknown distance mode %q (want dense or stream)", s)
 	}
 }
 
@@ -116,13 +109,10 @@ type Options struct {
 	// takes precedence over DistMode and the apsp argument.
 	Distances shortest.DistanceSource
 	// DistMode selects the backend built when Distances is nil. Stream
-	// and cache win over a non-nil apsp argument, so a harness-wide
-	// -distmode flag takes effect even in runners that precomputed a
-	// dense table for scheme construction.
+	// wins over a non-nil apsp argument, so a harness-wide -distmode
+	// flag takes effect even in runners that precomputed a dense table
+	// for scheme construction.
 	DistMode DistMode
-	// CacheRows is the LRU capacity for DistCache; <= 0 selects
-	// shortest.DefaultCacheRows.
-	CacheRows int
 }
 
 // Source resolves the distance backend a hop-metric Stretch run reads
@@ -140,12 +130,12 @@ func (o Options) Source(g *graph.Graph, apsp *shortest.APSP) (shortest.DistanceS
 // hop-only resolver: an explicit Distances wins outright (the caller
 // vouches it matches the metric — that is what memreq does after
 // resolving once and metering the same source it evaluates against);
-// then stream/cache modes, which never materialize the n² table in
-// either metric; then the caller's dense table; then a fresh dense build
+// then stream mode, which never materializes the n² table in either
+// metric; then the caller's dense table; then a fresh dense build
 // with the run's worker budget. A (metric, mode) combination this
 // resolver cannot serve is an explicit error — never a silent
 // substitution of a dense table, which is what the weighted path used to
-// do for -distmode stream|cache.
+// do for -distmode stream.
 func (o Options) SourceFor(g *graph.Graph, w shortest.Weights, apsp *shortest.APSP) (shortest.DistanceSource, error) {
 	if o.Distances != nil {
 		return o.Distances, nil
@@ -164,11 +154,6 @@ func (o Options) SourceFor(g *graph.Graph, w shortest.Weights, apsp *shortest.AP
 			return shortest.NewStreamSource(g), nil
 		}
 		return shortest.NewWeightedStreamSource(g, w)
-	case DistCache:
-		if w == nil {
-			return shortest.NewCacheSource(g, o.CacheRows), nil
-		}
-		return shortest.NewWeightedCacheSource(g, w, o.CacheRows)
 	}
 	metric := "hop"
 	if w != nil {
@@ -529,7 +514,7 @@ func samplePlan(n int, opt Options) ([][]graph.NodeID, error) {
 // ordered pair space: the parallel, streaming replacement for
 // routing.MeasureStretch. Distances come from Options.Source(g, apsp):
 // pass a precomputed dense table, or nil apsp with Options.Distances /
-// Options.DistMode selecting a streaming or cached backend. Every
+// Options.DistMode selecting the streaming backend. Every
 // backend and worker count yields the bit-identical report; in
 // exhaustive mode the embedded StretchReport fields are bit-identical to
 // the serial baseline.
@@ -546,12 +531,11 @@ func Stretch(g *graph.Graph, r routing.Function, apsp *shortest.APSP, opt Option
 // parallel replacement for routing.MeasureWeightedStretch. apsp must be
 // the weighted distance table for w, or nil to resolve a backend via
 // Options.SourceFor: dense builds the weighted table with the run's
-// worker budget, stream/cache recompute rows by per-reader Dijkstra
-// under w with the same O(workers·n) / LRU residency contracts as the
-// hop metric — full -distmode parity. Every backend and worker count
-// yields the bit-identical report; in exhaustive mode the embedded
-// StretchReport fields are bit-identical to the serial
-// routing.MeasureWeightedStretch.
+// worker budget, stream recomputes rows by per-reader Dijkstra under w
+// with the same O(workers·n) residency contract as the hop metric — full
+// -distmode parity. Every backend and worker count yields the
+// bit-identical report; in exhaustive mode the embedded StretchReport
+// fields are bit-identical to the serial routing.MeasureWeightedStretch.
 func WeightedStretch(g *graph.Graph, r routing.Function, w shortest.Weights, apsp *shortest.APSP, opt Options) (*Report, error) {
 	g.Freeze()
 	// Every backend the resolver BUILDS validates w itself; when the

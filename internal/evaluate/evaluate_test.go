@@ -3,6 +3,7 @@ package evaluate
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -215,7 +216,7 @@ func TestWeightedLargeCosts(t *testing.T) {
 }
 
 // TestWeightedStretchBackendParity pins the tentpole contract at the
-// package level: WeightedStretch under stream and cache modes never sees
+// package level: WeightedStretch under stream mode never sees
 // the dense weighted table yet reports bit-identically to it.
 func TestWeightedStretchBackendParity(t *testing.T) {
 	g := gen.Torus2D(5, 5)
@@ -228,22 +229,20 @@ func TestWeightedStretchBackendParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []DistMode{DistStream, DistCache} {
-		for _, workers := range []int{1, 4} {
-			rep, err := WeightedStretch(g, s, w, nil, Options{Workers: workers, DistMode: mode, CacheRows: 3})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", mode, workers, err)
-			}
-			if !reflect.DeepEqual(rep, dense) {
-				t.Fatalf("%s workers=%d: weighted report diverges from dense", mode, workers)
-			}
+	for _, workers := range []int{1, 4} {
+		rep, err := WeightedStretch(g, s, w, nil, Options{Workers: workers, DistMode: DistStream})
+		if err != nil {
+			t.Fatalf("stream workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(rep, dense) {
+			t.Fatalf("stream workers=%d: weighted report diverges from dense", workers)
 		}
 	}
 	// Malformed weights surface as an error from backend resolution, in
 	// every mode — the replacement for the old silent dense fallback.
 	bad := shortest.UniformWeights(g)
 	bad[0] = bad[0][:0]
-	for _, mode := range []DistMode{DistDense, DistStream, DistCache} {
+	for _, mode := range []DistMode{DistDense, DistStream} {
 		if _, err := WeightedStretch(g, s, bad, nil, Options{DistMode: mode}); err == nil {
 			t.Fatalf("%s: malformed weights evaluated without error", mode)
 		}
@@ -391,16 +390,20 @@ func TestHistogramBuckets(t *testing.T) {
 // TestParseDistMode pins the flag spellings the CLIs accept.
 func TestParseDistMode(t *testing.T) {
 	for s, want := range map[string]DistMode{
-		"": DistDense, "auto": DistDense, "dense": DistDense,
-		"stream": DistStream, "cache": DistCache,
+		"": DistDense, "dense": DistDense, "stream": DistStream,
 	} {
 		got, err := ParseDistMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseDistMode(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseDistMode("turbo"); err == nil {
-		t.Fatal("ParseDistMode accepted junk")
+	// One spelling per mode: the retired "auto" alias and "cache" backend
+	// are unknown values like any other junk.
+	for _, s := range []string{"auto", "cache", "turbo", "Dense"} {
+		_, err := ParseDistMode(s)
+		if err == nil || !strings.Contains(err.Error(), "want dense or stream") {
+			t.Fatalf("ParseDistMode(%q) err = %v, want an unknown-mode error naming dense or stream", s, err)
+		}
 	}
 }
 
@@ -424,9 +427,6 @@ func TestOptionsSourcePrecedence(t *testing.T) {
 	if _, ok := mustSource((Options{DistMode: DistStream}).Source(g, apsp)).(*shortest.StreamSource); !ok {
 		t.Fatal("DistStream did not override the apsp argument")
 	}
-	if _, ok := mustSource((Options{DistMode: DistCache, CacheRows: 5}).Source(g, apsp)).(*shortest.CacheSource); !ok {
-		t.Fatal("DistCache did not override the apsp argument")
-	}
 	if src := mustSource((Options{}).Source(g, apsp)); src != shortest.DistanceSource(apsp) {
 		t.Fatal("default (dense) mode ignored the provided dense table")
 	}
@@ -448,11 +448,6 @@ func TestSourceForWeighted(t *testing.T) {
 		t.Fatal(err)
 	} else if _, ok := src.(*shortest.StreamSource); !ok {
 		t.Fatalf("weighted stream mode resolved %T", src)
-	}
-	if src, err := (Options{DistMode: DistCache, CacheRows: 3}).SourceFor(g, w, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := src.(*shortest.CacheSource); !ok {
-		t.Fatalf("weighted cache mode resolved %T", src)
 	}
 	if src, err := (Options{}).SourceFor(g, w, nil); err != nil {
 		t.Fatal(err)
@@ -478,7 +473,7 @@ func TestStretchStreamDisconnected(t *testing.T) {
 	// that delivers within each component; the cross-component pairs must
 	// then fail on the Unreachable distance, on every backend.
 	loop := funcScheme{}
-	for _, mode := range []DistMode{DistDense, DistStream, DistCache} {
+	for _, mode := range []DistMode{DistDense, DistStream} {
 		_, errM := Stretch(g, loop, nil, Options{DistMode: mode, Workers: 2})
 		if errM == nil {
 			t.Fatalf("%v: disconnected pair did not error", mode)

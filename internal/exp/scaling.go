@@ -32,11 +32,11 @@ func SetScalingLarge(v bool) { scalingLarge = v }
 // dense n² table: 16384² int32 entries are already 1 GiB.
 const denseCutoff = 16384
 
-// runE18 sweeps the evaluator's three distance backends (dense table,
-// per-worker streaming BFS, bounded row cache) over growing instances of
-// the random and theorem1 families, for the two scheme regimes the paper
-// contrasts (tables: s=1, Θ(n log n) local bits; landmark: s<=3, o(n)).
-// Every backend must report identical stretch — that equality IS the
+// runE18 sweeps the evaluator's two distance backends (dense table and
+// per-worker streaming BFS) over growing instances of the random and
+// theorem1 families, for the two scheme regimes the paper contrasts
+// (tables: s=1, Θ(n log n) local bits; landmark: s<=3, o(n)).
+// Both backends must report identical stretch — that equality IS the
 // correctness claim, pinned exhaustively by the conformance matrix — so
 // the interesting columns are the resident distance rows and bytes
 // (deterministic, from DistanceSource.ResidentRows) and the wall time
@@ -52,9 +52,9 @@ func runE18() ([]*Table, error) {
 		Title: "distance-backend scaling sweep (sampled stretch, per-backend memory/time)",
 		Note: "backends agree bit-for-bit on every report (conformance matrix);\n" +
 			"rows(1w)/distMiB: resident distance rows and their size at ONE worker — n for dense,\n" +
-			"1 for stream, cache capacity + 1 for cache; stream and cache add one row per extra\n" +
-			"worker. Pinned to one worker so the table is -workers-independent like every other\n" +
-			"report. ms is wall time (machine-dependent; all other columns are deterministic).\n" +
+			"1 for stream; stream adds one row per extra worker. Pinned to one worker so the\n" +
+			"table is -workers-independent like every other report. ms is wall time\n" +
+			"(machine-dependent; all other columns are deterministic).\n" +
 			"n > " + fmt.Sprint(denseCutoff) + " skips dense and builds landmark via NewStreamed.",
 		Columns: []string{"graph", "n", "scheme", "backend", "pairs", "stretch(max)", "stretch(mean)", "MEM_local", "rows(1w)", "distMiB", "ms"},
 	}
@@ -126,7 +126,7 @@ func runE18() ([]*Table, error) {
 				return nil, fmt.Errorf("E18 %s/%s: %w", w.name, schemeName, err)
 			}
 			mem := evaluate.Memory(g, s, evalOpt)
-			for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream, evaluate.DistCache} {
+			for _, mode := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream} {
 				if mode == evaluate.DistDense && !denseOK {
 					continue
 				}

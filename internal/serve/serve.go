@@ -208,9 +208,9 @@ func (r *lazyReader) dist(u, v graph.NodeID) (int32, error) {
 }
 
 // New returns a server for scheme fn on g. src supplies the oracle
-// distances of OpStretch queries (shortest.DistanceSource: a dense
-// table, a streaming or a cached backend all work — each worker gets
-// its own reader); nil disables OpStretch with a per-query error.
+// distances of OpStretch queries (shortest.DistanceSource: the dense
+// table or the streaming backend — each worker gets its own reader);
+// nil disables OpStretch with a per-query error.
 func New(g *graph.Graph, fn routing.Function, src shortest.DistanceSource, opt Options) *Server {
 	g.Freeze() // serial point: batch workers only read the CSR arcs
 	return &Server{g: g, fn: fn, src: src, opt: opt}

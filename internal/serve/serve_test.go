@@ -119,7 +119,6 @@ func TestServeMatchesSerial(t *testing.T) {
 	sources := map[string]shortest.DistanceSource{
 		"dense":  apsp,
 		"stream": shortest.NewStreamSource(g),
-		"cache":  shortest.NewCacheSource(g, 7),
 	}
 	for name, src := range sources {
 		for _, workers := range []int{0, 1, 3, 8} {
@@ -194,7 +193,6 @@ func TestServeConcurrentRace(t *testing.T) {
 		for srcName, src := range map[string]shortest.DistanceSource{
 			"dense":  apsp,
 			"stream": shortest.NewStreamSource(g),
-			"cache":  shortest.NewCacheSource(g, 5),
 		} {
 			sv := New(g, s, src, Options{Workers: 4})
 			const goroutines = 8

@@ -2,7 +2,6 @@ package shortest
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -38,18 +37,16 @@ func TestSourcesAgreeWithBFS(t *testing.T) {
 		want[v] = BFS(g, graph.NodeID(v))
 	}
 	sources := map[string]DistanceSource{
-		"dense":   NewAPSP(g),
-		"stream":  NewStreamSource(g),
-		"cache":   NewCacheSource(g, 3), // smaller than n: forces evictions
-		"cache-1": NewCacheSource(g, 1),
+		"dense":  NewAPSP(g),
+		"stream": NewStreamSource(g),
 	}
 	for name, src := range sources {
 		if src.Order() != n {
 			t.Fatalf("%s: order %d, want %d", name, src.Order(), n)
 		}
 		rd := src.NewReader()
-		// Interleave rows so stream scratch reuse and cache eviction both
-		// exercise; ask some rows twice in a row (the memoized path).
+		// Interleave rows so stream scratch reuse is exercised; ask some
+		// rows twice in a row (the memoized path).
 		for _, v := range []int{0, 5, 5, 8, 0, 3, 3, 1, 7, 0} {
 			got := rd.Row(graph.NodeID(v))
 			if !reflect.DeepEqual(got, want[v]) {
@@ -85,11 +82,7 @@ func TestWeightedSourcesAgreeWithDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := NewWeightedCacheSource(g, w, 3) // smaller than n: forces evictions
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := map[string]DistanceSource{"dense": dense, "stream": stream, "cache": cache}
+	sources := map[string]DistanceSource{"dense": dense, "stream": stream}
 	for name, src := range sources {
 		if src.Order() != n {
 			t.Fatalf("%s: order %d, want %d", name, src.Order(), n)
@@ -106,9 +99,6 @@ func TestWeightedSourcesAgreeWithDijkstra(t *testing.T) {
 	if got := stream.ResidentRows(4); got != 4 {
 		t.Fatalf("weighted stream hint %d, want 4", got)
 	}
-	if got := cache.ResidentRows(2); got != 5 {
-		t.Fatalf("weighted cache hint %d, want cap+workers=5", got)
-	}
 }
 
 // TestWeightedSourcesRejectMalformedWeights checks validation happens at
@@ -119,69 +109,6 @@ func TestWeightedSourcesRejectMalformedWeights(t *testing.T) {
 	bad[2] = bad[2][:1]
 	if _, err := NewWeightedStreamSource(g, bad); err == nil {
 		t.Fatal("stream source accepted malformed weights")
-	}
-	if _, err := NewWeightedCacheSource(g, bad, 4); err == nil {
-		t.Fatal("cache source accepted malformed weights")
-	}
-}
-
-// TestCacheEvicts checks the LRU actually bounds resident rows.
-func TestCacheEvicts(t *testing.T) {
-	g := sourceTestGraph()
-	c := NewCacheSource(g, 2)
-	rd := c.NewReader()
-	for v := 0; v < g.Order(); v++ {
-		rd.Row(graph.NodeID(v))
-	}
-	c.mu.Lock()
-	resident := len(c.rows)
-	listLen := c.lru.Len()
-	c.mu.Unlock()
-	if resident != 2 || listLen != 2 {
-		t.Fatalf("cache holds %d rows (list %d), capacity 2", resident, listLen)
-	}
-	if c.Capacity() != 2 {
-		t.Fatalf("Capacity() = %d", c.Capacity())
-	}
-}
-
-// TestCacheDefaultCapacity checks the <= 0 fallback.
-func TestCacheDefaultCapacity(t *testing.T) {
-	if got := NewCacheSource(sourceTestGraph(), 0).Capacity(); got != DefaultCacheRows {
-		t.Fatalf("default capacity %d, want %d", got, DefaultCacheRows)
-	}
-}
-
-// TestCacheConcurrentReaders hammers one shared cache from many
-// goroutines (run under -race by CI) and checks every returned row.
-func TestCacheConcurrentReaders(t *testing.T) {
-	g := sourceTestGraph()
-	n := g.Order()
-	want := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		want[v] = BFS(g, graph.NodeID(v))
-	}
-	c := NewCacheSource(g, 2)
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rd := c.NewReader()
-			for i := 0; i < 200; i++ {
-				v := (i*7 + w) % n
-				if !reflect.DeepEqual(rd.Row(graph.NodeID(v)), want[v]) {
-					errs <- "row mismatch under concurrency"
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
 	}
 }
 
@@ -196,12 +123,6 @@ func TestResidentRowsHints(t *testing.T) {
 	}
 	if got := NewStreamSource(g).ResidentRows(64); got != 9 {
 		t.Fatalf("stream hint %d, want clamp to n=9", got)
-	}
-	if got := NewCacheSource(g, 3).ResidentRows(2); got != 5 {
-		t.Fatalf("cache hint %d, want cap+workers=5", got)
-	}
-	if got := NewCacheSource(g, 100).ResidentRows(4); got != 9 {
-		t.Fatalf("cache hint %d, want clamp to n=9", got)
 	}
 }
 

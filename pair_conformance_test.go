@@ -161,8 +161,8 @@ func TestPairDistInterleavedWithRow(t *testing.T) {
 }
 
 // TestPairReaderCapabilities pins which readers take the pair path:
-// the hop-metric streaming reader and the dense table do; weighted and
-// cached readers stay row-only, so callers fall back to Row.
+// the hop-metric streaming reader and the dense table do; weighted
+// readers stay row-only, so callers fall back to Row.
 func TestPairReaderCapabilities(t *testing.T) {
 	g := gen.Petersen()
 	w := shortest.UniformWeights(g)
@@ -177,7 +177,6 @@ func TestPairReaderCapabilities(t *testing.T) {
 	}{
 		{"dense", shortest.NewAPSP(g), true},
 		{"stream", shortest.NewStreamSource(g), true},
-		{"cache", shortest.NewCacheSource(g, 4), false},
 		{"weighted stream", wstream, false},
 	} {
 		if _, ok := tc.src.NewReader().(shortest.PairReader); ok != tc.pair {
