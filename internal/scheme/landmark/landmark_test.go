@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/shortest"
 	"repro/internal/xrand"
 )
 
@@ -163,16 +165,29 @@ func TestClusterDefinition(t *testing.T) {
 // TestStreamedBitIdenticalToDense pins the NewStreamed contract: for the
 // same Options it must reproduce New exactly — landmark set, nearest
 // assignments, every table entry and every LocalBits value — across
-// families and worker counts, without the n² table.
+// families and worker counts, without the n² table. The cases stress
+// the per-destination ball search: a faulted graph whose removed edges
+// leave dead ports for the search to skip, one landmark (balls reach
+// across the graph) and |L| = n (every ball is empty).
 func TestStreamedBitIdenticalToDense(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"random(70,.09)": gen.RandomConnected(70, 0.09, xrand.New(21)),
-		"tree(65)":       gen.RandomTree(65, xrand.New(22)),
-		"torus 7x7":      gen.Torus2D(7, 7),
-		"petersen":       gen.Petersen(),
+		"random(70,.09)":        gen.RandomConnected(70, 0.09, xrand.New(21)),
+		"tree(65)":              gen.RandomTree(65, xrand.New(22)),
+		"torus 7x7":             gen.Torus2D(7, 7),
+		"petersen":              gen.Petersen(),
+		"random(70,.09)-faults": removeEdgesKeepingConnected(gen.RandomConnected(70, 0.09, xrand.New(23)), 3),
+	}
+	if graphs["random(70,.09)-faults"].Size() == gen.RandomConnected(70, 0.09, xrand.New(23)).Size() {
+		t.Fatal("faulted case removed no edge")
 	}
 	for name, g := range graphs {
-		for _, opt := range []Options{{Seed: 3}, {Seed: 9, NumLandmarks: 5}} {
+		opts := []Options{
+			{Seed: 3},
+			{Seed: 9, NumLandmarks: 5},
+			{Seed: 4, NumLandmarks: 1},
+			{Seed: 5, NumLandmarks: g.Order()},
+		}
+		for _, opt := range opts {
 			dense, err := New(g, nil, opt)
 			if err != nil {
 				t.Fatalf("%s: dense: %v", name, err)
@@ -182,27 +197,115 @@ func TestStreamedBitIdenticalToDense(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s workers=%d: streamed: %v", name, workers, err)
 				}
-				if !reflect.DeepEqual(st.landmarks, dense.landmarks) {
-					t.Fatalf("%s workers=%d: landmark sets differ", name, workers)
-				}
-				if !reflect.DeepEqual(st.nearest, dense.nearest) {
-					t.Fatalf("%s workers=%d: nearest differ", name, workers)
-				}
-				if !reflect.DeepEqual(st.lmPort, dense.lmPort) {
-					t.Fatalf("%s workers=%d: lmPort differ", name, workers)
-				}
-				if !reflect.DeepEqual(st.cluster, dense.cluster) {
-					t.Fatalf("%s workers=%d: clusters differ", name, workers)
-				}
-				if !reflect.DeepEqual(st.pathPorts, dense.pathPorts) {
-					t.Fatalf("%s workers=%d: pathPorts differ", name, workers)
-				}
-				if !reflect.DeepEqual(st.bits, dense.bits) {
-					t.Fatalf("%s workers=%d: LocalBits differ", name, workers)
+				if err := sameScheme(st, dense); err != nil {
+					t.Fatalf("%s %+v workers=%d: %v", name, opt, workers, err)
 				}
 			}
 		}
 	}
+}
+
+// sameScheme reports the first table in which got differs from want.
+func sameScheme(got, want *Scheme) error {
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"landmark sets", got.landmarks, want.landmarks},
+		{"nearest", got.nearest, want.nearest},
+		{"lmPort", got.lmPort, want.lmPort},
+		{"clusters", got.cluster, want.cluster},
+		{"pathPorts", got.pathPorts, want.pathPorts},
+		{"LocalBits", got.bits, want.bits},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			return fmt.Errorf("%s differ", c.name)
+		}
+	}
+	return nil
+}
+
+// removeEdgesKeepingConnected removes every stride-th edge of g whose
+// removal keeps g connected, leaving graph.DeadEnd holes at the removed
+// ports, and returns g.
+func removeEdgesKeepingConnected(g *graph.Graph, stride int) *graph.Graph {
+	for i, e := range g.Edges() {
+		if i%stride != 0 {
+			continue
+		}
+		h := g.Clone()
+		h.RemoveEdge(e[0], e[1])
+		if connected(h) {
+			g.RemoveEdge(e[0], e[1])
+		}
+	}
+	return g
+}
+
+func connected(g *graph.Graph) bool {
+	for _, d := range shortest.BFS(g, 0) {
+		if d == shortest.Unreachable {
+			return false
+		}
+	}
+	return true
+}
+
+// fuzzLandmarkGraph decodes a connected graph with dead ports and a
+// landmark count from bytes: data[0] sets NumLandmarks (0 selects the
+// default; counts above n clamp to n), data[1] the order (2..41), and
+// each later byte pair (a, b) with a != b toggles the edge {a, b} —
+// added when absent, removed when present. Vertex i that the toggles
+// leave outside vertex 0's component is then joined by the edge
+// {i-1, i}, so every input decodes to a connected graph whose removed
+// edges stay as holes.
+func fuzzLandmarkGraph(data []byte) (*graph.Graph, Options) {
+	if len(data) < 2 {
+		return nil, Options{}
+	}
+	n := 2 + int(data[1])%40
+	g := graph.New(n)
+	for rest := data[2:]; len(rest) >= 2; rest = rest[2:] {
+		a, b := graph.NodeID(int(rest[0])%n), graph.NodeID(int(rest[1])%n)
+		switch {
+		case a == b:
+		case g.HasEdge(a, b):
+			g.RemoveEdge(a, b)
+		default:
+			g.AddEdge(a, b)
+		}
+	}
+	for i := 1; i < n; i++ {
+		if shortest.BFS(g, 0)[i] == shortest.Unreachable {
+			g.AddEdge(graph.NodeID(i-1), graph.NodeID(i))
+		}
+	}
+	return g, Options{NumLandmarks: int(data[0]) % (n + 2), Seed: uint64(len(data))}
+}
+
+// FuzzNewStreamed pins NewStreamed to New on arbitrary small connected
+// graphs with dead ports, at landmark counts from one to n, on one and
+// on three workers.
+func FuzzNewStreamed(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, opt := fuzzLandmarkGraph(data)
+		if g == nil {
+			return
+		}
+		dense, err := New(g, nil, opt)
+		if err != nil {
+			t.Fatalf("dense: %v", err)
+		}
+		for _, workers := range []int{1, 3} {
+			st, err := NewStreamed(g, opt, workers)
+			if err != nil {
+				t.Fatalf("workers=%d: streamed: %v", workers, err)
+			}
+			if err := sameScheme(st, dense); err != nil {
+				t.Fatalf("%+v workers=%d: %v", opt, workers, err)
+			}
+		}
+	})
 }
 
 // TestStreamedDisconnectedErrors mirrors New's connectivity contract.

@@ -14,20 +14,24 @@ import (
 // It is the construction path behind `-distmode stream` at orders
 // where the dense table no longer fits in RAM.
 //
-// The trick is to turn every column access of New into a read of some
-// BFS tree we are willing to keep: shortest.BFSTreeInto computes, in one
-// closure-free pass per root, both the distance row and the canonical
-// first-arc vector (the lowest port of each vertex one step closer to
-// the root — exactly New's firstArc tie-break, by symmetry of d).
+// Every column access of New becomes a read of some BFS labelling we are
+// willing to keep:
 //
-//   - |L| landmark-rooted trees give the distance-to-landmark rows AND
-//     the whole lmPort table (O(|L|·n) memory, which the lmPort tables
-//     the scheme must store are anyway);
-//   - one destination-rooted tree at a time, sharded over a worker pool
-//     into per-worker scratch (O(workers·n) memory), answers cluster
-//     membership, the cluster port at every member, and the address path
-//     l(v) -> v — all direct reads of the parent vector, no per-member
-//     arc scan.
+//   - |L| landmark-rooted trees (shortest.BFSTreeInto: the distance row
+//     and the canonical first-arc vector, the lowest port of each vertex
+//     one step closer to the root — New's firstArc tie-break, by symmetry
+//     of d) give the distance-to-landmark rows AND the whole lmPort table
+//     (O(|L|·n) memory, which the lmPort tables the scheme must store are
+//     anyway);
+//   - per destination v, a BFS from v truncated at radius d(v, l(v))
+//     answers the rest. v's cluster entries live at the x with
+//     d(x,v) < d(v,l(v)), and its address path climbs from distance
+//     d(v,l(v)) down to v, so a port is only ever asked of a vertex at
+//     distance <= d(v,l(v)) and only reads the labels one level closer:
+//     labelling the ball of radius d(v,l(v))-1, and l(v), makes every
+//     such read exact (see ball.grow). A destination costs the arcs its ball touches,
+//     not O(n+m), and the balls are sharded over a worker pool into
+//     per-worker scratch (O(workers·n) memory).
 //
 // workers <= 0 selects GOMAXPROCS.
 func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
@@ -87,10 +91,9 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 		s.lmPort[x] = ports
 	})
 
-	// Per-destination sweep: one first-arc tree rooted at v answers every
-	// d(·,v) column New reads — cluster membership d(x,v) < d(v,l(v)), the
-	// cluster port at each member x (the parent vector at x), and the
-	// address path l(v) -> v (follow parents from l(v)). Cluster entries
+	// Per-destination sweep: the ball around v answers every d(·,v) column
+	// New reads — cluster membership d(x,v) < d(v,l(v)), the cluster port
+	// at each member x, and the address path l(v) -> v. Cluster entries
 	// are collected per destination and folded into the per-router maps
 	// serially afterwards (map values are keyed lookups, so insertion
 	// order cannot matter).
@@ -99,30 +102,29 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 		p graph.Port
 	}
 	contrib := make([][]member, n)
-	dists := make([][]int32, workers)
-	parents := make([][]graph.Port, workers)
+	balls := make([]ball, workers)
 	parallelFor(workers, n, func(w int, v int) {
+		b := &balls[w]
 		vi := graph.NodeID(v)
-		dists[w], parents[w], queues[w] = shortest.BFSTreeInto(g, vi, dists[w], parents[w], queues[w])
-		dv, par := dists[w], parents[w]
-		bound := distToLm[s.lmIndex[s.nearest[v]]][v]
+		l := s.nearest[v]
+		b.grow(g, vi, l, distToLm[s.lmIndex[l]][v])
 		var ms []member
-		for x := 0; x < n; x++ {
-			xi := graph.NodeID(x)
-			if xi == vi || dv[x] >= bound {
-				continue
+		if len(b.q) > 2 {
+			members := b.q[1 : len(b.q)-1]
+			ms = make([]member, len(members))
+			for i, x := range members {
+				ms[i] = member{x: x, p: firstArc(g, b.label, x)}
 			}
-			ms = append(ms, member{x: xi, p: par[x]})
 		}
 		contrib[v] = ms
 		var pp []graph.Port
-		x := s.nearest[v]
-		for x != vi {
-			p := par[x]
+		for x := l; x != vi; {
+			p := firstArc(g, b.label, x)
 			pp = append(pp, p)
 			x = g.Arcs(x)[p-1]
 		}
 		s.pathPorts[v] = pp
+		b.clear()
 	})
 	for x := 0; x < n; x++ {
 		s.cluster[x] = make(map[graph.NodeID]graph.Port)
@@ -134,6 +136,68 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 	}
 	s.fillBits()
 	return s, nil
+}
+
+// ball is one worker's scratch for the per-destination search from v:
+// the labels of v's cluster {x : d(x,v) < d(v,l(v))}, of v itself and
+// of l(v).
+type ball struct {
+	// label holds d(x,v)+1 for the labelled x; 0 means not reached. The
+	// +1 offset lets the zeroed allocation double as the cleared state,
+	// and cancels in firstArc's test label[w]+1 == label[x].
+	label []int32
+	// q holds the labelled vertices in level order: v, then the cluster,
+	// then l(v) when l(v) != v. The whole list is the set clear walks.
+	q []graph.NodeID
+}
+
+// grow labels the ball of radius bound-1 around v by level-synchronous
+// top-down BFS, stopped before the level at distance bound = d(v,l), and
+// then l at distance bound. bound == 0 (v is its own landmark) labels v
+// alone.
+//
+// Exactness. firstArc is asked of a cluster member or a vertex of the
+// address path l -> v: a labelled x at distance k <= bound, whose
+// answer is its lowest port with a head at distance k-1. Every vertex
+// at distance k-1 <= bound-1 is labelled with its exact distance, and
+// every other vertex is unlabelled (label 0, which matches only at v)
+// or is l (label bound+1 > k), so firstArc on the labels returns
+// exactly what it returns on the full row d(·,v). Dead ports (w < 0)
+// are skipped exactly as BFSInto and firstArc skip them.
+func (b *ball) grow(g *graph.Graph, v, l graph.NodeID, bound int32) {
+	if b.label == nil {
+		b.label = make([]int32, g.Order())
+	}
+	b.label[v] = 1
+	b.q = append(b.q[:0], v)
+	start := 0
+	for next := int32(2); next <= bound; next++ {
+		end := len(b.q)
+		for _, x := range b.q[start:end] {
+			for _, y := range g.Arcs(x) {
+				if y < 0 {
+					continue
+				}
+				if b.label[y] == 0 {
+					b.label[y] = next
+					b.q = append(b.q, y)
+				}
+			}
+		}
+		start = end
+	}
+	if l != v {
+		b.label[l] = bound + 1
+		b.q = append(b.q, l)
+	}
+}
+
+// clear resets the labels through the visit list, so a search costs
+// what it touched, not O(n).
+func (b *ball) clear() {
+	for _, x := range b.q {
+		b.label[x] = 0
+	}
 }
 
 // parallelFor runs body(worker, i) for i in [0, n) over a pool, giving
