@@ -9,7 +9,9 @@
 //
 //  2. cap-before-alloc, compared unsigned: any count or length read
 //     from the wire (BitReader.ReadUvarint/ReadBits/ReadGamma/...,
-//     binary.Uvarint/ReadUvarint) must flow through a comparison
+//     binary.Uvarint/ReadUvarint, and the fixed-width
+//     binary.ByteOrder Uint16/Uint32/Uint64 reads of the container's
+//     sections) must flow through a comparison
 //     performed on its unsigned form before it reaches make, slice
 //     indexing/slicing, or io sizing (io.CopyN, Discard). Converting
 //     to int first and comparing the signed value is exactly the bug
@@ -48,6 +50,11 @@ var sourceMethods = map[string]bool{
 	"ReadGamma0": true, "ReadDelta": true, "ReadRice": true,
 	"ReadUnary": true, "Uvarint": true, "Varint": true,
 }
+
+// byteOrderMethods are the fixed-width reads of encoding/binary's byte
+// orders, which are wire sources when called on encoding/binary's
+// LittleEndian, BigEndian or NativeEndian (or a ByteOrder value).
+var byteOrderMethods = map[string]bool{"Uint16": true, "Uint32": true, "Uint64": true}
 
 // decodePrefixes name the functions that consume wire bytes.
 var decodePrefixes = []string{"read", "decode", "parse", "open", "finish", "unmarshal"}
@@ -255,7 +262,8 @@ func checkGuardedCounts(pass *framework.Pass, fn *ast.FuncDecl) {
 }
 
 // isSourceCall recognizes a wire-integer producer: a call (possibly
-// inside a conversion) to a bit-reader method or binary varint reader.
+// inside a conversion) to a bit-reader method, a binary varint reader
+// or a fixed-width byte-order read.
 func isSourceCall(pass *framework.Pass, e ast.Expr) bool {
 	e = unwrapParens(e)
 	call, ok := e.(*ast.CallExpr)
@@ -270,6 +278,12 @@ func isSourceCall(pass *framework.Pass, e ast.Expr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
+	}
+	if byteOrderMethods[sel.Sel.Name] {
+		// binary.LittleEndian.Uint32(b) and friends: a method of the
+		// encoding/binary byte orders (or of the ByteOrder interface).
+		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+		return ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/binary"
 	}
 	if !sourceMethods[sel.Sel.Name] {
 		return false

@@ -397,14 +397,17 @@ func (g *Graph) Clone() *Graph {
 // consistent, there are no self-loops or duplicate edges, holes are
 // symmetric (a DeadEnd slot carries NoPort, removed vertices have no
 // live arcs and no live arc targets one), and the edge count matches.
-// It returns a descriptive error for the first violation.
+// It returns a descriptive error for the first violation. It is one
+// O(n + m) pass with a single n-sized scratch allocation: duplicates
+// are found by stamping each neighbor with its row's vertex.
 func (g *Graph) Validate() error {
 	arcs := 0
+	stamp := make([]int32, len(g.adj)) // stamp[v] == u+1: v already seen in row u
 	for u := range g.adj {
 		if len(g.adj[u]) != len(g.backPort[u]) {
 			return fmt.Errorf("vertex %d: adj/backPort length mismatch", u)
 		}
-		seen := make(map[NodeID]bool, len(g.adj[u]))
+		mark := int32(u + 1)
 		for k, v := range g.adj[u] {
 			if v == DeadEnd {
 				if g.backPort[u][k] != NoPort {
@@ -424,10 +427,10 @@ func (g *Graph) Validate() error {
 			if int(v) < 0 || int(v) >= len(g.adj) {
 				return fmt.Errorf("vertex %d: port %d points outside the graph", u, k+1)
 			}
-			if seen[v] {
+			if stamp[v] == mark {
 				return fmt.Errorf("vertex %d: duplicate edge to %d", u, v)
 			}
-			seen[v] = true
+			stamp[v] = mark
 			bp := g.backPort[u][k]
 			if bp < 1 || int(bp) > len(g.adj[v]) {
 				return fmt.Errorf("vertex %d port %d: back port %d out of range at %d", u, k+1, bp, v)
@@ -443,6 +446,52 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("edge count %d inconsistent with %d arcs", g.edges, arcs)
 	}
 	return nil
+}
+
+// MaxSerializedOrder bounds the order a scheme container's GRAPH
+// section may declare (internal/schemeio). That order is
+// attacker-controlled and sizes every per-vertex array of the decoded
+// graph; 2^22 vertices is far beyond every workload in this repository
+// while keeping those arrays for the largest accepted graph around
+// 250 MB.
+const MaxSerializedOrder = 1 << 22
+
+// FromCSR returns the frozen graph whose CSR arena is exactly nbr and
+// back: vertex u owns the next deg[u] port slots, rows in vertex order,
+// nbr holding each arc's endpoint and back its back port — the layout
+// Freeze produces. The graph adopts nbr and back (the caller must not
+// keep or modify them) and reads deg only here. The arrays must
+// describe a hole-free simple graph: any violation of Validate's
+// invariants, a length mismatch or an odd arc count returns an error,
+// never a panic.
+func FromCSR(deg []int32, nbr []NodeID, back []Port) (*Graph, error) {
+	n := len(deg)
+	if len(nbr) != len(back) || len(nbr)%2 != 0 {
+		return nil, fmt.Errorf("graph: %d arcs and %d back ports do not pair into edges", len(nbr), len(back))
+	}
+	g := &Graph{
+		adj:      make([][]NodeID, n),
+		backPort: make([][]Port, n),
+		edges:    len(nbr) / 2,
+		frozen:   true,
+	}
+	off := 0
+	for u, d := range deg {
+		if d < 0 || int(d) > len(nbr)-off {
+			return nil, fmt.Errorf("graph: degree %d of vertex %d overruns %d arcs", d, u, len(nbr))
+		}
+		end := off + int(d)
+		g.adj[u] = nbr[off:end:end]
+		g.backPort[u] = back[off:end:end]
+		off = end
+	}
+	if off != len(nbr) {
+		return nil, fmt.Errorf("graph: degrees sum to %d, arena holds %d arcs", off, len(nbr))
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // Connected reports whether the live graph is connected (the paper's

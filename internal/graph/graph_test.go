@@ -1,8 +1,7 @@
 package graph
 
 import (
-	"bytes"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -232,28 +231,59 @@ func TestPermutePortsPreservesValidity(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	g := randomGraph(77, 12, 0.4)
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Order() != g.Order() || h.Size() != g.Size() {
-		t.Fatalf("round trip changed shape: (%d,%d) -> (%d,%d)", g.Order(), g.Size(), h.Order(), h.Size())
-	}
-	ge, he := g.Edges(), h.Edges()
-	for i := range ge {
-		if ge[i] != he[i] {
-			t.Fatalf("edge %d changed: %v -> %v", i, ge[i], he[i])
+// TestValidateErrors pins Validate's error text for each invariant a
+// decoded or mutated graph can break, so callers that surface these
+// messages (the scheme container's graph section) keep stable errors.
+func TestValidateErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(g *Graph)
+		want    string
+	}{
+		{"duplicate", func(g *Graph) { g.adj[0][1] = 1; g.backPort[0][1] = 1 }, "vertex 0: duplicate edge to 1"},
+		{"self-loop", func(g *Graph) { g.adj[0][0] = 0 }, "vertex 0: self-loop on port 1"},
+		{"outside", func(g *Graph) { g.adj[0][1] = 7 }, "vertex 0: port 2 points outside the graph"},
+		{"back port range", func(g *Graph) { g.backPort[0][0] = 3 }, "vertex 0 port 1: back port 3 out of range at 1"},
+		{"back port asymmetric", func(g *Graph) { g.backPort[0][0] = 2 }, "vertex 0 port 1: back port 2 at 1 leads to 2, not back"},
+		{"dead port", func(g *Graph) { g.adj[0][0] = DeadEnd }, "vertex 0: dead port 1 keeps back port 1"},
+		{"edge count", func(g *Graph) { g.edges++ }, "edge count 4 inconsistent with 6 arcs"},
+	} {
+		g := triangle()
+		tc.corrupt(g)
+		if err := g.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-func TestPortedSerializeRoundTrip(t *testing.T) {
+// TestValidateAllocs bounds Validate's allocations: one n-sized stamp
+// slice, never a per-vertex set.
+func TestValidateAllocs(t *testing.T) {
+	g := randomGraph(9, 4096, 0.002)
+	g.Freeze()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _ = g.Validate() }); allocs > 2 {
+		t.Fatalf("Validate at n=4096: %.0f allocs/op, want <= 2", allocs)
+	}
+}
+
+// csrOf copies g's frozen arena into the three FromCSR arrays.
+func csrOf(g *Graph) (deg []int32, nbr []NodeID, back []Port) {
+	deg = make([]int32, g.Order())
+	for u := range deg {
+		deg[u] = int32(g.Degree(NodeID(u)))
+		nbr = append(nbr, g.Arcs(NodeID(u))...)
+		back = append(back, g.BackPorts(NodeID(u))...)
+	}
+	return deg, nbr, back
+}
+
+// TestFromCSR pins the adopting constructor: a frozen graph's arena
+// rebuilds the identical port labeling, frozen, and every malformed
+// arena is an error.
+func TestFromCSR(t *testing.T) {
 	r := xrand.New(5)
 	g := randomGraph(42, 10, 0.5)
 	for u := 0; u < g.Order(); u++ {
@@ -261,44 +291,73 @@ func TestPortedSerializeRoundTrip(t *testing.T) {
 			g.PermutePorts(NodeID(u), r.Perm(d))
 		}
 	}
-	var buf bytes.Buffer
-	if err := g.WritePorted(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadPorted(&buf)
+	h, err := FromCSR(csrOf(g))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !h.Frozen() || h.Order() != g.Order() || h.Size() != g.Size() {
+		t.Fatalf("FromCSR: frozen=%v order %d size %d, want frozen order %d size %d", h.Frozen(), h.Order(), h.Size(), g.Order(), g.Size())
+	}
 	for u := 0; u < g.Order(); u++ {
-		for p := Port(1); int(p) <= g.Degree(NodeID(u)); p++ {
-			if g.Neighbor(NodeID(u), p) != h.Neighbor(NodeID(u), p) {
-				t.Fatalf("port labeling changed at (%d, %d)", u, p)
-			}
+		if !slices.Equal(h.Arcs(NodeID(u)), g.Arcs(NodeID(u))) || !slices.Equal(h.BackPorts(NodeID(u)), g.BackPorts(NodeID(u))) {
+			t.Fatalf("port labeling changed at vertex %d", u)
 		}
 	}
-}
+	// Rows are capacity-clamped: growing one must not overwrite the next.
+	w := NodeID(1)
+	for h.HasEdge(0, w) {
+		w++
+	}
+	h.AddEdge(0, w)
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for u := NodeID(1); int(u) < g.Order(); u++ {
+		if u != w && !slices.Equal(h.Arcs(u), g.Arcs(u)) {
+			t.Fatalf("AddEdge(0, %d) after FromCSR changed row %d", w, u)
+		}
+	}
 
-// TestReadPortedHeaderAllocation pins what a header alone can make the
-// ported reader allocate: the empty n-vertex graph (two slice headers
-// per vertex, 48 B) and nothing twice. A header-only input is the
-// cheapest hostile payload, so this bound is what MaxSerializedOrder's
-// worst case rests on.
-func TestReadPortedHeaderAllocation(t *testing.T) {
-	const n = 1 << 16
-	limit := uint64(3 * 48 * n / 2)
-	var before, after runtime.MemStats
-	best := ^uint64(0)
-	for range 3 {
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if _, err := ReadPorted(strings.NewReader("65536\n")); err == nil {
-			t.Fatal("header-only input accepted")
+	tri := triangle()
+	tri.Freeze()
+	for _, tc := range []struct {
+		name string
+		edit func(deg []int32, nbr []NodeID, back []Port) ([]int32, []NodeID, []Port)
+		want string
+	}{
+		{"odd arcs", func(d []int32, n []NodeID, b []Port) ([]int32, []NodeID, []Port) {
+			d[2]--
+			return d, n[:5], b[:5]
+		}, "do not pair"},
+		{"short back", func(d []int32, n []NodeID, b []Port) ([]int32, []NodeID, []Port) { return d, n, b[:4] }, "do not pair"},
+		{"degree overrun", func(d []int32, n []NodeID, b []Port) ([]int32, []NodeID, []Port) {
+			d[0] = 5
+			return d, n, b
+		}, "overruns"},
+		{"negative degree", func(d []int32, n []NodeID, b []Port) ([]int32, []NodeID, []Port) {
+			d[0] = -1
+			return d, n, b
+		}, "overruns"},
+		{"degree sum short", func(d []int32, n []NodeID, b []Port) ([]int32, []NodeID, []Port) {
+			d[2] = 0
+			return d, n, b
+		}, "sum to 4"},
+		{"asymmetric", func(d []int32, n []NodeID, b []Port) ([]int32, []NodeID, []Port) {
+			b[0] = 2
+			return d, n, b
+		}, "not back"},
+		{"hole", func(d []int32, n []NodeID, b []Port) ([]int32, []NodeID, []Port) {
+			// Two dead slots are Validate-clean holes, but a hole-free
+			// arena must count every slot as half an edge.
+			n[0], b[0] = DeadEnd, NoPort
+			n[2], b[2] = DeadEnd, NoPort
+			return d, n, b
+		}, "inconsistent"},
+	} {
+		h, err := FromCSR(tc.edit(csrOf(tri)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FromCSR = %v, %v; want error containing %q", tc.name, h, err, tc.want)
 		}
-		runtime.ReadMemStats(&after)
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
-	}
-	if best > limit {
-		t.Fatalf("ReadPorted allocated %d bytes for a header-only order-%d input, want <= %d", best, n, limit)
 	}
 }
 

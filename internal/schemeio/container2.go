@@ -1,15 +1,17 @@
 package schemeio
 
-// Container format v2 ("RSF2"): the scheme file container, a
+// Container format v2 (magic "RSF3"): the scheme file container, a
 // random-access structure — a fixed-width section directory up front,
 // every section starting on an 8-byte boundary, and a fixed-width
 // per-router payload offset index — so a reader can map the file,
 // validate the directory and index in O(index) work, and locate any
 // router's serialized span without decoding anything before it. It is
-// the only container: the earlier v1 stream ("RSF1") is no longer read
-// or written, and its magic fails like any other.
+// the only container. Its magic names the section encoding: "RSF2"
+// files, whose GRAPH section was decimal text, and the earlier v1
+// stream ("RSF1") are no longer read or written, and their magics fail
+// like any other.
 //
-//	offset 0   magic "RSF2" (4 bytes)
+//	offset 0   magic "RSF3" (4 bytes)
 //	offset 4   u32 section count (always 3)
 //	offset 8   3 x 24-byte directory entries, in file order:
 //	             u64 offset, u64 length, u32 type, u32 crc32c(section)
@@ -18,22 +20,22 @@ package schemeio
 //	           next 8-byte boundary after its predecessor, gaps zero,
 //	           file ending exactly at the last section's end
 //
-// GRAPH is the ported graph serialization (graph.WritePorted), SCHEME
-// the scheme blob (Encode — wire header + payload, byte-padded),
-// and INDEX the random-access metadata: u64 router count n, u64 exact
-// payload bit length, then n+1 u64 absolute bit offsets — router x's
-// serialized span is bits [offs[x], offs[x+1]) of the SCHEME section
-// (Encoded.RouterOffs, persisted).
+// GRAPH is the graph with its exact port labeling, as its CSR arena
+// (buildGraphSection): u64 order n, u32 deg[n], u32 nbr[arcs], u32
+// back[arcs]. SCHEME is the scheme blob (Encode — wire header +
+// payload, byte-padded), and INDEX the random-access metadata: u64
+// router count n, u64 exact payload bit length, then n+1 u64 absolute
+// bit offsets — router x's serialized span is bits [offs[x], offs[x+1])
+// of the SCHEME section (Encoded.RouterOffs, persisted).
 //
-// The layout is canonical: section order, alignment padding and index
-// contents are all forced, so for every (graph, scheme) pair there is
-// exactly one valid v2 byte string and every accepted file re-encodes
-// byte-identically — the same no-aliasing discipline Decode enforces
-// on scheme blobs. Integers are fixed-width little-endian; checksums
-// are CRC32-Castagnoli.
+// The layout is canonical: section order, alignment padding, the
+// graph's back ports and index contents are all forced, so for every
+// (graph, scheme) pair there is exactly one valid byte string and every
+// accepted file re-encodes byte-identically — the same no-aliasing
+// discipline Decode enforces on scheme blobs. Integers are fixed-width
+// little-endian; checksums are CRC32-Castagnoli.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -52,8 +54,8 @@ const (
 	secIndex  = 3
 )
 
-// v2Magic opens a v2 container file.
-var v2Magic = [4]byte{'R', 'S', 'F', '2'}
+// fileMagic opens a container file.
+var fileMagic = [4]byte{'R', 'S', 'F', '3'}
 
 // v2DirSize is the byte length of the fixed header + directory: magic,
 // section count, three 24-byte entries, directory CRC + zero pad. The
@@ -135,6 +137,90 @@ func parseIndexSection(b []byte, schemeLen int64) (offs []uint64, payloadBits in
 	return offs, int(pb), nil
 }
 
+// buildGraphSection serializes the GRAPH section: the exact port
+// labeling as the graph's CSR arena in fixed-width little-endian words —
+// u64 order n, u32 deg[n], then u32 nbr[arcs] and u32 back[arcs], rows
+// in vertex order (arcs = Σ deg). A graph with fault holes or removed
+// vertices is refused: a dead port slot has no encoding, and compacting
+// the holes would change every surviving port label. Faulted topologies
+// travel as a base container plus a delta record.
+func buildGraphSection(g *graph.Graph) ([]byte, error) {
+	n := g.Order()
+	if removed := n - g.LiveOrder(); removed > 0 {
+		return nil, fmt.Errorf("schemeio: cannot save a graph with %d removed vertices (save the base graph and a fault delta instead)", removed)
+	}
+	arcs := 0
+	for u := 0; u < n; u++ {
+		arcs += g.Degree(graph.NodeID(u))
+	}
+	b := make([]byte, 8+4*n+8*arcs)
+	binary.LittleEndian.PutUint64(b, uint64(n))
+	nbr, back := b[8+4*n:], b[8+4*n+4*arcs:]
+	i := 0
+	for u := 0; u < n; u++ {
+		row, bp := g.Arcs(graph.NodeID(u)), g.BackPorts(graph.NodeID(u))
+		binary.LittleEndian.PutUint32(b[8+4*u:], uint32(len(row)))
+		for k, v := range row {
+			if v == graph.DeadEnd {
+				return nil, fmt.Errorf("schemeio: cannot save a graph with dead port %d at vertex %d (save the base graph and a fault delta instead)", k+1, u)
+			}
+			binary.LittleEndian.PutUint32(nbr[4*i:], uint32(v))
+			binary.LittleEndian.PutUint32(back[4*i:], uint32(bp[k]))
+			i++
+		}
+	}
+	return b, nil
+}
+
+// decodeGraphSection is buildGraphSection's inverse. Every size check
+// runs on the unsigned wire values before anything is allocated: the
+// order cap, each degree below n, and the section length, which must be
+// exactly the one the degrees imply. The arrays are fresh copies — the
+// graph never aliases the container bytes, so a mapped file replaced on
+// disk cannot change it — and graph.FromCSR checks them in one pass
+// (range, self-loops, duplicates, back-port symmetry). Back ports are
+// redundant with the adjacency, so that check also keeps the section
+// canonical: an accepted section re-encodes to the same bytes.
+func decodeGraphSection(b []byte) (*graph.Graph, error) {
+	if len(b) < 8 {
+		return nil, fmt.Errorf("schemeio: graph section of %d bytes is shorter than its order", len(b))
+	}
+	n := binary.LittleEndian.Uint64(b)
+	if n > graph.MaxSerializedOrder {
+		return nil, fmt.Errorf("schemeio: graph order %d exceeds limit %d", n, graph.MaxSerializedOrder)
+	}
+	if uint64(len(b)) < 8+4*n {
+		return nil, fmt.Errorf("schemeio: graph section of %d bytes cannot hold %d degrees", len(b), n)
+	}
+	deg := make([]int32, n)
+	arcs := uint64(0)
+	for u := range deg {
+		d := binary.LittleEndian.Uint32(b[8+4*u:])
+		if uint64(d) >= n {
+			return nil, fmt.Errorf("schemeio: degree %d of vertex %d impossible for order %d", d, u, n)
+		}
+		deg[u] = int32(d)
+		arcs += uint64(d)
+	}
+	if want := 8 + 4*n + 8*arcs; uint64(len(b)) != want {
+		return nil, fmt.Errorf("schemeio: graph section is %d bytes, want %d for %d vertices and %d arcs", len(b), want, n, arcs)
+	}
+	// Endpoints and back ports at or past 2^31 wrap negative here;
+	// FromCSR's Validate rejects every negative or out-of-range value.
+	nbr := make([]graph.NodeID, arcs)
+	back := make([]graph.Port, arcs)
+	nb, bb := b[8+4*n:], b[8+4*n+4*arcs:]
+	for i := range nbr {
+		nbr[i] = graph.NodeID(binary.LittleEndian.Uint32(nb[4*i:]))
+		back[i] = graph.Port(binary.LittleEndian.Uint32(bb[4*i:]))
+	}
+	g, err := graph.FromCSR(deg, nbr, back)
+	if err != nil {
+		return nil, fmt.Errorf("schemeio: graph section: %w", err)
+	}
+	return g, nil
+}
+
 // parseV2Directory validates the fixed header + directory (the first
 // v2DirSize bytes, or the whole file when it is shorter) against the
 // total file size. The magic is checked first, so any non-v2 file fails
@@ -142,8 +228,8 @@ func parseIndexSection(b []byte, schemeLen int64) (offs []uint64, payloadBits in
 // single canonical layout.
 func parseV2Directory(hdr []byte, fileSize int64) (v2Layout, error) {
 	var l v2Layout
-	if len(hdr) < len(v2Magic) || [4]byte(hdr[:4]) != v2Magic {
-		return l, fmt.Errorf("schemeio: bad file magic %q", hdr[:min(len(hdr), len(v2Magic))])
+	if len(hdr) < len(fileMagic) || [4]byte(hdr[:4]) != fileMagic {
+		return l, fmt.Errorf("schemeio: bad file magic %q", hdr[:min(len(hdr), len(fileMagic))])
 	}
 	if len(hdr) < v2DirSize {
 		return l, fmt.Errorf("schemeio: v2 container of %d bytes is shorter than its %d-byte directory", len(hdr), v2DirSize)
@@ -210,7 +296,7 @@ func appendV2(gb, sb, ib []byte) ([]byte, error) {
 	indexOff := align8(schemeOff + int64(len(sb)))
 	total := indexOff + int64(len(ib))
 	out := make([]byte, total)
-	copy(out[:4], v2Magic[:])
+	copy(out[:4], fileMagic[:])
 	binary.LittleEndian.PutUint32(out[4:], 3)
 	writeEntry := func(i int, off int64, b []byte, typ uint32) {
 		e := out[8+24*i:]
@@ -227,8 +313,8 @@ func appendV2(gb, sb, ib []byte) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFileV2 frames g (ported serialization, exact labeling) and s
-// (Encode) into one v2 container stream.
+// WriteFileV2 frames g (its CSR arena, exact labeling) and s (Encode)
+// into one v2 container stream. A graph with fault holes is refused.
 func WriteFileV2(w io.Writer, g *graph.Graph, s routing.Scheme) error {
 	enc, err := Encode(g, s)
 	if err != nil {
@@ -240,11 +326,11 @@ func WriteFileV2(w io.Writer, g *graph.Graph, s routing.Scheme) error {
 // WriteFileV2Encoded is WriteFileV2 for a caller already holding the
 // encoded blob, so the scheme is never serialized twice.
 func WriteFileV2Encoded(w io.Writer, g *graph.Graph, enc *Encoded) error {
-	var gb bytes.Buffer
-	if err := g.WritePorted(&gb); err != nil {
+	gb, err := buildGraphSection(g)
+	if err != nil {
 		return err
 	}
-	out, err := appendV2(gb.Bytes(), enc.Bytes, buildIndexSection(enc))
+	out, err := appendV2(gb, enc.Bytes, buildIndexSection(enc))
 	if err != nil {
 		return err
 	}

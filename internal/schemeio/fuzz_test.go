@@ -1,10 +1,10 @@
-// Fuzzing for the scheme persistence boundary — the same absolute
-// contract FuzzReadFrom established for graph serialization: malformed,
-// truncated or version-skewed bytes must return errors, never panic,
-// and never allocate beyond what the fixed target graph (plus the
-// coding.MaxWireOrder header cap) justifies. One fuzzer per scheme
-// decoder, each seeded with valid encodings of its kind plus mutated
-// shapes, and one fuzzer for the self-describing header alone.
+// Fuzzing for the scheme persistence boundary, under one absolute
+// contract: malformed, truncated or version-skewed bytes must return
+// errors, never panic, and never allocate beyond what the fixed target
+// graph (plus the coding.MaxWireOrder header cap) justifies. One fuzzer
+// per scheme decoder, each seeded with valid encodings of its kind plus
+// mutated shapes, one for the self-describing header alone, one for the
+// container's GRAPH section and two for the whole container.
 //
 // Anything that decodes successfully must also be routable without
 // panicking (it may misroute — routing.RouteLen reports that as an
@@ -202,6 +202,10 @@ func FuzzDecodeHeader(f *testing.F) {
 // FuzzReadFile exercises the streaming heap reader on its own: junk
 // must be rejected, and anything accepted must hold a Validate-clean
 // graph and a routable scheme that re-encodes to its canonical bytes.
+// The committed corpus under testdata/fuzz holds valid table and
+// landmark images, a truncation, a skewed index, GRAPH sections with a
+// duplicate arc and an asymmetric back port behind valid checksums, and
+// files in the retired "RSF1" and "RSF2" containers.
 func FuzzReadFile(f *testing.F) {
 	g := fuzzGraph()
 	s, err := table.New(g, nil, table.MinPort)
@@ -240,8 +244,9 @@ func FuzzReadFile(f *testing.F) {
 // re-frame byte-identically through WriteFileV2, and the mapped scheme
 // must route exactly like the heap one. Seeds cover a valid table image
 // and its mutations and a valid landmark image; the committed corpus
-// under testdata/fuzz adds a skewed-index landmark image and a file in
-// the retired v1 container, which both readers reject.
+// under testdata/fuzz adds the FuzzReadFile corpus's valid images,
+// skewed index, corrupt GRAPH sections and "RSF1"/"RSF2" files, which
+// both readers reject.
 func FuzzReadFileMapped(f *testing.F) {
 	g := fuzzGraph()
 	s, err := table.New(g, nil, table.MinPort)
@@ -297,6 +302,43 @@ func FuzzReadFileMapped(f *testing.F) {
 			if eh != nil || em != nil || lh != lm {
 				t.Fatalf("route %d->%d: heap %d (%v), mapped %d (%v)", u, v, lh, eh, lm, em)
 			}
+		}
+	})
+}
+
+// FuzzDecodeGraphSection exercises the GRAPH section decoder alone:
+// arbitrary bytes must decode or error without panicking or allocating
+// past what the section length pays for, and an accepted section must
+// be a frozen, Validate-clean graph that re-encodes to exactly the
+// accepted bytes — back ports are redundant with the adjacency, so no
+// two sections decode to one graph. The committed corpus under
+// testdata/fuzz holds valid graphs (empty, isolated vertex, triangle,
+// permuted ports), truncations, trailing bytes, an odd arc count, an
+// order of graph.MaxSerializedOrder+1, asymmetric back ports, duplicate
+// arcs, a self-loop, an out-of-range endpoint and a dead slot.
+func FuzzDecodeGraphSection(f *testing.F) {
+	valid, err := buildGraphSection(fuzzGraph())
+	if err != nil {
+		f.Fatal(err)
+	}
+	addMutations(f, valid)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := decodeGraphSection(data)
+		if err != nil {
+			return
+		}
+		if !g.Frozen() {
+			t.Fatal("decoded graph is not frozen")
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted section with invalid graph: %v", err)
+		}
+		re, err := buildGraphSection(g)
+		if err != nil {
+			t.Fatalf("decoded graph does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatal("accepted graph section is not the canonical encoding of its graph")
 		}
 	})
 }

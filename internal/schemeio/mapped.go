@@ -12,7 +12,6 @@ package schemeio
 // load from O(scheme) into O(index).
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -219,7 +218,7 @@ func parseContainer(b backing, size int64) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.ReadPorted(bytes.NewReader(gb))
+	g, err := decodeGraphSection(gb)
 	if err != nil {
 		return nil, err
 	}

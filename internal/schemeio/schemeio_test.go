@@ -157,7 +157,7 @@ func TestRoundTripStable(t *testing.T) {
 }
 
 // TestFileRoundTrip pins what ReadFile hands back: for every kind the
-// graph's exact ported serialization and a fully decoded heap scheme of
+// graph section bytes and a fully decoded heap scheme of
 // the writer's own concrete type (a *table.Scheme for tables, which
 // delta application patches — never a lazy view holding the container
 // bytes) that routes identically (spot-checked; full identity is
@@ -176,14 +176,7 @@ func TestFileRoundTrip(t *testing.T) {
 			if got, want := reflect.TypeOf(s2), reflect.TypeOf(ts.s); got != want {
 				t.Fatalf("ReadFile returned %v, want heap %v", got, want)
 			}
-			var a, b bytes.Buffer
-			if err := ts.g.WritePorted(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := g2.WritePorted(&b); err != nil {
-				t.Fatal(err)
-			}
-			if a.String() != b.String() {
+			if !bytes.Equal(graphSection(t, g2), graphSection(t, ts.g)) {
 				t.Fatal("graph did not round-trip through the container")
 			}
 			n := g2.Order()
@@ -309,9 +302,9 @@ func (unknownScheme) Next(x graph.NodeID, h routing.Header) routing.Header { ret
 func (unknownScheme) LocalBits(x graph.NodeID) int                         { return 0 }
 func (unknownScheme) Name() string                                         { return "unknown" }
 
-// TestFileRejects pins ReadFile's hardening: bad magic (the retired v1
-// "RSF1" container included), oversized sections and truncation all
-// error.
+// TestFileRejects pins ReadFile's hardening: bad magic (the retired
+// "RSF1" and "RSF2" containers included), oversized sections and
+// truncation all error.
 func TestFileRejects(t *testing.T) {
 	ts := testSchemes(t)[0]
 	var f bytes.Buffer
@@ -319,7 +312,7 @@ func TestFileRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := f.Bytes()
-	for name, bad := range map[string][]byte{"junk": []byte("XXXX"), "v1": v1Image(t, ts)} {
+	for name, bad := range map[string][]byte{"junk": []byte("XXXX"), "v1": v1Image(t, ts), "rsf2": rsf2Image(t, ts)} {
 		if _, _, err := ReadFile(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "bad file magic") {
 			t.Fatalf("%s magic: got err %v", name, err)
 		}
