@@ -1,24 +1,27 @@
 // Fault-repair benchmarks: the incremental dirty-set path (refresh +
 // row repair) against the from-scratch rebuild it is bit-identical to,
-// plus the generation-patch round trip a serving shard pays to move
-// from generation g to g+1. CI archives these as BENCH_faults.json
-// (see DESIGN.md "Bench trajectory") next to the other suites:
+// the landmark scheme's post-fault rebuild, plus the generation-patch
+// round trip a serving shard pays to move from generation g to g+1. CI
+// archives these as BENCH_faults.json (see DESIGN.md "Bench trajectory")
+// next to the other suites:
 //
-//	go test -run '^$' -bench '^(BenchmarkFaultRepair|BenchmarkFaultRebuild|BenchmarkDeltaApply)$' \
+//	go test -run '^$' -bench '^(BenchmarkFaultRepair|BenchmarkFaultRebuild|BenchmarkFaultRebuildLandmark|BenchmarkDeltaApply)$' \
 //	    -benchtime 1x -count 5 -timeout 30m . | go run ./cmd/benchjson > BENCH_faults.json
 //
 // Read FaultRepair against FaultRebuild at the same (n, kills). The
 // conservative dirty criterion (|d(v,a)-d(v,b)| = 1 for a removed edge
 // {a,b}) marks nearly every root dirty on small-diameter and bipartite
 // families (2036 of 2048 here), so the repair redoes almost all the
-// work. The rebuild is faster in wall time: about 3.5x at n=2048 (median
-// of 5 on a 2-vCPU Xeon VM: 664 ms repair, 186 ms rebuild), because
+// work. The rebuild is faster in wall time: about 4x at n=2048 (median
+// of 5 on a 2-vCPU Xeon VM: 1074 ms repair, 273 ms rebuild), because
 // its table build reads contiguous distance rows over a worker pool,
 // while Repair reads one distance row per dirty destination and the
 // refresh runs scalar BFS, both on one goroutine. The repair's wins
 // are the allocation economy (in-place row refresh vs a from-scratch
 // n² APSP + scheme: ~150x fewer bytes) and the patch record DeltaApply
-// prices (changed rows only vs a full re-encode).
+// prices (changed rows only vs a full re-encode). The landmark scheme
+// has no repair path: FaultRebuildLandmark times the streamed rebuild
+// every landmark fault takes (EXPERIMENTS.md "Fault recovery").
 package repro
 
 import (
@@ -27,6 +30,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/graph"
+	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
 	"repro/internal/schemeio"
 	"repro/internal/shortest"
@@ -101,6 +105,28 @@ func BenchmarkFaultRebuild(b *testing.B) {
 				plan.Apply(work)
 				apsp := shortest.NewAPSP(work)
 				if _, err := table.New(work, apsp, table.MinPort); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFaultRebuildLandmark is the landmark scheme's fault path:
+// apply the plan and rebuild with NewStreamed on the faulted topology,
+// over all cores and without the n² table.
+func BenchmarkFaultRebuildLandmark(b *testing.B) {
+	for _, n := range []int{512, 2048} {
+		base := benchGraph(n)
+		plan := benchFaultPlan(b, base)
+		b.Run(fmt.Sprintf("n=%d/kills=%d", n, benchKills), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				work := base.Clone()
+				b.StartTimer()
+				plan.Apply(work)
+				if _, err := landmark.NewStreamed(work, landmark.Options{Seed: 17}, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

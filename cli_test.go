@@ -1,13 +1,14 @@
-// End-to-end checks of the CLIs' distance-backend flags: the binaries
-// are built once and driven as a user would, so the flag surface itself
-// (accepted values, exit codes, byte-for-byte output) is pinned, not
-// only the cliutil helpers behind it.
+// End-to-end checks of the CLIs' distance-backend and fault flags: the
+// binaries are built once and driven as a user would, so the flag
+// surface itself (accepted values, exit codes, byte-for-byte output) is
+// pinned, not only the cliutil helpers behind it.
 package repro
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -113,4 +114,95 @@ func TestCLIDistanceBackends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCLIFaultFlags pins routeserve's fault pipeline end to end: a
+// landmark -kill rebuilds the scheme on the faulted topology under
+// either distance backend (so no route walks into a removed edge), a
+// table -kill ships a generation patch that a server loading the base
+// container applies to the same answers, and -deltaout refuses the
+// landmark scheme, which has no patch format.
+func TestCLIFaultFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns the CLIs")
+	}
+	bin := buildCLIs(t)
+	dir := t.TempDir()
+	// Every ordered pair of the n=64 graph, cycling through the three
+	// ops, so a stale route across any of the removed edges would show.
+	var qs strings.Builder
+	ops := []string{"route", "len", "stretch"}
+	for i := 0; i < 64*64; i++ {
+		fmt.Fprintf(&qs, "%s %d %d\n", ops[i%3], i/64, i%64)
+	}
+	queries := filepath.Join(dir, "q.txt")
+	if err := os.WriteFile(queries, []byte(qs.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	serve := func(t *testing.T, args ...string) string {
+		t.Helper()
+		stdout, stderr, code := runCLI(t, bin, "routeserve", append(args, "-queries", queries)...)
+		if code != 0 {
+			t.Fatalf("routeserve %v: exit %d\n%s", args, code, stderr)
+		}
+		if lines := strings.Count(stdout, "\n"); lines != 64*64 {
+			t.Fatalf("routeserve %v: %d answer lines for %d queries", args, lines, 64*64)
+		}
+		return stdout
+	}
+
+	t.Run("landmark-kill", func(t *testing.T) {
+		kill := []string{"-n", "64", "-scheme", "landmark", "-kill", "3"}
+		dense := serve(t, append(kill, "-distmode", "dense")...)
+		stream := serve(t, append(kill, "-distmode", "stream")...)
+		if diff := firstDiff(dense, stream); diff != "" {
+			t.Fatalf("answers differ between -distmode dense and stream: %s", diff)
+		}
+		for _, line := range strings.Split(dense, "\n") {
+			if strings.HasPrefix(line, "error:") && !strings.Contains(line, "undefined (zero distance)") {
+				t.Fatalf("post-fault landmark scheme answered with an error: %s", line)
+			}
+		}
+	})
+
+	t.Run("tables-delta", func(t *testing.T) {
+		base := filepath.Join(dir, "base.rsf")
+		patch := filepath.Join(dir, "p.rsd")
+		build := []string{"-n", "64", "-scheme", "tables"}
+		if _, stderr, code := runCLI(t, bin, "routeserve", append(build, "-save", base)...); code != 0 {
+			t.Fatalf("routeserve -save: exit %d\n%s", code, stderr)
+		}
+		repaired := serve(t, append(build, "-kill", "3", "-deltaout", patch)...)
+		patched := serve(t, "-load", base, "-applydelta", patch)
+		if diff := firstDiff(repaired, patched); diff != "" {
+			t.Fatalf("-load + -applydelta answers differ from the repaired build: %s", diff)
+		}
+	})
+
+	t.Run("landmark-deltaout", func(t *testing.T) {
+		_, stderr, code := runCLI(t, bin, "routeserve", "-n", "64", "-scheme", "landmark", "-kill", "3",
+			"-deltaout", filepath.Join(dir, "lm.rsd"), "-queries", queries)
+		if code != 2 {
+			t.Fatalf("-deltaout with -scheme landmark: exit %d, want 2\n%s", code, stderr)
+		}
+	})
+}
+
+// firstDiff names the first line where two answer streams differ, or
+// returns "" when they are equal.
+func firstDiff(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) || i < len(lb); i++ {
+		var x, y string
+		if i < len(la) {
+			x = la[i]
+		}
+		if i < len(lb) {
+			y = lb[i]
+		}
+		if x != y {
+			return fmt.Sprintf("line %d: %q vs %q", i+1, x, y)
+		}
+	}
+	return ""
 }

@@ -26,16 +26,18 @@
 //
 // -kill injects a seeded fault before serving: it draws a deterministic
 // plan (internal/faults; -killmode edges|vertices, -killseed, -killweight
-// uniform|bydegree, connectivity-preserving unless -killanywhere), then
-// repairs the scheme. Edge kills on -scheme tables take the incremental
-// path — dirty-set refresh plus row repair, bit-identical to a rebuild
-// (the faults conformance suite pins this) — and -deltaout writes the
-// repair as a schemeio generation patch: the record a fault pipeline
-// ships to serving shards instead of a full re-encoded scheme. Every
-// other mode/scheme combination rebuilds from scratch on the faulted
-// topology. -applydelta closes the loop on the serving side: load the
-// generation-g container, decode + apply the patch (copy-on-write), and
-// serve generation g+1 — no rebuild, no full re-transfer.
+// uniform|bydegree, connectivity-preserving unless -killanywhere) and
+// applies it. Edge kills on -scheme tables take the incremental path —
+// dirty-set refresh plus row repair, bit-identical to a rebuild (the
+// faults conformance suite pins this) — and -deltaout writes the repair
+// as a schemeio generation patch: the record a fault pipeline ships to
+// serving shards instead of a full re-encoded scheme. Edge kills on
+// -scheme landmark rebuild it (landmark.NewStreamed, same seed). Every
+// other combination serves the pre-fault scheme unrepaired, where
+// broken routes answer with typed errors. -applydelta closes the loop
+// on the serving side: load the generation-g container, decode + apply
+// the patch (copy-on-write), and serve generation g+1 — no rebuild, no
+// full re-transfer.
 //
 // -listen serves the internal/netserve wire protocol over TCP: framed
 // binary query batches with per-connection read/write deadlines
@@ -194,7 +196,7 @@ func main() {
 		}
 		repairStart := time.Now()
 		tsch, isTable := s.(*table.Scheme)
-		lsch, isLandmark := s.(*landmark.Scheme)
+		_, isLandmark := s.(*landmark.Scheme)
 		switch {
 		case fmode == faults.KillEdges && isTable && apsp != nil:
 			// Incremental path: dirty-set refresh + row repair,
@@ -231,23 +233,22 @@ func main() {
 				fmt.Fprintf(os.Stderr, "routeserve: generation patch 1->%d written to %s (%d bytes)\n",
 					d.NewGen(), *deltaOut, len(blob))
 			}
-		case fmode == faults.KillEdges && isLandmark && apsp != nil:
-			for _, e := range plan.Edges {
-				g.RemoveEdge(e[0], e[1])
-			}
-			g.Freeze()
-			dirty := faults.DirtyRoots(apsp, plan.Edges)
-			apsp.RefreshRows(g, dirty)
-			if err := lsch.Repair(apsp, dirty); err != nil {
+		case fmode == faults.KillEdges && isLandmark:
+			// Rebuild: the same seed draws the same landmark set, and the
+			// streamed build needs no dense table.
+			plan.Apply(g)
+			rebuilt, err := landmark.NewStreamed(g, landmark.Options{Seed: *seed}, *workers)
+			if err != nil {
 				fail(1, err)
 			}
-			fmt.Fprintf(os.Stderr, "routeserve: killed %d edge(s) (seed %d): %d dirty roots, landmark tables repaired in %.2f ms\n",
-				len(plan.Edges), *killSeed, len(dirty),
-				float64(time.Since(repairStart).Microseconds())/1000)
+			s = rebuilt
+			apsp = nil // pre-fault distances: stretch denominators must re-derive
+			fmt.Fprintf(os.Stderr, "routeserve: killed %d edge(s) (seed %d): landmark scheme rebuilt in %.2f ms\n",
+				len(plan.Edges), *killSeed, float64(time.Since(repairStart).Microseconds())/1000)
 		default:
-			// No incremental repair for this combination (vertex kills
+			// No repair or rebuild for this combination (vertex kills
 			// disconnect the pair space by construction; other schemes
-			// have no repair on this CLI): inject the fault and serve the
+			// have no fault path on this CLI): inject the fault and serve the
 			// pre-fault scheme on the damaged topology — the degraded
 			// service internal/faults measures. Broken routes surface as
 			// typed per-query errors, never wrong deliveries.

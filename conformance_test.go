@@ -224,32 +224,47 @@ func TestConformanceOracle(t *testing.T) {
 
 // TestConformanceStreamedLandmark pins the beyond-RAM construction path
 // end to end at matrix scale: a landmark scheme built without the dense
-// table must produce evaluation reports bit-identical to the dense-built
-// scheme on every backend.
+// table must be bit-identical to the dense-built scheme — wire bytes,
+// memory report, and evaluation reports on every backend. The inputs
+// are every conformance family plus, where it has a removable edge, the
+// same family after a seeded connectivity-preserving edge kill: a
+// landmark fault rebuilds with NewStreamed, so this also pins the
+// post-fault scheme against a dense rebuild on the faulted graph.
 func TestConformanceStreamedLandmark(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.Graph
+	}
+	var inputs []input
 	for _, f := range confFamilies() {
-		apsp := shortest.NewAPSP(f.g)
-		dense, err := landmark.New(f.g, apsp, landmark.Options{Seed: 17})
-		if err != nil {
-			t.Fatalf("%s: dense: %v", f.name, err)
+		inputs = append(inputs, input{f.name, f.g})
+		if plan := killPlan(t, f.g, 0.08, 0x1a5d); plan != nil {
+			faulted := f.g.Clone()
+			plan.Apply(faulted)
+			inputs = append(inputs, input{f.name + " faulted", faulted})
 		}
-		streamed, err := landmark.NewStreamed(f.g, landmark.Options{Seed: 17}, 3)
+	}
+	for _, in := range inputs {
+		apsp := shortest.NewAPSP(in.g)
+		dense, err := landmark.New(in.g, apsp, landmark.Options{Seed: 17})
 		if err != nil {
-			t.Fatalf("%s: streamed: %v", f.name, err)
+			t.Fatalf("%s: dense: %v", in.name, err)
 		}
-		want, err := evaluate.Stretch(f.g, dense, apsp, evaluate.Options{Workers: 2})
+		streamed, err := landmark.NewStreamed(in.g, landmark.Options{Seed: 17}, 3)
+		if err != nil {
+			t.Fatalf("%s: streamed: %v", in.name, err)
+		}
+		assertSchemesIdentical(t, in.name, in.g, apsp, streamed, dense)
+		want, err := evaluate.Stretch(in.g, dense, apsp, evaluate.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := evaluate.Stretch(f.g, streamed, nil, evaluate.Options{Workers: 2, DistMode: evaluate.DistStream})
+		got, err := evaluate.Stretch(in.g, streamed, nil, evaluate.Options{Workers: 2, DistMode: evaluate.DistStream})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: streamed-built landmark diverges from dense-built", f.name)
-		}
-		if !reflect.DeepEqual(routing.MeasureMemory(f.g, streamed), routing.MeasureMemory(f.g, dense)) {
-			t.Fatalf("%s: streamed-built landmark memory diverges", f.name)
+			t.Fatalf("%s: streamed-built landmark diverges from dense-built", in.name)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 // Fault-repair conformance matrix: for every conformance family, kill a
 // connectivity-preserving batch of seeded edges and pin the incremental
-// repair paths (dirty-set APSP refresh + table/landmark Repair) against
-// a from-scratch rebuild on the post-fault graph. "Bit-identical" is
+// table repair path (dirty-set APSP refresh + table Repair) against a
+// from-scratch rebuild on the post-fault graph. "Bit-identical" is
 // checked at full strength: refreshed distance rows, encoded wire bytes,
 // exhaustive evaluation reports and memory reports must all be equal —
-// the acceptance bar of the dynamic-topology milestone.
+// the acceptance bar of the dynamic-topology milestone. The landmark
+// scheme has no repair path: a landmark fault rebuilds with NewStreamed,
+// and TestConformanceStreamedLandmark pins that rebuild against the
+// dense one on the same faulted graphs.
 package repro
 
 import (
@@ -16,7 +19,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/routing"
-	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
 	"repro/internal/schemeio"
 	"repro/internal/shortest"
@@ -44,35 +46,36 @@ func killPlan(t *testing.T, g *graph.Graph, frac float64, seed uint64) *faults.P
 	return nil
 }
 
-// assertSchemesIdentical pins every observable of the repaired scheme
-// against the from-scratch rebuild: wire bytes, exhaustive stretch
-// report, memory report.
-func assertSchemesIdentical(t *testing.T, fam string, g *graph.Graph, apsp *shortest.APSP, repaired, fresh routing.Scheme) {
+// assertSchemesIdentical pins every observable of a scheme reached by
+// another path (incremental repair, streamed build) against the
+// from-scratch dense rebuild: wire bytes, exhaustive stretch report,
+// memory report.
+func assertSchemesIdentical(t *testing.T, fam string, g *graph.Graph, apsp *shortest.APSP, got, fresh routing.Scheme) {
 	t.Helper()
-	encR, err := schemeio.Encode(g, repaired)
+	encR, err := schemeio.Encode(g, got)
 	if err != nil {
-		t.Fatalf("%s: encode repaired: %v", fam, err)
+		t.Fatalf("%s: encode got: %v", fam, err)
 	}
 	encF, err := schemeio.Encode(g, fresh)
 	if err != nil {
 		t.Fatalf("%s: encode fresh: %v", fam, err)
 	}
 	if !bytes.Equal(encR.Bytes, encF.Bytes) {
-		t.Fatalf("%s: repaired scheme encodes to different bytes than rebuild", fam)
+		t.Fatalf("%s: scheme encodes to different bytes than rebuild", fam)
 	}
 	opt := evaluate.Options{}
-	repR, err := evaluate.Stretch(g, repaired, apsp, opt)
+	repR, err := evaluate.Stretch(g, got, apsp, opt)
 	if err != nil {
-		t.Fatalf("%s: evaluate repaired: %v", fam, err)
+		t.Fatalf("%s: evaluate got: %v", fam, err)
 	}
 	repF, err := evaluate.Stretch(g, fresh, apsp, opt)
 	if err != nil {
 		t.Fatalf("%s: evaluate fresh: %v", fam, err)
 	}
 	if !reflect.DeepEqual(repR, repF) {
-		t.Fatalf("%s: evaluation reports differ:\nrepaired: %+v\nfresh:    %+v", fam, repR, repF)
+		t.Fatalf("%s: evaluation reports differ:\ngot:   %+v\nfresh: %+v", fam, repR, repF)
 	}
-	memR := evaluate.Memory(g, repaired, opt)
+	memR := evaluate.Memory(g, got, opt)
 	memF := evaluate.Memory(g, fresh, opt)
 	if !reflect.DeepEqual(memR, memF) {
 		t.Fatalf("%s: memory reports differ", fam)
@@ -130,43 +133,6 @@ func TestFaultRepairTableBitIdentical(t *testing.T) {
 				t.Logf("%s: repair changed no rows (dirty=%d)", f.name, len(dirty))
 			}
 		}
-	}
-}
-
-// TestFaultRepairLandmarkBitIdentical does the same for the landmark
-// scheme, whose repair touches nearest/lmPort/cluster/pathPorts.
-func TestFaultRepairLandmarkBitIdentical(t *testing.T) {
-	for _, f := range confFamilies() {
-		base := f.g.Clone()
-		plan := killPlan(t, base, 0.08, 0x1a5d)
-		if plan == nil {
-			continue // every edge is a bridge (tree family)
-		}
-
-		work := base.Clone()
-		apsp := shortest.NewAPSP(work)
-		sch, err := landmark.New(work, apsp, landmark.Options{Seed: 17})
-		if err != nil {
-			t.Fatalf("%s: build: %v", f.name, err)
-		}
-		for _, e := range plan.Edges {
-			work.RemoveEdge(e[0], e[1])
-		}
-		work.Freeze()
-		dirty := faults.DirtyRoots(apsp, plan.Edges)
-		apsp.RefreshRows(work, dirty)
-		if err := sch.Repair(apsp, dirty); err != nil {
-			t.Fatalf("%s: repair: %v", f.name, err)
-		}
-
-		faulted := base.Clone()
-		plan.Apply(faulted)
-		apspF := shortest.NewAPSP(faulted)
-		fresh, err := landmark.New(faulted, apspF, landmark.Options{Seed: 17})
-		if err != nil {
-			t.Fatalf("%s: rebuild: %v", f.name, err)
-		}
-		assertSchemesIdentical(t, f.name, work, apsp, sch, fresh)
 	}
 }
 

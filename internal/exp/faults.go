@@ -36,17 +36,21 @@ func faultWorkloads() []struct {
 	}
 }
 
+// e23LandmarkSeed seeds every E23 landmark build, rebuilds included.
+const e23LandmarkSeed = 7
+
 // runE23 measures the two halves of the dynamic-topology story. Table
 // E23a is degraded service: a scheme built on the intact graph keeps
 // routing after seeded edge kills (connectivity NOT preserved), and the
 // harness classifies every ordered live pair — delivered, detected
 // disconnection, or a typed failure (dead-port dominates: stale tables
 // fail exactly by walking into a hole; false deliveries must be zero).
-// Table E23b is incremental repair on connectivity-preserving kills:
-// dirty-set size, rows actually changed, bit-identity of the repaired
-// scheme against a from-scratch rebuild, restored delivery, and — for
-// the table scheme — the size of the generation patch (schemeio delta)
-// against a full re-encode. Everything is seeded and deterministic.
+// Table E23b is recovery on connectivity-preserving kills: dirty-set
+// size, rows actually changed, bit-identity of the post-fault scheme
+// (tables repaired, landmark rebuilt by NewStreamed) against a dense
+// from-scratch rebuild, restored delivery, and — for the table scheme —
+// the size of the generation patch (schemeio delta) against a full
+// re-encode. Everything is seeded and deterministic.
 func runE23() ([]*Table, error) {
 	ta := &Table{
 		ID:    "E23a",
@@ -72,7 +76,7 @@ func runE23() ([]*Table, error) {
 			return table.New(g, apsp, table.MinPort)
 		}},
 		{"landmark", func(g *graph.Graph, apsp *shortest.APSP) (routing.Scheme, error) {
-			return landmark.New(g, apsp, landmark.Options{Seed: 7})
+			return landmark.New(g, apsp, landmark.Options{Seed: e23LandmarkSeed})
 		}},
 	}
 
@@ -124,7 +128,7 @@ func runE23() ([]*Table, error) {
 		}
 	}
 
-	// E23b — incremental repair, bit-identity, and the patch economy.
+	// E23b — repair or rebuild, bit-identity, and the patch economy.
 	for _, w := range faultWorkloads() {
 		for _, sc := range cases {
 			for _, kills := range []int{2, 6} {
@@ -166,8 +170,10 @@ func runE23() ([]*Table, error) {
 					}
 					patchB = fmt.Sprintf("%d", len(blob))
 				case *landmark.Scheme:
-					if err := v.Repair(apsp, dirty); err != nil {
-						return nil, fmt.Errorf("E23b %s/%s repair: %w", w.name, sc.name, err)
+					// No landmark repair: rebuild streamed, compare below.
+					s, err = landmark.NewStreamed(work, landmark.Options{Seed: e23LandmarkSeed}, evalOpt.Workers)
+					if err != nil {
+						return nil, fmt.Errorf("E23b %s/%s rebuild: %w", w.name, sc.name, err)
 					}
 				}
 

@@ -262,7 +262,7 @@ func (p *Plan) Apply(g *graph.Graph) {
 // path from v crosses {a,b}, and since removals only lengthen distances
 // the criterion stays sound for simultaneous multi-edge removal. The
 // result is ascending and duplicate-free; it is the dirty set handed to
-// shortest.RefreshRows and the scheme Repair methods.
+// shortest.RefreshRows and table.Scheme.Repair.
 func DirtyRoots(pre *shortest.APSP, removed [][2]graph.NodeID) []graph.NodeID {
 	n := pre.Order()
 	dirty := make([]bool, n)
