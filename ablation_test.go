@@ -28,7 +28,7 @@ import (
 // port selection policies on a workload where runs matter.
 func BenchmarkAblationTablePolicy(b *testing.B) {
 	g := gen.RandomConnected(256, 0.05, xrand.New(1))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	var minBits, greedyBits int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -51,7 +51,7 @@ func BenchmarkAblationTablePolicy(b *testing.B) {
 // the two assignment policies (the k-IRS quality knob).
 func BenchmarkAblationIntervalPolicy(b *testing.B) {
 	g := gen.RandomConnected(192, 0.06, xrand.New(2))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	labels := interval.DFSLabels(g)
 	var minIv, greedyIv int
 	b.ReportAllocs()
@@ -76,13 +76,12 @@ func BenchmarkAblationIntervalPolicy(b *testing.B) {
 // the sweet spot near sqrt(n log n) is the classical choice).
 func BenchmarkAblationLandmarkDensity(b *testing.B) {
 	g := gen.RandomConnected(256, 0.04, xrand.New(3))
-	apsp := shortest.NewAPSP(g)
 	counts := []int{4, 16, 64, 128}
 	bits := make([]int, len(counts))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for j, k := range counts {
-			lm, err := landmark.New(g, apsp, landmark.Options{NumLandmarks: k, Seed: uint64(k)})
+			lm, err := landmark.NewStreamed(g, landmark.Options{NumLandmarks: k, Seed: uint64(k)}, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

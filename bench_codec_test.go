@@ -35,12 +35,12 @@ import (
 func benchCodecSchemes(b *testing.B, n int) (*graph.Graph, *shortest.APSP, map[string]routing.Scheme) {
 	b.Helper()
 	g := benchGraph(n)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	tb, err := table.New(g, apsp, table.MinPort)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lm, err := landmark.New(g, apsp, landmark.Options{Seed: 17})
+	lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 17}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

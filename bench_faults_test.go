@@ -12,11 +12,12 @@
 // conservative dirty criterion (|d(v,a)-d(v,b)| = 1 for a removed edge
 // {a,b}) marks nearly every root dirty on small-diameter and bipartite
 // families (2036 of 2048 here), so the repair redoes almost all the
-// work. The rebuild is faster in wall time: about 4x at n=2048 (median
-// of 5 on a 2-vCPU Xeon VM: 1074 ms repair, 273 ms rebuild), because
-// its table build reads contiguous distance rows over a worker pool,
-// while Repair reads one distance row per dirty destination and the
-// refresh runs scalar BFS, both on one goroutine. The repair's wins
+// work. The rebuild is faster in wall time: about 6x at n=2048 (median
+// of 5 on a 2-vCPU Xeon VM: 646 ms repair, 103 ms rebuild), because
+// it builds the table with NewAPSPParallel (64-source MS-BFS batches on
+// every core) and table.New reads contiguous distance rows over a
+// worker pool, while Repair reads one distance row per dirty
+// destination and the refresh runs scalar BFS, both on one goroutine. The repair's wins
 // are the allocation economy (in-place row refresh vs a from-scratch
 // n² APSP + scheme: ~150x fewer bytes) and the patch record DeltaApply
 // prices (changed rows only vs a full re-encode). The landmark scheme
@@ -66,7 +67,7 @@ func BenchmarkFaultRepair(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				work := base.Clone()
-				apsp := shortest.NewAPSP(work)
+				apsp := shortest.NewAPSPParallel(work, 0)
 				sch, err := table.New(work, apsp, table.MinPort)
 				if err != nil {
 					b.Fatal(err)
@@ -91,7 +92,8 @@ func BenchmarkFaultRepair(b *testing.B) {
 }
 
 // BenchmarkFaultRebuild is the from-scratch baseline: apply the same
-// plan and rebuild APSP + scheme on the faulted topology.
+// plan and rebuild APSP (NewAPSPParallel on every core) + scheme on the
+// faulted topology.
 func BenchmarkFaultRebuild(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		base := benchGraph(n)
@@ -103,7 +105,7 @@ func BenchmarkFaultRebuild(b *testing.B) {
 				work := base.Clone()
 				b.StartTimer()
 				plan.Apply(work)
-				apsp := shortest.NewAPSP(work)
+				apsp := shortest.NewAPSPParallel(work, 0)
 				if _, err := table.New(work, apsp, table.MinPort); err != nil {
 					b.Fatal(err)
 				}
@@ -142,14 +144,14 @@ func BenchmarkDeltaApply(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		base := benchGraph(n)
 		plan := benchFaultPlan(b, base)
-		apsp := shortest.NewAPSP(base)
+		apsp := shortest.NewAPSPParallel(base, 0)
 		sch, err := table.New(base, apsp, table.MinPort)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Build the patch on a private clone; base/sch stay generation g.
 		work := base.Clone()
-		apspW := shortest.NewAPSP(work)
+		apspW := shortest.NewAPSPParallel(work, 0)
 		repaired, err := table.New(work, apspW, table.MinPort)
 		if err != nil {
 			b.Fatal(err)

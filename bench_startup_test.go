@@ -38,7 +38,7 @@ import (
 func benchContainerFile(b *testing.B, dir string, n int) string {
 	b.Helper()
 	g := benchGraph(n)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	s, err := table.New(g, apsp, table.MinPort)
 	if err != nil {
 		b.Fatal(err)

@@ -285,7 +285,7 @@ func benchGraph(n int) *graph.Graph {
 
 func BenchmarkTableBuild512(b *testing.B) {
 	g := benchGraph(512)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -297,7 +297,7 @@ func BenchmarkTableBuild512(b *testing.B) {
 
 func BenchmarkIntervalBuild512(b *testing.B) {
 	g := benchGraph(512)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	labels := interval.DFSLabels(g)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -310,11 +310,11 @@ func BenchmarkIntervalBuild512(b *testing.B) {
 
 func BenchmarkLandmarkBuild512(b *testing.B) {
 	g := benchGraph(512)
-	apsp := shortest.NewAPSP(g)
+	g.Freeze()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := landmark.New(g, apsp, landmark.Options{Seed: uint64(i)}); err != nil {
+		if _, err := landmark.NewStreamed(g, landmark.Options{Seed: uint64(i)}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

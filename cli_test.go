@@ -13,23 +13,50 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// buildCLIs compiles routelab, memreq and routeserve into one temporary
-// directory and returns it.
+// cli holds the CLI binaries, built at most once per test binary into a
+// temporary directory that TestMain removes after the run.
+var cli struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// TestMain runs the package's tests, then removes the CLI binaries.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cli.dir != "" {
+		os.RemoveAll(cli.dir)
+	}
+	os.Exit(code)
+}
+
+// buildCLIs compiles routelab, memreq and routeserve on its first call
+// and returns their directory; every call fails its test when that one
+// build failed.
 func buildCLIs(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, "go", "build", "-o", dir+string(filepath.Separator),
-		"./cmd/routelab", "./cmd/memreq", "./cmd/routeserve")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	cli.once.Do(func() {
+		cli.dir, cli.err = os.MkdirTemp("", "repro-cli-")
+		if cli.err != nil {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, "go", "build", "-o", cli.dir+string(filepath.Separator),
+			"./cmd/routelab", "./cmd/memreq", "./cmd/routeserve")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			cli.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if cli.err != nil {
+		t.Fatal(cli.err)
 	}
-	return dir
+	return cli.dir
 }
 
 // runCLI runs one binary from dir and returns its stdout, stderr and
@@ -120,8 +147,10 @@ func TestCLIDistanceBackends(t *testing.T) {
 // landmark -kill rebuilds the scheme on the faulted topology under
 // either distance backend (so no route walks into a removed edge), a
 // table -kill ships a generation patch that a server loading the base
-// container applies to the same answers, and -deltaout refuses the
-// landmark scheme, which has no patch format.
+// container applies to the same answers, -deltaout refuses the
+// landmark scheme, which has no patch format, and a -killanywhere fault
+// that disconnects the graph serves the pre-fault scheme with typed
+// errors instead of failing the run.
 func TestCLIFaultFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns the CLIs")
@@ -186,6 +215,45 @@ func TestCLIFaultFlags(t *testing.T) {
 			t.Fatalf("-deltaout with -scheme landmark: exit %d, want 2\n%s", code, stderr)
 		}
 	})
+
+	// 180 of the graph's edges without the connectivity guard split it:
+	// neither repair nor rebuild applies, so both schemes serve their
+	// pre-fault tables and every broken route is a dead-port error.
+	for _, scheme := range []string{"tables", "landmark"} {
+		t.Run(scheme+"-disconnecting-kill", func(t *testing.T) {
+			kill := []string{"-n", "64", "-scheme", scheme, "-kill", "180", "-killanywhere"}
+			stdout, stderr, code := runCLI(t, bin, "routeserve", append(kill, "-queries", queries)...)
+			if code != 0 {
+				t.Fatalf("routeserve %v: exit %d\n%s", kill, code, stderr)
+			}
+			if !strings.Contains(stderr, "the fault disconnects the graph") {
+				t.Fatalf("no note that the fault disconnects the graph:\n%s", stderr)
+			}
+			if lines := strings.Count(stdout, "\n"); lines != 64*64 {
+				t.Fatalf("%d answer lines for %d queries", lines, 64*64)
+			}
+			deadPorts := 0
+			for _, line := range strings.Split(stdout, "\n") {
+				switch {
+				case !strings.HasPrefix(line, "error:"), strings.Contains(line, "undefined (zero distance)"):
+				case strings.Contains(line, "(edge removed)"):
+					deadPorts++
+				default:
+					t.Fatalf("untyped error answer: %s", line)
+				}
+			}
+			if deadPorts == 0 {
+				t.Fatal("no route reported a removed edge")
+			}
+			if scheme != "tables" {
+				return // landmark-deltaout already pins -deltaout's refusal
+			}
+			_, stderr, code = runCLI(t, bin, "routeserve", append(kill, "-deltaout", filepath.Join(dir, "split.rsd"), "-queries", queries)...)
+			if code != 2 || !strings.Contains(stderr, "disconnects the graph") {
+				t.Fatalf("-deltaout after a disconnecting kill: exit %d, want 2 naming the disconnection\n%s", code, stderr)
+			}
+		})
+	}
 }
 
 // firstDiff names the first line where two answer streams differ, or

@@ -101,7 +101,7 @@ func main() {
 		// BuildScheme's loud dispatch before this point.
 		//repolint:exhaustive-ok policy subset, not a dispatch — BuildScheme validates names
 		switch *schemeName {
-		case "landmark", "interval":
+		case "interval":
 		default:
 			needHop = false
 		}

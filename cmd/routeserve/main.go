@@ -33,7 +33,8 @@
 // as a schemeio generation patch: the record a fault pipeline ships to
 // serving shards instead of a full re-encoded scheme. Edge kills on
 // -scheme landmark rebuild it (landmark.NewStreamed, same seed). Every
-// other combination serves the pre-fault scheme unrepaired, where
+// other combination, and any fault that disconnects the graph (where
+// -deltaout exits 2), serves the pre-fault scheme unrepaired, where
 // broken routes answer with typed errors. -applydelta closes the loop
 // on the serving side: load the generation-g container, decode + apply
 // the patch (copy-on-write), and serve generation g+1 — no rebuild, no
@@ -195,16 +196,21 @@ func main() {
 			fail(2, err)
 		}
 		repairStart := time.Now()
+		plan.Apply(g)
+		// A plan drawn with -killanywhere may split the graph. Neither
+		// repair nor rebuild has a connected scheme to produce then (and
+		// table repair would rewrite rows before failing), so such a
+		// fault always takes the unrepaired path below.
+		connected := g.Connected()
+		if !connected && *deltaOut != "" {
+			fail(2, fmt.Errorf("-deltaout: the fault disconnects the graph, so there is no repair to record (drop -killanywhere or change -killseed)"))
+		}
 		tsch, isTable := s.(*table.Scheme)
 		_, isLandmark := s.(*landmark.Scheme)
 		switch {
-		case fmode == faults.KillEdges && isTable && apsp != nil:
+		case fmode == faults.KillEdges && isTable && apsp != nil && connected:
 			// Incremental path: dirty-set refresh + row repair,
 			// bit-identical to a from-scratch rebuild.
-			for _, e := range plan.Edges {
-				g.RemoveEdge(e[0], e[1])
-			}
-			g.Freeze()
 			dirty := faults.DirtyRoots(apsp, plan.Edges)
 			apsp.RefreshRows(g, dirty)
 			changed, err := tsch.Repair(apsp, dirty, table.MinPort)
@@ -233,10 +239,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "routeserve: generation patch 1->%d written to %s (%d bytes)\n",
 					d.NewGen(), *deltaOut, len(blob))
 			}
-		case fmode == faults.KillEdges && isLandmark:
+		case fmode == faults.KillEdges && isLandmark && connected:
 			// Rebuild: the same seed draws the same landmark set, and the
 			// streamed build needs no dense table.
-			plan.Apply(g)
 			rebuilt, err := landmark.NewStreamed(g, landmark.Options{Seed: *seed}, *workers)
 			if err != nil {
 				fail(1, err)
@@ -247,12 +252,15 @@ func main() {
 				len(plan.Edges), *killSeed, float64(time.Since(repairStart).Microseconds())/1000)
 		default:
 			// No repair or rebuild for this combination (vertex kills
-			// disconnect the pair space by construction; other schemes
-			// have no fault path on this CLI): inject the fault and serve the
-			// pre-fault scheme on the damaged topology — the degraded
-			// service internal/faults measures. Broken routes surface as
-			// typed per-query errors, never wrong deliveries.
-			plan.Apply(g)
+			// disconnect the pair space by construction; a disconnecting
+			// edge kill leaves no connected scheme to build; other schemes
+			// have no fault path on this CLI): serve the pre-fault scheme
+			// on the damaged topology — the degraded service
+			// internal/faults measures. Broken routes surface as typed
+			// per-query errors, never wrong deliveries.
+			if !connected && fmode == faults.KillEdges {
+				fmt.Fprintf(os.Stderr, "routeserve: the fault disconnects the graph; serving the pre-fault %s scheme\n", s.Name())
+			}
 			apsp = nil // pre-fault distances: stretch denominators must re-derive
 			fmt.Fprintf(os.Stderr, "routeserve: killed %d edge(s), %d vertex(es) (seed %d); scheme left unrepaired — broken routes report typed errors\n",
 				len(plan.Edges), len(plan.Vertices), *killSeed)

@@ -73,7 +73,7 @@ func TestCodecConformanceMatrix(t *testing.T) {
 	for _, f := range confFamilies() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			apsp := shortest.NewAPSP(f.g)
+			apsp := shortest.NewAPSPParallel(f.g, 0)
 			w := shortest.RandomWeights(f.g, 9, xrand.New(91))
 			for _, c := range codecCells(t, f, apsp, w) {
 				name := c.s.Name()
@@ -84,7 +84,7 @@ func TestCodecConformanceMatrix(t *testing.T) {
 				if cg == f.g {
 					capsp = apsp
 				} else {
-					capsp = shortest.NewAPSP(cg)
+					capsp = shortest.NewAPSPParallel(cg, 0)
 					cw = shortest.RandomWeights(cg, 9, xrand.New(91))
 				}
 				enc, err := schemeio.Encode(cg, c.s)
@@ -155,7 +155,7 @@ func TestMappedReaderConformanceMatrix(t *testing.T) {
 	for _, f := range confFamilies() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			apsp := shortest.NewAPSP(f.g)
+			apsp := shortest.NewAPSPParallel(f.g, 0)
 			w := shortest.RandomWeights(f.g, 9, xrand.New(91))
 			for _, c := range codecCells(t, f, apsp, w) {
 				name := c.s.Name()
@@ -164,7 +164,7 @@ func TestMappedReaderConformanceMatrix(t *testing.T) {
 				if cg == f.g {
 					capsp = apsp
 				} else {
-					capsp = shortest.NewAPSP(cg)
+					capsp = shortest.NewAPSPParallel(cg, 0)
 					cw = shortest.RandomWeights(cg, 9, xrand.New(91))
 				}
 				var buf bytes.Buffer
@@ -240,7 +240,7 @@ func TestMappedReaderConformanceMatrix(t *testing.T) {
 func TestCodecLocalBitsCrossCheck(t *testing.T) {
 	const factor, slack = 2, 64
 	for _, f := range confFamilies() {
-		apsp := shortest.NewAPSP(f.g)
+		apsp := shortest.NewAPSPParallel(f.g, 0)
 		w := shortest.RandomWeights(f.g, 9, xrand.New(91))
 		for _, c := range codecCells(t, f, apsp, w) {
 			enc, err := schemeio.Encode(c.g, c.s)

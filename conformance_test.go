@@ -76,7 +76,7 @@ func confSchemes(t *testing.T, f confFamily, apsp *shortest.APSP) []confScheme {
 	if err != nil {
 		t.Fatalf("%s: interval: %v", f.name, err)
 	}
-	lm, err := landmark.New(g, apsp, landmark.Options{Seed: 17})
+	lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 17}, 0)
 	if err != nil {
 		t.Fatalf("%s: landmark: %v", f.name, err)
 	}
@@ -132,7 +132,7 @@ func TestConformanceMatrix(t *testing.T) {
 	for _, f := range confFamilies() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			apsp := shortest.NewAPSP(f.g)
+			apsp := shortest.NewAPSPParallel(f.g, 0)
 			for _, cs := range confSchemes(t, f, apsp) {
 				name := cs.s.Name()
 				// Universality: every ordered pair must deliver.
@@ -197,7 +197,7 @@ func TestConformanceMatrix(t *testing.T) {
 // [d, (2k-1)·d] of the true distance.
 func TestConformanceOracle(t *testing.T) {
 	for _, f := range confFamilies() {
-		apsp := shortest.NewAPSP(f.g)
+		apsp := shortest.NewAPSPParallel(f.g, 0)
 		n := f.g.Order()
 		for _, k := range []int{2, 3} {
 			o, err := oracle.New(f.g, apsp, oracle.Options{K: k, Seed: 5})
@@ -222,14 +222,16 @@ func TestConformanceOracle(t *testing.T) {
 	}
 }
 
-// TestConformanceStreamedLandmark pins the beyond-RAM construction path
-// end to end at matrix scale: a landmark scheme built without the dense
-// table must be bit-identical to the dense-built scheme — wire bytes,
-// memory report, and evaluation reports on every backend. The inputs
-// are every conformance family plus, where it has a removable edge, the
-// same family after a seeded connectivity-preserving edge kill: a
-// landmark fault rebuilds with NewStreamed, so this also pins the
-// post-fault scheme against a dense rebuild on the faulted graph.
+// TestConformanceStreamedLandmark pins the landmark build end to end at
+// matrix scale: schemes built by NewStreamed on one worker and on three
+// must be bit-identical — wire bytes, exhaustive stretch report, memory
+// report — and evaluate identically on the dense and the streaming
+// backend. The inputs are every conformance family plus, where it has a
+// removable edge, the same family after a seeded connectivity-preserving
+// edge kill (a landmark fault rebuilds with NewStreamed). The identity
+// against the dense-table reference construction is pinned on these
+// same inputs by TestStreamedBitIdenticalToDense in
+// internal/scheme/landmark, where that test-only reference lives.
 func TestConformanceStreamedLandmark(t *testing.T) {
 	type input struct {
 		name string
@@ -245,26 +247,26 @@ func TestConformanceStreamedLandmark(t *testing.T) {
 		}
 	}
 	for _, in := range inputs {
-		apsp := shortest.NewAPSP(in.g)
-		dense, err := landmark.New(in.g, apsp, landmark.Options{Seed: 17})
+		apsp := shortest.NewAPSPParallel(in.g, 0)
+		one, err := landmark.NewStreamed(in.g, landmark.Options{Seed: 17}, 1)
 		if err != nil {
-			t.Fatalf("%s: dense: %v", in.name, err)
+			t.Fatalf("%s: one worker: %v", in.name, err)
 		}
-		streamed, err := landmark.NewStreamed(in.g, landmark.Options{Seed: 17}, 3)
+		pooled, err := landmark.NewStreamed(in.g, landmark.Options{Seed: 17}, 3)
 		if err != nil {
-			t.Fatalf("%s: streamed: %v", in.name, err)
+			t.Fatalf("%s: three workers: %v", in.name, err)
 		}
-		assertSchemesIdentical(t, in.name, in.g, apsp, streamed, dense)
-		want, err := evaluate.Stretch(in.g, dense, apsp, evaluate.Options{Workers: 2})
+		assertSchemesIdentical(t, in.name, in.g, apsp, pooled, one)
+		want, err := evaluate.Stretch(in.g, one, apsp, evaluate.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := evaluate.Stretch(in.g, streamed, nil, evaluate.Options{Workers: 2, DistMode: evaluate.DistStream})
+		got, err := evaluate.Stretch(in.g, pooled, nil, evaluate.Options{Workers: 2, DistMode: evaluate.DistStream})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: streamed-built landmark diverges from dense-built", in.name)
+			t.Fatalf("%s: pooled landmark build on the stream backend diverges from the one-worker build on the dense backend", in.name)
 		}
 	}
 }

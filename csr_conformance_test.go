@@ -175,17 +175,17 @@ func TestEvaluatorWorkerCountsStreamRace(t *testing.T) {
 
 // TestAPSPParallelMatchesSerial pins the table-construction contract:
 // NewAPSPParallel (64-source MS-BFS batches) stays bit-identical to the
-// serial one-BFS-per-row NewAPSP at every worker count, on every
+// serial one-BFS-per-row reference at every worker count, on every
 // conformance family.
 func TestAPSPParallelMatchesSerial(t *testing.T) {
 	for _, f := range confFamilies() {
 		g := f.g
-		ref := shortest.NewAPSP(g)
+		ref := bfsRows(g)
 		check := func(label string, a *shortest.APSP) {
 			t.Helper()
 			for u := 0; u < g.Order(); u++ {
-				if !reflect.DeepEqual(a.Row(graph.NodeID(u)), ref.Row(graph.NodeID(u))) {
-					t.Fatalf("%s: %s: row %d differs from serial NewAPSP", f.name, label, u)
+				if !reflect.DeepEqual(a.Row(graph.NodeID(u)), ref[u]) {
+					t.Fatalf("%s: %s: row %d differs from the per-row BFS reference", f.name, label, u)
 				}
 			}
 		}

@@ -26,7 +26,7 @@ func main() {
 	flag.Parse()
 
 	g := gen.RandomConnected(*n, 6.0/float64(*n), xrand.New(11))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	fmt.Printf("network: n=%d m=%d diameter=%d\n\n", g.Order(), g.Size(), apsp.Diameter())
 	fmt.Printf("%-26s %14s %14s %16s\n", "structure", "stretch bound", "worst router", "measured stretch")
 
@@ -43,7 +43,7 @@ func main() {
 	fmt.Printf("%-26s %14s %13db %16.2f\n", "routing tables", "1", mr.LocalBits, sr.Max)
 
 	// Stretch <= 3: the landmark ROUTING scheme (k = 2 of the hierarchy).
-	lm, err := landmark.New(g, apsp, landmark.Options{Seed: 5})
+	lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 5}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	g := gen.Petersen()
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 
 	fmt.Println("Petersen graph: 10 vertices, 15 edges, strongly regular (10,3,0,1).")
 	fmt.Printf("unique shortest paths between all pairs: %v\n",

@@ -21,7 +21,7 @@ import (
 func main() {
 	// A random connected network of 80 routers.
 	g := gen.RandomConnected(80, 0.07, xrand.New(42))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	fmt.Printf("network: n=%d routers, m=%d links, diameter=%d\n\n",
 		g.Order(), g.Size(), apsp.Diameter())
 
@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// Scheme 2: landmark routing (stretch <= 3, sublinear state).
-	lm, err := landmark.New(g, apsp, landmark.Options{Seed: 1})
+	lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 1}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

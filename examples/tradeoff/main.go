@@ -28,7 +28,7 @@ func main() {
 	flag.Parse()
 
 	g := gen.RandomConnected(*n, 6.0/float64(*n), xrand.New(7))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	fmt.Printf("network: n=%d m=%d diameter=%d\n\n", g.Order(), g.Size(), apsp.Diameter())
 	fmt.Printf("%-28s %8s %8s %12s %12s\n", "scheme", "s(max)", "s(mean)", "MEM_local", "MEM_global")
 
@@ -54,7 +54,7 @@ func main() {
 	show(iv)
 
 	for _, k := range []int{0, *n / 16, *n / 8, *n / 4} {
-		lm, err := landmark.New(g, apsp, landmark.Options{NumLandmarks: k, Seed: uint64(k) + 3})
+		lm, err := landmark.NewStreamed(g, landmark.Options{NumLandmarks: k, Seed: uint64(k) + 3}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,8 +6,8 @@
 // exhaustive evaluation reports and memory reports must all be equal —
 // the acceptance bar of the dynamic-topology milestone. The landmark
 // scheme has no repair path: a landmark fault rebuilds with NewStreamed,
-// and TestConformanceStreamedLandmark pins that rebuild against the
-// dense one on the same faulted graphs.
+// and TestStreamedBitIdenticalToDense (internal/scheme/landmark) pins
+// that rebuild against the dense reference on the same faulted graphs.
 package repro
 
 import (
@@ -95,7 +95,7 @@ func TestFaultRepairTableBitIdentical(t *testing.T) {
 
 			// Repair path: scheme built pre-fault on the working graph.
 			work := base.Clone()
-			apsp := shortest.NewAPSP(work)
+			apsp := shortest.NewAPSPParallel(work, 0)
 			sch, err := table.New(work, apsp, pol)
 			if err != nil {
 				t.Fatalf("%s: build: %v", f.name, err)
@@ -114,7 +114,7 @@ func TestFaultRepairTableBitIdentical(t *testing.T) {
 			// Rebuild path: from scratch on an identically faulted clone.
 			faulted := base.Clone()
 			plan.Apply(faulted)
-			apspF := shortest.NewAPSP(faulted)
+			apspF := shortest.NewAPSPParallel(faulted, 0)
 			for v := 0; v < faulted.Order(); v++ {
 				if !reflect.DeepEqual(apsp.Row(graph.NodeID(v)), apspF.Row(graph.NodeID(v))) {
 					t.Fatalf("%s: refreshed APSP row %d differs from rebuild (dirty set unsound?)", f.name, v)
@@ -143,7 +143,7 @@ func TestFaultRepairTableBitIdentical(t *testing.T) {
 func TestFaultMeasureUnrepaired(t *testing.T) {
 	for _, f := range confFamilies() {
 		base := f.g.Clone()
-		apsp := shortest.NewAPSP(base)
+		apsp := shortest.NewAPSPParallel(base, 0)
 		sch, err := table.New(base, apsp, table.MinPort)
 		if err != nil {
 			t.Fatalf("%s: build: %v", f.name, err)
@@ -167,7 +167,7 @@ func TestFaultMeasureUnrepaired(t *testing.T) {
 			base.RemoveEdge(e[0], e[1])
 		}
 		base.Freeze()
-		post, err := faults.Measure(base, sch, shortest.NewAPSP(base), 0)
+		post, err := faults.Measure(base, sch, shortest.NewAPSPParallel(base, 0), 0)
 		if err != nil {
 			t.Fatalf("%s: post measure: %v", f.name, err)
 		}

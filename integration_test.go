@@ -70,7 +70,7 @@ func TestAllSchemesDeliverEverywhere(t *testing.T) {
 	r := xrand.New(55)
 
 	gRand := gen.RandomConnected(48, 0.12, r.Split())
-	apsp := shortest.NewAPSP(gRand)
+	apsp := shortest.NewAPSPParallel(gRand, 0)
 	if s, err := table.New(gRand, apsp, table.MinPort); err != nil {
 		t.Fatal(err)
 	} else if err := routing.Validate(gRand, s); err != nil {
@@ -81,7 +81,7 @@ func TestAllSchemesDeliverEverywhere(t *testing.T) {
 	} else if err := routing.Validate(gRand, s); err != nil {
 		t.Fatal(err)
 	}
-	if s, err := landmark.New(gRand, apsp, landmark.Options{Seed: 5}); err != nil {
+	if s, err := landmark.NewStreamed(gRand, landmark.Options{Seed: 5}, 0); err != nil {
 		t.Fatal(err)
 	} else if err := routing.Validate(gRand, s); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestAllSchemesDeliverEverywhere(t *testing.T) {
 // MEM_local, with the stretch ordering reversed.
 func TestMemoryHierarchyOrdering(t *testing.T) {
 	g := gen.Hypercube(6)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	tb, err := table.New(g, apsp, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestMemoryHierarchyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, err := landmark.New(g, apsp, landmark.Options{Seed: 3})
+	lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

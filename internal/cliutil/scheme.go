@@ -33,10 +33,9 @@ type SchemeConfig struct {
 	// Seed drives landmark sampling.
 	Seed uint64
 	// Streaming marks a -distmode stream run: the dense table is
-	// never materialized — landmark builds from streamed BFS rows
-	// (bit-identical to the dense build) and the inherently
-	// table-backed schemes are an explicit error, never a silent dense
-	// fallback.
+	// never materialized, so the inherently table-backed schemes
+	// (tables, interval) are an explicit error, never a silent dense
+	// fallback. The other schemes never read a dense table to build.
 	Streaming bool
 	// Workers sizes landmark.NewStreamed's pool (<= 0: all cores).
 	Workers int
@@ -46,12 +45,12 @@ type SchemeConfig struct {
 // routeserve CLIs — like gen.ByName for families, one switch so a new
 // scheme, a changed option or a reworded error reaches every CLI at
 // once. It returns, next to the scheme, the dense hop table it used or
-// built (nil for table-free schemes and streaming builds), so callers
-// can reuse it instead of paying a second n² build.
+// built (cfg.APSP, possibly nil, for schemes that build without one),
+// so callers can reuse it instead of paying a second n² build.
 func BuildScheme(name string, g *graph.Graph, cfg SchemeConfig) (routing.Scheme, *shortest.APSP, error) {
 	hopTable := func() *shortest.APSP {
 		if cfg.APSP == nil {
-			cfg.APSP = shortest.NewAPSP(g)
+			cfg.APSP = shortest.NewAPSPParallel(g, 0)
 		}
 		return cfg.APSP
 	}
@@ -75,13 +74,8 @@ func BuildScheme(name string, g *graph.Graph, cfg SchemeConfig) (routing.Scheme,
 		s, err := interval.New(g, apsp, interval.Options{Labels: interval.DFSLabels(g), Policy: interval.RunGreedy})
 		return s, apsp, err
 	case "landmark":
-		if cfg.Streaming {
-			s, err := landmark.NewStreamed(g, landmark.Options{Seed: cfg.Seed}, cfg.Workers)
-			return s, nil, err
-		}
-		apsp := hopTable()
-		s, err := landmark.New(g, apsp, landmark.Options{Seed: cfg.Seed})
-		return s, apsp, err
+		s, err := landmark.NewStreamed(g, landmark.Options{Seed: cfg.Seed}, cfg.Workers)
+		return s, cfg.APSP, err
 	case "ecube":
 		d := bits.Len(uint(g.Order())) - 1
 		s, err := ecube.New(g, d)

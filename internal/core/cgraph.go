@@ -129,7 +129,7 @@ func (cg *ConstraintGraph) VerifyLemma2() error {
 	if g.Order() > cg.OrderBound() {
 		return fmt.Errorf("core: order %d exceeds Lemma 2 bound %d", g.Order(), cg.OrderBound())
 	}
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	for i := 0; i < cg.M.P; i++ {
 		for j := 0; j < cg.M.Q; j++ {
 			a, b := cg.A[i], cg.B[j]
@@ -182,7 +182,7 @@ func (cg *ConstraintGraph) PadToOrder(n int) error {
 // forced. For a freshly built (possibly padded) constraint graph at any
 // s < 2 this returns exactly M — the executable content of Definition 1.
 func (cg *ConstraintGraph) ForcedMatrix(s float64) (*Matrix, error) {
-	apsp := shortest.NewAPSP(cg.G)
+	apsp := shortest.NewAPSPParallel(cg.G, 0)
 	cells := make([]uint8, 0, cg.M.P*cg.M.Q)
 	for i := 0; i < cg.M.P; i++ {
 		for j := 0; j < cg.M.Q; j++ {

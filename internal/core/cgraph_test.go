@@ -204,7 +204,7 @@ func TestMiddleVertexDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apsp := shortest.NewAPSP(cg.G)
+	apsp := shortest.NewAPSPParallel(cg.G, 0)
 	_ = apsp
 	if cg.G.Degree(cg.C[0][0]) != 3 { // a_1, b_1, b_3
 		t.Fatalf("deg(c_11) = %d, want 3", cg.G.Degree(cg.C[0][0]))

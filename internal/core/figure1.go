@@ -18,7 +18,7 @@ import (
 // such a matrix for shortest-path routing (s = 1) on the Petersen graph.
 func ConstraintMatrixOf(g *graph.Graph, apsp *shortest.APSP, A, B []graph.NodeID, s float64) (*Matrix, error) {
 	if apsp == nil {
-		apsp = shortest.NewAPSP(g)
+		apsp = shortest.NewAPSPParallel(g, 0)
 	}
 	d := 0
 	for _, a := range A {
@@ -49,7 +49,7 @@ func ConstraintMatrixOf(g *graph.Graph, apsp *shortest.APSP, A, B []graph.NodeID
 // one, so shortest paths are unique.
 func AllPairsForced(g *graph.Graph, apsp *shortest.APSP, s float64) bool {
 	if apsp == nil {
-		apsp = shortest.NewAPSP(g)
+		apsp = shortest.NewAPSPParallel(g, 0)
 	}
 	n := g.Order()
 	for u := 0; u < n; u++ {
@@ -71,7 +71,7 @@ func AllPairsForced(g *graph.Graph, apsp *shortest.APSP, s float64) bool {
 // unique FIRST arc).
 func UniqueShortestPaths(g *graph.Graph, apsp *shortest.APSP) bool {
 	if apsp == nil {
-		apsp = shortest.NewAPSP(g)
+		apsp = shortest.NewAPSPParallel(g, 0)
 	}
 	n := g.Order()
 	for u := 0; u < n; u++ {

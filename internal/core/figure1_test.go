@@ -45,7 +45,7 @@ func TestFigure1Matrix(t *testing.T) {
 		}
 	}
 	// Cross-check each entry against an explicit shortest path.
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	for i, a := range A {
 		for j, b := range B {
 			port := graph.Port(m.At(i, j) + 1)

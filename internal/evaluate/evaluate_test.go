@@ -30,7 +30,7 @@ func schemesFor(t *testing.T, g *graph.Graph, apsp *shortest.APSP, hypercubeDim 
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, err := landmark.New(g, apsp, landmark.Options{Seed: 11})
+	lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 11}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAdversarialCompleteBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	want, err := routing.MeasureStretch(g, ad, apsp)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestExhaustiveBitIdenticalToSerial(t *testing.T) {
 		{name: "K16", g: gen.Complete(16), isComplete: true},
 	}
 	for _, w := range workloads {
-		apsp := shortest.NewAPSP(w.g)
+		apsp := shortest.NewAPSPParallel(w.g, 0)
 		for _, s := range schemesFor(t, w.g, apsp, w.dim, w.isTree, w.isComplete) {
 			want, err := routing.MeasureStretch(w.g, s, apsp)
 			if err != nil {
@@ -251,7 +251,7 @@ func TestWeightedStretchBackendParity(t *testing.T) {
 	// or a precomputed dense table skip the resolver's constructors, so
 	// WeightedStretch must validate before the cost numerator indexes w
 	// inside a worker.
-	good, err := shortest.NewWeightedAPSP(g, w)
+	good, err := shortest.NewWeightedAPSPParallel(g, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestWeightedStretchBackendParity(t *testing.T) {
 // evaluates the requested number of pairs.
 func TestSamplingDeterministic(t *testing.T) {
 	g := gen.Grid2D(8, 8)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	s, err := table.New(g, apsp, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestParseDistMode(t *testing.T) {
 // fresh dense build.
 func TestOptionsSourcePrecedence(t *testing.T) {
 	g := gen.Grid2D(3, 3)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	explicit := shortest.NewStreamSource(g)
 	mustSource := func(src shortest.DistanceSource, err error) shortest.DistanceSource {
 		t.Helper()

@@ -62,7 +62,7 @@ func runE20() ([]*Table, error) {
 	}
 	for _, fam := range families {
 		g := fam.build()
-		apsp := shortest.NewAPSP(g)
+		apsp := shortest.NewAPSPParallel(g, 0)
 		var cells []cell
 		tb, err := table.New(g, apsp, table.MinPort)
 		if err != nil {
@@ -74,7 +74,7 @@ func runE20() ([]*Table, error) {
 			return nil, fmt.Errorf("E20 %s: %w", fam.name, err)
 		}
 		cells = append(cells, cell{iv, g, "O(d log n)..O(n log n), s=1", nil})
-		lm, err := landmark.New(g, apsp, landmark.Options{Seed: 17})
+		lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 17}, evalOpt.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("E20 %s: %w", fam.name, err)
 		}

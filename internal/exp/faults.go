@@ -75,8 +75,8 @@ func runE23() ([]*Table, error) {
 		{"tables", func(g *graph.Graph, apsp *shortest.APSP) (routing.Scheme, error) {
 			return table.New(g, apsp, table.MinPort)
 		}},
-		{"landmark", func(g *graph.Graph, apsp *shortest.APSP) (routing.Scheme, error) {
-			return landmark.New(g, apsp, landmark.Options{Seed: e23LandmarkSeed})
+		{"landmark", func(g *graph.Graph, _ *shortest.APSP) (routing.Scheme, error) {
+			return landmark.NewStreamed(g, landmark.Options{Seed: e23LandmarkSeed}, evalOpt.Workers)
 		}},
 	}
 

@@ -40,7 +40,7 @@ func runE15() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lm, err := landmark.New(g, apsp, landmark.Options{Seed: uint64(n) + 1})
+		lm, err := landmark.NewStreamed(g, landmark.Options{Seed: uint64(n) + 1}, evalOpt.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -94,7 +94,7 @@ func runE1() ([]*Table, error) {
 		if err := add(iv, "s=1: k-IRS, O(k d log n) local"); err != nil {
 			return nil, err
 		}
-		lm, err := landmark.New(w.g, apsp, landmark.Options{Seed: 7})
+		lm, err := landmark.NewStreamed(w.g, landmark.Options{Seed: 7}, evalOpt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +273,7 @@ func runE10() ([]*Table, error) {
 	for _, n := range []int{100, 200, 400} {
 		g := gen.RandomConnected(n, 6.0/float64(n), xrand.New(uint64(n)*7))
 		apsp := shortest.NewAPSPParallel(g, evalOpt.Workers)
-		lm, err := landmark.New(g, apsp, landmark.Options{Seed: uint64(n)})
+		lm, err := landmark.NewStreamed(g, landmark.Options{Seed: uint64(n)}, evalOpt.Workers)
 		if err != nil {
 			return nil, err
 		}

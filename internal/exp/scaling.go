@@ -116,11 +116,7 @@ func runE18() ([]*Table, error) {
 				}
 				s, err = table.New(g, apsp, table.MinPort)
 			case "landmark":
-				if denseOK {
-					s, err = landmark.New(g, apsp, landmark.Options{Seed: uint64(n)})
-				} else {
-					s, err = landmark.NewStreamed(g, landmark.Options{Seed: uint64(n)}, evalOpt.Workers)
-				}
+				s, err = landmark.NewStreamed(g, landmark.Options{Seed: uint64(n)}, evalOpt.Workers)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("E18 %s/%s: %w", w.name, schemeName, err)

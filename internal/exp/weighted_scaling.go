@@ -47,14 +47,13 @@ func runE19() ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E19 n=%d: %w", n, err)
 		}
-		hop := shortest.NewAPSPParallel(g, evalOpt.Workers)
 		for _, schemeName := range []string{"tables", "landmark"} {
 			var s routing.Scheme
 			switch schemeName {
 			case "tables":
 				s, err = table.NewWeighted(g, w, apsp, table.MinPort)
 			case "landmark":
-				s, err = landmark.New(g, hop, landmark.Options{Seed: uint64(n)})
+				s, err = landmark.NewStreamed(g, landmark.Options{Seed: uint64(n)}, evalOpt.Workers)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("E19 n=%d/%s: %w", n, schemeName, err)

@@ -114,7 +114,7 @@ func TestByDegreePrefersHubs(t *testing.T) {
 // in DirtyRoots' superset.
 func TestDirtyRootsSound(t *testing.T) {
 	g := gen.RandomConnected(56, 0.09, xrand.New(11))
-	pre := shortest.NewAPSP(g)
+	pre := shortest.NewAPSPParallel(g, 0)
 	p, err := NewPlan(g, Options{Mode: KillEdges, Count: 5, Seed: 23, KeepConnected: true})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestDirtyRootsSound(t *testing.T) {
 	}
 	h := g.Clone()
 	p.Apply(h)
-	post := shortest.NewAPSP(h)
+	post := shortest.NewAPSPParallel(h, 0)
 	for v := 0; v < g.Order(); v++ {
 		vi := graph.NodeID(v)
 		if !reflect.DeepEqual(pre.Row(vi), post.Row(vi)) && !dirtySet[vi] {
@@ -138,7 +138,7 @@ func TestDirtyRootsSound(t *testing.T) {
 // the dirty rows of the pre-fault table yields the post-fault table.
 func TestRefreshRowsMatchesRebuild(t *testing.T) {
 	g := gen.Torus2D(6, 6)
-	pre := shortest.NewAPSP(g)
+	pre := shortest.NewAPSPParallel(g, 0)
 	p, err := NewPlan(g, Options{Mode: KillEdges, Count: 4, Seed: 9, KeepConnected: true})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestRefreshRowsMatchesRebuild(t *testing.T) {
 	h := g.Clone()
 	p.Apply(h)
 	pre.RefreshRows(h, dirty)
-	post := shortest.NewAPSP(h)
+	post := shortest.NewAPSPParallel(h, 0)
 	for v := 0; v < h.Order(); v++ {
 		vi := graph.NodeID(v)
 		if !reflect.DeepEqual(pre.Row(vi), post.Row(vi)) {

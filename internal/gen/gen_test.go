@@ -121,7 +121,7 @@ func TestPetersenStructure(t *testing.T) {
 	if g.Order() != 10 || g.Size() != 15 {
 		t.Fatalf("Petersen shape (%d,%d), want (10,15)", g.Order(), g.Size())
 	}
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	if apsp.Diameter() != 2 {
 		t.Fatalf("Petersen diameter %d, want 2", apsp.Diameter())
 	}

@@ -50,7 +50,7 @@ func TestButterflyRegular(t *testing.T) {
 func TestButterflyDiameter(t *testing.T) {
 	// Wrapped butterfly diameter is Theta(d); for d=3 it is small.
 	g := Butterfly(3)
-	a := shortest.NewAPSP(g)
+	a := shortest.NewAPSPParallel(g, 0)
 	if diam := a.Diameter(); diam < 3 || diam > 6 {
 		t.Fatalf("WBF(3) diameter %d outside plausible band", diam)
 	}
@@ -78,7 +78,7 @@ func TestPancakeShape(t *testing.T) {
 func TestPancakeDiameterP4(t *testing.T) {
 	// Known small values: diameter of the pancake graph P_4 is 4.
 	g := Pancake(4)
-	a := shortest.NewAPSP(g)
+	a := shortest.NewAPSPParallel(g, 0)
 	if a.Diameter() != 4 {
 		t.Fatalf("P_4 diameter %d, want 4", a.Diameter())
 	}

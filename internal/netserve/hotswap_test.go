@@ -23,7 +23,7 @@ import (
 func hotShardFixture(t testing.TB) (sv1, sv2 *serve.Server, qs []serve.Query, want1, want2 []serve.Result) {
 	t.Helper()
 	base := gen.RandomConnected(36, 0.14, xrand.New(77))
-	apsp := shortest.NewAPSP(base)
+	apsp := shortest.NewAPSPParallel(base, 0)
 	sch, err := table.New(base, apsp, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func hotShardFixture(t testing.TB) (sv1, sv2 *serve.Server, qs []serve.Query, wa
 		t.Fatal(err)
 	}
 	work := base.Clone()
-	apspW := shortest.NewAPSP(work)
+	apspW := shortest.NewAPSPParallel(work, 0)
 	repaired, err := table.New(work, apspW, table.MinPort)
 	if err != nil {
 		t.Fatal(err)

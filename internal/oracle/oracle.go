@@ -49,7 +49,7 @@ func New(g *graph.Graph, apsp *shortest.APSP, opt Options) (*Oracle, error) {
 		return nil, fmt.Errorf("oracle: K must be >= 2, got %d", opt.K)
 	}
 	if apsp == nil {
-		apsp = shortest.NewAPSP(g)
+		apsp = shortest.NewAPSPParallel(g, 0)
 	}
 	if !apsp.Connected() {
 		return nil, graph.ErrNotConnected

@@ -15,7 +15,7 @@ func TestOracleStretchBoundProperty(t *testing.T) {
 		n := int(nn%40) + 5
 		k := int(kk%3) + 2 // 2..4
 		g := gen.RandomConnected(n, 0.15, xrand.New(seed))
-		apsp := shortest.NewAPSP(g)
+		apsp := shortest.NewAPSPParallel(g, 0)
 		o, err := New(g, apsp, Options{K: k, Seed: seed})
 		if err != nil {
 			return false
@@ -57,7 +57,7 @@ func TestOracleSymmetricEstimates(t *testing.T) {
 	// The query walk is symmetric in expectation but not per-pair; both
 	// directions must nevertheless satisfy the stretch bound.
 	g := gen.RandomConnected(40, 0.12, xrand.New(3))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	o, err := New(g, apsp, Options{K: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestOracleSizeShrinksWithK(t *testing.T) {
 	// max per-vertex state for k = 2 vs k = 4 on a graph large enough for
 	// sampling to bite; allow slack since the guarantee is in expectation.
 	g := gen.RandomConnected(300, 0.03, xrand.New(5))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	o2, err := New(g, apsp, Options{K: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)

@@ -274,7 +274,7 @@ type StretchReport struct {
 // order — see MeanFromSums.
 func MeasureStretch(g *graph.Graph, r Function, dists shortest.DistanceSource) (StretchReport, error) {
 	if dists == nil {
-		dists = shortest.NewAPSP(g)
+		dists = shortest.NewAPSPParallel(g, 0)
 	}
 	rd := dists.NewReader()
 	n := g.Order()

@@ -18,7 +18,7 @@ type greedyScheme struct {
 }
 
 func newGreedy(g *graph.Graph) *greedyScheme {
-	return &greedyScheme{g: g, apsp: shortest.NewAPSP(g)}
+	return &greedyScheme{g: g, apsp: shortest.NewAPSPParallel(g, 0)}
 }
 
 func (s *greedyScheme) Name() string                         { return "greedy" }

@@ -20,7 +20,7 @@ import (
 func MeasureWeightedStretch(g *graph.Graph, r Function, w shortest.Weights, apsp *shortest.APSP) (StretchReport, error) {
 	if apsp == nil {
 		var err error
-		apsp, err = shortest.NewWeightedAPSP(g, w)
+		apsp, err = shortest.NewWeightedAPSPParallel(g, w, 0)
 		if err != nil {
 			return StretchReport{}, err
 		}

@@ -74,7 +74,7 @@ func NewHypercube1IRS(g *graph.Graph, d int) (*Scheme, error) {
 	// (each hop clears the top differing bit), checked here against BFS
 	// to keep the constructor self-certifying on small cubes.
 	if d <= 7 {
-		apsp := shortest.NewAPSP(g)
+		apsp := shortest.NewAPSPParallel(g, 0)
 		for x := 0; x < n; x++ {
 			for v := 0; v < n; v++ {
 				if v == x {

@@ -59,7 +59,7 @@ type Options struct {
 // nil.
 func New(g *graph.Graph, apsp *shortest.APSP, opt Options) (*Scheme, error) {
 	if apsp == nil {
-		apsp = shortest.NewAPSP(g)
+		apsp = shortest.NewAPSPParallel(g, 0)
 	}
 	if !apsp.Connected() {
 		return nil, graph.ErrNotConnected

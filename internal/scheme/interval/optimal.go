@@ -25,7 +25,7 @@ func OptimalLabels(g *graph.Graph, apsp *shortest.APSP) ([]int32, int, error) {
 		return nil, 0, fmt.Errorf("interval: optimal labeling search is factorial; n=%d exceeds the supported 9", n)
 	}
 	if apsp == nil {
-		apsp = shortest.NewAPSP(g)
+		apsp = shortest.NewAPSPParallel(g, 0)
 	}
 	if !apsp.Connected() {
 		return nil, 0, graph.ErrNotConnected

@@ -32,7 +32,6 @@ import (
 	"repro/internal/coding"
 	"repro/internal/graph"
 	"repro/internal/routing"
-	"repro/internal/shortest"
 	"repro/internal/xrand"
 )
 
@@ -58,11 +57,10 @@ type Options struct {
 	Seed         uint64
 }
 
-// newShell allocates a Scheme and samples its sorted landmark set — the
-// construction steps shared verbatim by New and NewStreamed, so both
-// paths draw the identical landmark set for identical Options. The graph
-// is frozen to its CSR layout here: both constructors and every later
-// route simulation iterate flat arcs.
+// newShell allocates a Scheme and samples its sorted landmark set, so
+// every build with identical Options draws the identical landmark set.
+// The graph is frozen to its CSR layout here: the constructor and every
+// later route simulation iterate flat arcs.
 func newShell(g *graph.Graph, opt Options) *Scheme {
 	g.Freeze()
 	n := g.Order()
@@ -111,72 +109,6 @@ func (s *Scheme) fillBits() {
 		b += len(s.cluster[x]) * (wn + wp)
 		s.bits[x] = b
 	}
-}
-
-// New samples landmarks and builds all tables from a dense all-pairs
-// table. apsp may be nil. NewStreamed builds the bit-identical scheme
-// without ever materializing the n² table.
-func New(g *graph.Graph, apsp *shortest.APSP, opt Options) (*Scheme, error) {
-	if apsp == nil {
-		apsp = shortest.NewAPSP(g)
-	}
-	if !apsp.Connected() {
-		return nil, graph.ErrNotConnected
-	}
-	n := g.Order()
-	s := newShell(g, opt)
-	// Nearest landmark of every vertex (ties to the smallest id).
-	for v := 0; v < n; v++ {
-		best := s.landmarks[0]
-		bd := apsp.Dist(graph.NodeID(v), best)
-		for _, l := range s.landmarks[1:] {
-			if d := apsp.Dist(graph.NodeID(v), l); d < bd {
-				best, bd = l, d
-			}
-		}
-		s.nearest[v] = best
-	}
-	// Per-router tables.
-	for x := 0; x < n; x++ {
-		xi := graph.NodeID(x)
-		ports := make([]graph.Port, len(s.landmarks))
-		for i, l := range s.landmarks {
-			if l == xi {
-				ports[i] = graph.NoPort
-				continue
-			}
-			ports[i] = firstArc(g, apsp.Row(l), xi)
-		}
-		s.lmPort[x] = ports
-		rowX := apsp.Row(xi)
-		cl := make(map[graph.NodeID]graph.Port)
-		for v := 0; v < n; v++ {
-			vi := graph.NodeID(v)
-			if vi == xi {
-				continue
-			}
-			if rowX[v] < apsp.Dist(vi, s.nearest[v]) {
-				cl[vi] = firstArc(g, apsp.Row(vi), xi)
-			}
-		}
-		s.cluster[x] = cl
-	}
-	// Source-routed suffix path l(v) -> v carried in v's address.
-	for v := 0; v < n; v++ {
-		vi := graph.NodeID(v)
-		rowV := apsp.Row(vi)
-		l := s.nearest[v]
-		var pp []graph.Port
-		x := l
-		for x != vi {
-			p := firstArc(g, rowV, x)
-			pp = append(pp, p)
-			x = g.Arcs(x)[p-1]
-		}
-		s.pathPorts[v] = pp
-	}
-	s.fillBits()
-	return s, nil
 }
 
 // firstArc returns the lowest port of u whose endpoint is one step closer

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -15,7 +16,7 @@ import (
 
 func TestLandmarkDeliversEverywhere(t *testing.T) {
 	g := gen.RandomConnected(60, 0.08, xrand.New(5))
-	s, err := New(g, nil, Options{Seed: 1})
+	s, err := NewStreamed(g, Options{Seed: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestLandmarkStretchAtMost3Property(t *testing.T) {
 	check := func(seed uint64, nn uint8) bool {
 		n := int(nn%50) + 4
 		g := gen.RandomConnected(n, 0.1, xrand.New(seed))
-		s, err := New(g, nil, Options{Seed: seed})
+		s, err := NewStreamed(g, Options{Seed: seed}, 0)
 		if err != nil {
 			return false
 		}
@@ -49,7 +50,7 @@ func TestLandmarkStretchOnStructuredGraphs(t *testing.T) {
 		"cube":  gen.Hypercube(5),
 		"tree":  gen.RandomTree(50, xrand.New(2)),
 	} {
-		s, err := New(g, nil, Options{Seed: 3})
+		s, err := NewStreamed(g, Options{Seed: 3}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -67,7 +68,7 @@ func TestLandmarkMemoryBelowTables(t *testing.T) {
 	// The Table 1 story: at stretch <= 3 the landmark scheme's worst
 	// router must undercut full tables on a large graph.
 	g := gen.RandomConnected(300, 0.03, xrand.New(9))
-	s, err := New(g, nil, Options{Seed: 7})
+	s, err := NewStreamed(g, Options{Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestLandmarkMemoryBelowTables(t *testing.T) {
 
 func TestNumLandmarksDefault(t *testing.T) {
 	g := gen.RandomConnected(100, 0.05, xrand.New(1))
-	s, err := New(g, nil, Options{Seed: 2})
+	s, err := NewStreamed(g, Options{Seed: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestNumLandmarksDefault(t *testing.T) {
 
 func TestExplicitLandmarkCount(t *testing.T) {
 	g := gen.RandomConnected(50, 0.1, xrand.New(3))
-	s, err := New(g, nil, Options{NumLandmarks: 5, Seed: 4})
+	s, err := NewStreamed(g, Options{NumLandmarks: 5, Seed: 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestAllNodesLandmarks(t *testing.T) {
 	// Degenerate case |L| = n: every cluster is empty and routing is pure
 	// landmark tables; still correct, stretch 1 (l(t) = t).
 	g := gen.Cycle(12)
-	s, err := New(g, nil, Options{NumLandmarks: 12, Seed: 5})
+	s, err := NewStreamed(g, Options{NumLandmarks: 12, Seed: 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestAllNodesLandmarks(t *testing.T) {
 
 func TestSingleLandmark(t *testing.T) {
 	g := gen.RandomConnected(30, 0.1, xrand.New(6))
-	s, err := New(g, nil, Options{NumLandmarks: 1, Seed: 6})
+	s, err := NewStreamed(g, Options{NumLandmarks: 1, Seed: 6}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +143,8 @@ func TestSingleLandmark(t *testing.T) {
 func TestDeterministicUnderSeed(t *testing.T) {
 	g1 := gen.RandomConnected(40, 0.1, xrand.New(7))
 	g2 := gen.RandomConnected(40, 0.1, xrand.New(7))
-	s1, _ := New(g1, nil, Options{Seed: 9})
-	s2, _ := New(g2, nil, Options{Seed: 9})
+	s1, _ := NewStreamed(g1, Options{Seed: 9}, 0)
+	s2, _ := NewStreamed(g2, Options{Seed: 9}, 0)
 	if s1.NumLandmarks() != s2.NumLandmarks() || s1.MaxCluster() != s2.MaxCluster() {
 		t.Fatal("landmark construction not deterministic")
 	}
@@ -153,7 +154,7 @@ func TestClusterDefinition(t *testing.T) {
 	// Clusters exclude every vertex at distance >= its landmark distance;
 	// with |L| = n clusters are empty.
 	g := gen.Cycle(10)
-	s, err := New(g, nil, Options{NumLandmarks: 10, Seed: 8})
+	s, err := NewStreamed(g, Options{NumLandmarks: 10, Seed: 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +164,17 @@ func TestClusterDefinition(t *testing.T) {
 }
 
 // TestStreamedBitIdenticalToDense pins the NewStreamed contract: for the
-// same Options it must reproduce New exactly — landmark set, nearest
-// assignments, every table entry and every LocalBits value — across
-// families and worker counts, without the n² table. The cases stress
-// the per-destination ball search: a faulted graph whose removed edges
-// leave dead ports for the search to skip, one landmark (balls reach
-// across the graph) and |L| = n (every ball is empty).
+// same Options it must reproduce the dense reference newDense exactly —
+// landmark set, nearest assignments, every table entry and every
+// LocalBits value — across families and worker counts, without the n²
+// table. The cases stress the per-destination ball search: faulted
+// graphs whose removed edges leave dead ports for the search to skip,
+// one landmark (balls reach across the graph) and |L| = n (every ball
+// is empty). The inputs include every family of the root conformance
+// matrix, each also after the seeded connectivity-preserving edge kill
+// the fault suites draw: a landmark fault rebuilds with NewStreamed, so
+// this pins the post-fault scheme against a dense rebuild on the
+// faulted graph.
 func TestStreamedBitIdenticalToDense(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"random(70,.09)":        gen.RandomConnected(70, 0.09, xrand.New(21)),
@@ -180,6 +186,20 @@ func TestStreamedBitIdenticalToDense(t *testing.T) {
 	if graphs["random(70,.09)-faults"].Size() == gen.RandomConnected(70, 0.09, xrand.New(23)).Size() {
 		t.Fatal("faulted case removed no edge")
 	}
+	for name, g := range map[string]*graph.Graph{
+		"random(64,.1)":   gen.RandomConnected(64, 0.1, xrand.New(41)),
+		"tree(63)":        gen.RandomTree(63, xrand.New(42)),
+		"torus 8x8":       gen.Torus2D(8, 8),
+		"hypercube H6":    gen.Hypercube(6),
+		"K24":             gen.Complete(24),
+		"outerplanar(60)": gen.MaximalOuterplanar(60, xrand.New(43)),
+		"petersen":        gen.Petersen(),
+	} {
+		graphs[name] = g
+		if faulted := killEdges(g, 0.08, 0x1a5d); faulted != nil {
+			graphs[name+" faulted"] = faulted
+		}
+	}
 	for name, g := range graphs {
 		opts := []Options{
 			{Seed: 3},
@@ -188,7 +208,7 @@ func TestStreamedBitIdenticalToDense(t *testing.T) {
 			{Seed: 5, NumLandmarks: g.Order()},
 		}
 		for _, opt := range opts {
-			dense, err := New(g, nil, opt)
+			dense, err := newDense(g, opt)
 			if err != nil {
 				t.Fatalf("%s: dense: %v", name, err)
 			}
@@ -220,6 +240,27 @@ func sameScheme(got, want *Scheme) error {
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			return fmt.Errorf("%s differ", c.name)
+		}
+	}
+	return nil
+}
+
+// killEdges returns a faulted clone of g: the largest seeded
+// connectivity-preserving kill of at most frac·|E| edges (at least one),
+// or nil when no edge can go — the plan the root fault suites draw.
+func killEdges(g *graph.Graph, frac float64, seed uint64) *graph.Graph {
+	k := int(frac * float64(g.Size()))
+	if k < 1 {
+		k = 1
+	}
+	for ; k >= 1; k-- {
+		plan, err := faults.NewPlan(g, faults.Options{
+			Mode: faults.KillEdges, Count: k, Seed: seed, KeepConnected: true,
+		})
+		if err == nil {
+			h := g.Clone()
+			plan.Apply(h)
+			return h
 		}
 	}
 	return nil
@@ -283,7 +324,7 @@ func fuzzLandmarkGraph(data []byte) (*graph.Graph, Options) {
 	return g, Options{NumLandmarks: int(data[0]) % (n + 2), Seed: uint64(len(data))}
 }
 
-// FuzzNewStreamed pins NewStreamed to New on arbitrary small connected
+// FuzzNewStreamed pins NewStreamed to newDense on arbitrary small connected
 // graphs with dead ports, at landmark counts from one to n, on one and
 // on three workers.
 func FuzzNewStreamed(f *testing.F) {
@@ -292,7 +333,7 @@ func FuzzNewStreamed(f *testing.F) {
 		if g == nil {
 			return
 		}
-		dense, err := New(g, nil, opt)
+		dense, err := newDense(g, opt)
 		if err != nil {
 			t.Fatalf("dense: %v", err)
 		}
@@ -308,7 +349,7 @@ func FuzzNewStreamed(f *testing.F) {
 	})
 }
 
-// TestStreamedDisconnectedErrors mirrors New's connectivity contract.
+// TestStreamedDisconnectedErrors pins the connectivity contract.
 func TestStreamedDisconnectedErrors(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1)

@@ -8,18 +8,19 @@ import (
 	"repro/internal/shortest"
 )
 
-// NewStreamed builds the scheme bit-identically to New — same landmarks,
-// nearest assignments, ports, clusters, address paths and LocalBits for
-// the same Options — without ever materializing the n² distance table.
-// It is the construction path behind `-distmode stream` at orders
-// where the dense table no longer fits in RAM.
+// NewStreamed samples landmarks and builds all tables — nearest
+// assignments, ports, clusters, address paths and LocalBits, exactly as
+// the package comment defines them — without ever materializing the n²
+// distance table, so it serves every order, including those where the
+// dense table no longer fits in RAM. It returns graph.ErrNotConnected
+// on a disconnected graph.
 //
-// Every column access of New becomes a read of some BFS labelling we are
-// willing to keep:
+// Every column access d(·,v) of the definitions becomes a read of some
+// BFS labelling we are willing to keep:
 //
 //   - |L| landmark-rooted trees (shortest.BFSTreeInto: the distance row
 //     and the canonical first-arc vector, the lowest port of each vertex
-//     one step closer to the root — New's firstArc tie-break, by symmetry
+//     one step closer to the root — firstArc's tie-break, by symmetry
 //     of d) give the distance-to-landmark rows AND the whole lmPort table
 //     (O(|L|·n) memory, which the lmPort tables the scheme must store are
 //     anyway);
@@ -45,7 +46,7 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 	if workers > n {
 		workers = n
 	}
-	// Connectivity gate, same contract as New: one row instead of n.
+	// Connectivity gate: one row instead of n.
 	row0 := shortest.BFS(g, 0)
 	for _, d := range row0 {
 		if d == shortest.Unreachable {
@@ -67,7 +68,7 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 	})
 
 	// Nearest landmark (ties to the smallest id: landmarks are sorted and
-	// the comparison is strict, exactly as in New).
+	// the comparison is strict).
 	for v := 0; v < n; v++ {
 		bi := 0
 		bd := distToLm[0][v]
@@ -81,8 +82,7 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 
 	// lmPort is the transpose of the landmark parent vectors: lmPort[x][i]
 	// is the canonical first arc of x toward landmark i, which BFSTreeInto
-	// already resolved (and left NoPort at the landmark itself, as New
-	// stores it).
+	// already resolved (and left NoPort at the landmark itself).
 	parallelFor(workers, n, func(_ int, x int) {
 		ports := make([]graph.Port, k)
 		for i := range ports {
@@ -92,7 +92,7 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 	})
 
 	// Per-destination sweep: the ball around v answers every d(·,v) column
-	// New reads — cluster membership d(x,v) < d(v,l(v)), the cluster port
+	// the tables read — cluster membership d(x,v) < d(v,l(v)), the cluster port
 	// at each member x, and the address path l(v) -> v. Cluster entries
 	// are collected per destination and folded into the per-router maps
 	// serially afterwards (map values are keyed lookups, so insertion

@@ -67,7 +67,7 @@ func referenceRow(g *graph.Graph, apsp *shortest.APSP, x graph.NodeID, pol Polic
 // both policies, intact and faulted.
 func TestNewMatchesFirstArcsReference(t *testing.T) {
 	for name, g := range referenceGraphs(t, 100) {
-		apsp := shortest.NewAPSP(g)
+		apsp := shortest.NewAPSPParallel(g, 0)
 		for _, pol := range []Policy{MinPort, RunGreedy} {
 			s, err := New(g, apsp, pol)
 			if err != nil {
@@ -95,7 +95,7 @@ func TestNewWeightedMatchesFirstArcsReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := shortest.RandomWeights(g, 9, xrand.New(uint64(80+i)))
-		apsp, err := shortest.NewWeightedAPSP(g, w)
+		apsp, err := shortest.NewWeightedAPSPParallel(g, w, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestNewWorkerCountInvariant(t *testing.T) {
 	}
 	plan.Apply(h)
 	for name, gr := range map[string]*graph.Graph{"intact": g, "faulted": h} {
-		apsp := shortest.NewAPSP(gr)
+		apsp := shortest.NewAPSPParallel(gr, 0)
 		for _, pol := range []Policy{MinPort, RunGreedy} {
 			var one, four *Scheme
 			withProcs(1, func() { one, err = New(gr, apsp, pol) })
@@ -181,7 +181,7 @@ func bridged(half int, seedA, seedB uint64) *graph.Graph {
 func TestNewInconsistentAPSPLowestRouterError(t *testing.T) {
 	const half = 2 * buildClaim
 	g := bridged(half, 1, 2)
-	wrong := shortest.NewAPSP(bridged(half, 1, 3))
+	wrong := shortest.NewAPSPParallel(bridged(half, 1, 3), 0)
 	want := ""
 	lowest, failing := -1, 0
 	for x := 0; x < g.Order(); x++ {
@@ -214,7 +214,7 @@ func TestNewInconsistentAPSPLowestRouterError(t *testing.T) {
 // TestNewRejectsOrderMismatch checks that a table of another order is an
 // error, not an index panic.
 func TestNewRejectsOrderMismatch(t *testing.T) {
-	if _, err := New(gen.Cycle(8), shortest.NewAPSP(gen.Cycle(9)), MinPort); err == nil {
+	if _, err := New(gen.Cycle(8), shortest.NewAPSPParallel(gen.Cycle(9), 0), MinPort); err == nil {
 		t.Fatal("APSP of order 9 accepted for an 8-vertex graph")
 	}
 }

@@ -23,7 +23,7 @@ import (
 func TestLazyPreloadDeterministicError(t *testing.T) {
 	n := 5*lazyStripe + 17
 	g := gen.RandomConnected(n, 8.0/float64(n), xrand.New(3))
-	s, err := New(g, shortest.NewAPSP(g), MinPort)
+	s, err := New(g, shortest.NewAPSPParallel(g, 0), MinPort)
 	if err != nil {
 		t.Fatal(err)
 	}

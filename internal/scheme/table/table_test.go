@@ -83,7 +83,7 @@ func TestRunGreedyBoundedByRaw(t *testing.T) {
 	check := func(seed uint64, nn uint8) bool {
 		n := int(nn%20) + 4
 		g := gen.RandomConnected(n, 0.3, xrand.New(seed))
-		apsp := shortest.NewAPSP(g)
+		apsp := shortest.NewAPSPParallel(g, 0)
 		for _, pol := range []Policy{MinPort, RunGreedy} {
 			s, err := New(g, apsp, pol)
 			if err != nil {
@@ -116,7 +116,7 @@ func TestRunGreedyWinsOnRunFriendlyGraph(t *testing.T) {
 	// with a long tail, destinations served by the same port are label-
 	// contiguous, and RunGreedy compresses at least as well as MinPort.
 	g := gen.Caterpillar(32, 32)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	a, err := New(g, apsp, MinPort)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 func NewWeighted(g *graph.Graph, w shortest.Weights, apsp *shortest.APSP, pol Policy) (*Scheme, error) {
 	if apsp == nil {
 		var err error
-		apsp, err = shortest.NewWeightedAPSP(g, w) // validates w
+		apsp, err = shortest.NewWeightedAPSPParallel(g, w, 0) // validates w
 		if err != nil {
 			return nil, err
 		}

@@ -20,7 +20,7 @@ import (
 func seededTables(t *testing.T, n int, seed uint64) (*graph.Graph, routing.Scheme) {
 	t.Helper()
 	g := gen.RandomConnected(n, 6.0/float64(n), xrand.New(seed))
-	s, err := table.New(g, shortest.NewAPSP(g), table.MinPort)
+	s, err := table.New(g, shortest.NewAPSPParallel(g, 0), table.MinPort)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 func deltaFixture(t testing.TB) (base *graph.Graph, sch *table.Scheme, d *Delta, faulted *graph.Graph, fresh *table.Scheme) {
 	t.Helper()
 	base = gen.RandomConnected(32, 0.15, xrand.New(21))
-	apsp := shortest.NewAPSP(base)
+	apsp := shortest.NewAPSPParallel(base, 0)
 	sch, err := table.New(base, apsp, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func deltaFixture(t testing.TB) (base *graph.Graph, sch *table.Scheme, d *Delta,
 	}
 	// Repair on a private clone so base/sch stay generation-g.
 	work := base.Clone()
-	apspW := shortest.NewAPSP(work)
+	apspW := shortest.NewAPSPParallel(work, 0)
 	repaired, err := table.New(work, apspW, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func deltaFixture(t testing.TB) (base *graph.Graph, sch *table.Scheme, d *Delta,
 
 	faulted = base.Clone()
 	plan.Apply(faulted)
-	fresh, err = table.New(faulted, shortest.NewAPSP(faulted), table.MinPort)
+	fresh, err = table.New(faulted, shortest.NewAPSPParallel(faulted, 0), table.MinPort)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func FuzzDecodeTree(f *testing.F) {
 
 func FuzzDecodeLandmark(f *testing.F) {
 	g := fuzzGraph()
-	s, err := landmark.New(g, nil, landmark.Options{Seed: 17})
+	s, err := landmark.NewStreamed(g, landmark.Options{Seed: 17}, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func FuzzReadFileMapped(f *testing.F) {
 		f.Fatal(err)
 	}
 	addMutations(f, v2.Bytes())
-	land, err := landmark.New(g, nil, landmark.Options{Seed: 17})
+	land, err := landmark.NewStreamed(g, landmark.Options{Seed: 17}, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

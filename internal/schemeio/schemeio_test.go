@@ -33,7 +33,7 @@ func testSchemes(t *testing.T) []testScheme {
 	t.Helper()
 	out := []testScheme{}
 	rnd := gen.RandomConnected(40, 0.15, xrand.New(7))
-	apsp := shortest.NewAPSP(rnd)
+	apsp := shortest.NewAPSPParallel(rnd, 0)
 	tb, err := table.New(rnd, apsp, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func testSchemes(t *testing.T) []testScheme {
 		t.Fatal(err)
 	}
 	out = append(out, testScheme{"interval", rnd, iv, KindInterval})
-	lm, err := landmark.New(rnd, apsp, landmark.Options{Seed: 17})
+	lm, err := landmark.NewStreamed(rnd, landmark.Options{Seed: 17}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

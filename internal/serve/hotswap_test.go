@@ -83,7 +83,7 @@ func TestLazySourceNilBuild(t *testing.T) {
 func hotGenerations(t testing.TB) (sv1, sv2 *Server, qs []Query, want1, want2 []Result) {
 	t.Helper()
 	base := gen.RandomConnected(40, 0.12, xrand.New(91))
-	apsp := shortest.NewAPSP(base)
+	apsp := shortest.NewAPSPParallel(base, 0)
 	sch, err := table.New(base, apsp, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func hotGenerations(t testing.TB) (sv1, sv2 *Server, qs []Query, want1, want2 []
 	// sch — the build is deterministic), inject the plan, repair in place.
 	// sv1's graph, scheme and distance rows stay untouched.
 	work := base.Clone()
-	apspW := shortest.NewAPSP(work)
+	apspW := shortest.NewAPSPParallel(work, 0)
 	repaired, err := table.New(work, apspW, table.MinPort)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func canonResult(r Result) string {
 func pairFixture(t *testing.T) (g, gd *graph.Graph, s routing.Scheme, qs []Query) {
 	t.Helper()
 	g0 := gen.RandomConnected(160, 0.04, xrand.New(71))
-	built, err := landmark.New(g0, shortest.NewAPSP(g0), landmark.Options{Seed: 5})
+	built, err := landmark.NewStreamed(g0, landmark.Options{Seed: 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestServePairPathEquivalence(t *testing.T) {
 	sources := map[string]func() shortest.DistanceSource{
 		"stream":         func() shortest.DistanceSource { return shortest.NewStreamSource(gd) },
 		"stream-rowonly": func() shortest.DistanceSource { return rowOnlySource{shortest.NewStreamSource(gd)} },
-		"dense":          func() shortest.DistanceSource { return shortest.NewAPSP(gd) },
-		"dense-rowonly":  func() shortest.DistanceSource { return rowOnlySource{shortest.NewAPSP(gd)} },
+		"dense":          func() shortest.DistanceSource { return shortest.NewAPSPParallel(gd, 0) },
+		"dense-rowonly":  func() shortest.DistanceSource { return rowOnlySource{shortest.NewAPSPParallel(gd, 0)} },
 	}
 	for _, name := range []string{"stream", "stream-rowonly", "dense", "dense-rowonly"} {
 		mk := sources[name]
@@ -139,7 +139,7 @@ func TestServePairPathLazyPanic(t *testing.T) {
 	g, _, s, qs := pairFixture(t)
 	src := LazySource(g.Order(), func() shortest.DistanceSource { panic("backend exploded") })
 	sticky := canonResult(Result{Err: errors.New("serve: lazy distance source build panicked: backend exploded")})
-	ref := New(g, s, shortest.NewAPSP(g), Options{Workers: 1}).ServeBatch(qs)
+	ref := New(g, s, shortest.NewAPSPParallel(g, 0), Options{Workers: 1}).ServeBatch(qs)
 	want := make([]string, len(qs))
 	n := graph.NodeID(g.Order())
 	for i, q := range qs {
@@ -166,11 +166,11 @@ func TestServePairPathLazyPanic(t *testing.T) {
 // server per source, each answer byte-identical to the Row path's.
 func TestServePairPathConcurrent(t *testing.T) {
 	g, gd, s, qs := pairFixture(t)
-	want := New(g, s, rowOnlySource{shortest.NewAPSP(gd)}, Options{Workers: 1}).ServeBatch(qs)
+	want := New(g, s, rowOnlySource{shortest.NewAPSPParallel(gd, 0)}, Options{Workers: 1}).ServeBatch(qs)
 	for name, src := range map[string]shortest.DistanceSource{
 		"stream":      shortest.NewStreamSource(gd),
 		"lazy-stream": LazySource(gd.Order(), func() shortest.DistanceSource { return shortest.NewStreamSource(gd) }),
-		"dense":       shortest.NewAPSP(gd),
+		"dense":       shortest.NewAPSPParallel(gd, 0),
 	} {
 		sv := New(g, s, src, Options{Workers: 3})
 		var wg sync.WaitGroup

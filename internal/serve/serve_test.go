@@ -105,7 +105,7 @@ func resultsMatch(got, want Result) bool {
 // for every backend and several worker counts.
 func TestServeMatchesSerial(t *testing.T) {
 	g := gen.RandomConnected(64, 0.1, xrand.New(41))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	built, err := table.New(g, apsp, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
@@ -176,12 +176,12 @@ func TestServeEmptyBatch(t *testing.T) {
 // after decode) and the worker-count independence of the answers.
 func TestServeConcurrentRace(t *testing.T) {
 	g := gen.RandomConnected(48, 0.12, xrand.New(42))
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	builtTables, err := table.New(g, apsp, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builtLm, err := landmark.New(g, apsp, landmark.Options{Seed: 17})
+	builtLm, err := landmark.NewStreamed(g, landmark.Options{Seed: 17}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func FuzzPairDist(f *testing.F) {
 		if got, want := rd.Dist(u, v), BFS(g, u)[v]; got != want {
 			t.Fatalf("Dist(%d,%d) = %d, want %d", u, v, got, want)
 		}
-		apsp := NewAPSP(g)
+		apsp := NewAPSPParallel(g, 0)
 		n := g.Order()
 		for x := 0; x < n; x++ {
 			for y := 0; y < n; y++ {

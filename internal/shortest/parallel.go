@@ -19,8 +19,8 @@ import (
 // backends hand out), and each worker reuses its MS-BFS scratch across
 // the batches it wins.
 //
-// The result is bit-identical to NewAPSP, the serial one-BFS-per-row
-// reference (each row is the BFS distance vector of its source and rows
+// Each row is bit-identical to BFS from its source, the serial
+// one-BFS-per-row reference the conformance tests compare against (rows
 // do not interact — see MSBFSInto for why the batched rows cannot
 // differ). The row-sharded decomposition here is the template for the
 // all-pairs routing evaluator in internal/evaluate, which extends it

@@ -115,25 +115,18 @@ func BFSInto(g *graph.Graph, src graph.NodeID, dist []int32, queue []graph.NodeI
 	return dist, queue
 }
 
-// BFSTree returns, along with the distance vector, a parent-port vector:
-// parent[v] is the port AT v leading one step closer to src (NoPort at src
-// and unreachable vertices). Following parent ports from any v walks a
-// shortest path to src; routing tables and tree schemes are built from it.
+// BFSTreeInto returns, along with the distance vector, a parent-port
+// vector: parent[v] is the port AT v leading one step closer to src
+// (NoPort at src and unreachable vertices). Following parent ports from
+// any v walks a shortest path to src.
 //
-// The parent port is canonical: the LOWEST port of v whose endpoint is one
-// step closer to src — the same tie-break as FirstArcs — so the tree
-// depends only on the graph, never on traversal order. BFSTree is a
-// convenience wrapper over BFSTreeInto.
-func BFSTree(g *graph.Graph, src graph.NodeID) (dist []int32, parentPort []graph.Port) {
-	dist, parentPort, _ = BFSTreeInto(g, src, nil, nil, nil)
-	return dist, parentPort
-}
-
-// BFSTreeInto is BFSTree with caller-owned scratch: dist, parent and
-// queue are reused when large enough and reallocated otherwise, and all
-// three are returned, so constructors building one tree per root (the
-// landmark scheme, streaming evaluations) run with zero steady-state
-// allocation. The computed vectors are bit-identical to BFSTree's.
+// The parent port is canonical: the LOWEST port of v whose endpoint is
+// one step closer to src — the same tie-break as FirstArcs — so the
+// tree depends only on the graph, never on traversal order. dist,
+// parent and queue are caller-owned scratch, reused when large enough
+// and reallocated otherwise (nil allocates fresh), and all three are
+// returned, so constructors building one tree per root (the landmark
+// scheme) run with zero steady-state allocation.
 //
 // The tree rides the direction-optimized BFSInto and then resolves each
 // visited vertex's parent with an early-exit scan of its own arcs
@@ -173,39 +166,23 @@ func BFSTreeInto(g *graph.Graph, src graph.NodeID, dist []int32, parent []graph.
 }
 
 // APSP holds an all-pairs distance table. For the graph orders used here
-// (up to a few thousand) the n^2 table is the right tool; it is computed
-// by n BFS traversals.
+// (up to a few thousand) the n^2 table is the right tool; it is built by
+// NewAPSPParallel (hop metric) or NewWeightedAPSPParallel (arc costs).
 type APSP struct {
 	n    int
 	dist [][]int32
 }
 
-// NewAPSP computes all-pairs shortest path distances. The graph is
-// frozen to its CSR layout first, rows are carved out of one contiguous
-// n×n block, and the BFS queue is reused across sources, so the build is
-// n closure-free traversals with O(1) allocations.
-func NewAPSP(g *graph.Graph) *APSP {
-	g.Freeze()
-	n := g.Order()
-	a := &APSP{n: n, dist: make([][]int32, n)}
-	block := make([]int32, n*n)
-	var queue []graph.NodeID
-	for u := 0; u < n; u++ {
-		row := block[u*n : (u+1)*n : (u+1)*n]
-		a.dist[u], queue = BFSInto(g, graph.NodeID(u), row, queue)
-	}
-	return a
-}
-
 // RefreshRows recomputes the distance rows of the given roots in place
 // against the current state of g — the incremental-repair counterpart of
-// NewAPSP. After a fault (RemoveEdge/RemoveVertex) only the rows whose
+// NewAPSPParallel. After a fault (RemoveEdge/RemoveVertex) only the rows whose
 // BFS cone touched a removed arc can change; callers compute that dirty
 // set (internal/faults.DirtyRoots) and refresh exactly those rows, so
 // an r-row refresh costs r BFS traversals instead of n. Each refreshed
-// row is bit-identical to the matching row of NewAPSP on the mutated
-// graph (BFSInto is the single kernel behind both). g must have the
-// same order the table was built with.
+// row is bit-identical to the matching row of NewAPSPParallel on the
+// mutated graph (BFSInto here, MSBFSInto there: a batched row equals
+// the scalar BFS row, see MSBFSInto). g must have the same order the
+// table was built with.
 func (a *APSP) RefreshRows(g *graph.Graph, roots []graph.NodeID) {
 	if g.Order() != a.n {
 		panic(fmt.Sprintf("shortest: RefreshRows order mismatch: graph %d, table %d", g.Order(), a.n))

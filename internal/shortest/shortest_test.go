@@ -30,7 +30,7 @@ func TestBFSDisconnected(t *testing.T) {
 
 func TestBFSTreeParentPorts(t *testing.T) {
 	g := gen.RandomConnected(40, 0.1, xrand.New(4))
-	dist, parent := BFSTree(g, 0)
+	dist, parent, _ := BFSTreeInto(g, 0, nil, nil, nil)
 	for v := 1; v < g.Order(); v++ {
 		// Following the parent port must decrease the distance by 1.
 		u := g.Neighbor(graph.NodeID(v), parent[v])
@@ -44,7 +44,7 @@ func TestAPSPSymmetryAndTriangle(t *testing.T) {
 	check := func(seed uint64, nn uint8) bool {
 		n := int(nn%30) + 2
 		g := gen.RandomConnected(n, 0.15, xrand.New(seed))
-		a := NewAPSP(g)
+		a := NewAPSPParallel(g, 0)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if a.Dist(graph.NodeID(u), graph.NodeID(v)) != a.Dist(graph.NodeID(v), graph.NodeID(u)) {
@@ -68,7 +68,7 @@ func TestAPSPSymmetryAndTriangle(t *testing.T) {
 
 func TestAPSPAdjacency(t *testing.T) {
 	g := gen.Petersen()
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	for u := 0; u < 10; u++ {
 		for v := 0; v < 10; v++ {
 			d := a.Dist(graph.NodeID(u), graph.NodeID(v))
@@ -86,7 +86,7 @@ func TestAPSPAdjacency(t *testing.T) {
 
 func TestDiameterAndEccentricity(t *testing.T) {
 	g := gen.Path(7)
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	if a.Diameter() != 6 {
 		t.Fatalf("path diameter %d, want 6", a.Diameter())
 	}
@@ -102,14 +102,14 @@ func TestConnectedFlag(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
-	if NewAPSP(g).Connected() {
+	if NewAPSPParallel(g, 0).Connected() {
 		t.Fatal("disconnected graph reported connected")
 	}
 }
 
 func TestFirstArcsOnCycle(t *testing.T) {
 	g := gen.Cycle(6)
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	// Antipodal pair: both directions are shortest.
 	arcs := FirstArcs(g, a, 0, 3)
 	if len(arcs) != 2 {
@@ -124,7 +124,7 @@ func TestFirstArcsOnCycle(t *testing.T) {
 
 func TestFeasibleFirstArcsWidens(t *testing.T) {
 	g := gen.Cycle(8)
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	// 0 -> 2: shortest = 2, only one direction. With budget 6 the long way
 	// round (length 6) also qualifies.
 	tight := FeasibleFirstArcs(g, a, 0, 2, 2)
@@ -139,7 +139,7 @@ func TestFeasibleFirstArcsWidens(t *testing.T) {
 
 func TestForcedPortPetersenShortest(t *testing.T) {
 	g := gen.Petersen()
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	for u := 0; u < 10; u++ {
 		for v := 0; v < 10; v++ {
 			if u == v {
@@ -159,7 +159,7 @@ func TestForcedPortPetersenShortest(t *testing.T) {
 
 func TestForcedPortVanishesAtHighStretch(t *testing.T) {
 	g := gen.Petersen()
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	// At s = 3 every neighbor is within budget (diameter 2, budget >= 3 -
 	// wait: budget = 3*d; for adjacent pairs budget 3, any neighbor is at
 	// distance <= 3 of anything), so nothing is forced.
@@ -181,7 +181,7 @@ func TestForcedPortVanishesAtHighStretch(t *testing.T) {
 
 func TestCountShortestPathsGrid(t *testing.T) {
 	g := gen.Grid2D(3, 3)
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	// Corner to corner of a 3x3 grid: C(4,2) = 6 lattice paths.
 	if c := CountShortestPaths(g, a, 0, 8, 1000); c != 6 {
 		t.Fatalf("3x3 grid corner-to-corner shortest paths = %d, want 6", c)
@@ -193,7 +193,7 @@ func TestCountShortestPathsGrid(t *testing.T) {
 
 func TestCountShortestPathsCap(t *testing.T) {
 	g := gen.Grid2D(5, 5)
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	if c := CountShortestPaths(g, a, 0, 24, 3); c != 3 {
 		t.Fatalf("cap not applied: got %d", c)
 	}
@@ -207,7 +207,7 @@ func TestCountShortestPathsCap(t *testing.T) {
 // slice-memo rewrite of CountShortestPaths.
 func TestCountShortestPathsPetersen(t *testing.T) {
 	g := gen.Petersen()
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	for u := 0; u < 10; u++ {
 		for v := 0; v < 10; v++ {
 			got := CountShortestPaths(g, a, graph.NodeID(u), graph.NodeID(v), 1<<20)
@@ -220,28 +220,28 @@ func TestCountShortestPathsPetersen(t *testing.T) {
 	// Contrast pin: C6 has exactly two shortest paths between antipodal
 	// vertices, exercising the memo's accumulation across branches.
 	c := gen.Cycle(6)
-	ca := NewAPSP(c)
+	ca := NewAPSPParallel(c, 0)
 	if got := CountShortestPaths(c, ca, 0, 3, 1<<20); got != 2 {
 		t.Fatalf("C6: %d shortest paths 0->3, want 2", got)
 	}
 }
 
-// TestBFSTreeIntoMatchesBFSTree pins the wrapper contract: BFSTree and
-// BFSTreeInto (with and without reused scratch) produce identical
+// TestBFSTreeIntoMatchesBFSTree pins the scratch contract: BFSTreeInto
+// with fresh scratch and with reused scratch produces identical
 // vectors, and the parent ports follow the canonical lowest-port
 // tie-break of FirstArcs.
 func TestBFSTreeIntoMatchesBFSTree(t *testing.T) {
 	g := gen.RandomConnected(60, 0.1, xrand.New(7))
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	var dist []int32
 	var parent []graph.Port
 	var queue []graph.NodeID
 	for src := 0; src < g.Order(); src += 7 {
-		wd, wp := BFSTree(g, graph.NodeID(src))
+		wd, wp, _ := BFSTreeInto(g, graph.NodeID(src), nil, nil, nil)
 		dist, parent, queue = BFSTreeInto(g, graph.NodeID(src), dist, parent, queue)
 		for v := 0; v < g.Order(); v++ {
 			if dist[v] != wd[v] || parent[v] != wp[v] {
-				t.Fatalf("src %d vertex %d: Into (%d,%d) vs BFSTree (%d,%d)",
+				t.Fatalf("src %d vertex %d: reused scratch (%d,%d) vs fresh (%d,%d)",
 					src, v, dist[v], parent[v], wd[v], wp[v])
 			}
 			if v == src {
@@ -263,7 +263,7 @@ func TestShortestPathValid(t *testing.T) {
 	check := func(seed uint64, nn uint8) bool {
 		n := int(nn%25) + 2
 		g := gen.RandomConnected(n, 0.2, xrand.New(seed))
-		a := NewAPSP(g)
+		a := NewAPSPParallel(g, 0)
 		r := xrand.New(seed + 1)
 		u := graph.NodeID(r.Intn(n))
 		v := graph.NodeID(r.Intn(n))
@@ -288,7 +288,7 @@ func TestShortestPathValid(t *testing.T) {
 
 func TestBFSMatchesAPSP(t *testing.T) {
 	g := gen.Hypercube(5)
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	for u := 0; u < g.Order(); u++ {
 		d := BFS(g, graph.NodeID(u))
 		for v := 0; v < g.Order(); v++ {
@@ -301,7 +301,7 @@ func TestBFSMatchesAPSP(t *testing.T) {
 
 func TestHypercubeDistanceIsHamming(t *testing.T) {
 	g := gen.Hypercube(4)
-	a := NewAPSP(g)
+	a := NewAPSPParallel(g, 0)
 	for u := 0; u < 16; u++ {
 		for v := 0; v < 16; v++ {
 			ham := int32(0)

@@ -37,7 +37,7 @@ func TestSourcesAgreeWithBFS(t *testing.T) {
 		want[v] = BFS(g, graph.NodeID(v))
 	}
 	sources := map[string]DistanceSource{
-		"dense":  NewAPSP(g),
+		"dense":  NewAPSPParallel(g, 0),
 		"stream": NewStreamSource(g),
 	}
 	for name, src := range sources {
@@ -74,7 +74,7 @@ func TestWeightedSourcesAgreeWithDijkstra(t *testing.T) {
 	for v := 0; v < n; v++ {
 		want[v] = Dijkstra(g, w, graph.NodeID(v))
 	}
-	dense, err := NewWeightedAPSP(g, w)
+	dense, err := NewWeightedAPSPParallel(g, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWeightedSourcesRejectMalformedWeights(t *testing.T) {
 // TestResidentRowsHints pins the bulk memory hints each backend reports.
 func TestResidentRowsHints(t *testing.T) {
 	g := sourceTestGraph() // n = 9
-	if got := NewAPSP(g).ResidentRows(4); got != 9 {
+	if got := NewAPSPParallel(g, 0).ResidentRows(4); got != 9 {
 		t.Fatalf("dense hint %d, want n=9", got)
 	}
 	if got := NewStreamSource(g).ResidentRows(4); got != 4 {

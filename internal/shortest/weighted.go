@@ -155,33 +155,15 @@ func DijkstraInto(g *graph.Graph, w Weights, src graph.NodeID, dist []int32, pq 
 	return dist, pq
 }
 
-// NewWeightedAPSP computes the weighted all-pairs table by n Dijkstra
-// runs. The APSP type is shared with the unweighted path, so all
-// downstream consumers (tables, forced arcs, stretch measurement against
-// weighted distance) work unchanged. Rows are carved out of one
-// contiguous n×n block and the heap scratch is reused across sources,
-// mirroring NewAPSP.
-func NewWeightedAPSP(g *graph.Graph, w Weights) (*APSP, error) {
-	if err := w.Validate(g); err != nil {
-		return nil, err
-	}
-	g.Freeze()
-	n := g.Order()
-	a := &APSP{n: n, dist: make([][]int32, n)}
-	block := make([]int32, n*n)
-	var pq DijkstraHeap
-	for u := 0; u < n; u++ {
-		row := block[u*n : (u+1)*n : (u+1)*n]
-		a.dist[u], pq = DijkstraInto(g, w, graph.NodeID(u), row, pq)
-	}
-	return a, nil
-}
-
 // NewWeightedAPSPParallel computes the weighted all-pairs table with a
 // pool of workers, one Dijkstra per source — the weighted mirror of
-// NewAPSPParallel. Rows are independent and each row is a deterministic
-// function of (graph, weights, source), so the table is bit-identical to
-// NewWeightedAPSP at every worker count. workers <= 0 selects GOMAXPROCS.
+// NewAPSPParallel. The APSP type is shared with the unweighted path, so
+// all downstream consumers (tables, forced arcs, stretch measurement
+// against weighted distance) work unchanged. Rows are independent and
+// each row is a deterministic function of (graph, weights, source), so
+// every row equals Dijkstra from its source at every worker count.
+// Rows are carved out of one contiguous n×n block and each worker
+// reuses its heap scratch. workers <= 0 selects GOMAXPROCS.
 func NewWeightedAPSPParallel(g *graph.Graph, w Weights, workers int) (*APSP, error) {
 	if err := w.Validate(g); err != nil {
 		return nil, err

@@ -19,11 +19,11 @@ func TestUniformWeightsMatchBFS(t *testing.T) {
 		n := int(nn%30) + 2
 		g := gen.RandomConnected(n, 0.2, xrand.New(seed))
 		w := UniformWeights(g)
-		a, err := NewWeightedAPSP(g, w)
+		a, err := NewWeightedAPSPParallel(g, w, 0)
 		if err != nil {
 			return false
 		}
-		b := NewAPSP(g)
+		b := NewAPSPParallel(g, 0)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if a.Dist(graph.NodeID(u), graph.NodeID(v)) != b.Dist(graph.NodeID(u), graph.NodeID(v)) {
@@ -44,7 +44,7 @@ func TestDijkstraTriangleAndSymmetry(t *testing.T) {
 		r := xrand.New(seed)
 		g := gen.RandomConnected(n, 0.25, r)
 		w := randomWeights(g, r, 9)
-		a, err := NewWeightedAPSP(g, w)
+		a, err := NewWeightedAPSPParallel(g, w, 0)
 		if err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestDijkstraKnownValues(t *testing.T) {
 	p12 := g.PortTo(1, 2)
 	w[1][p12-1] = 2
 	w[2][g.BackPort(1, p12)-1] = 2
-	a, err := NewWeightedAPSP(g, w)
+	a, err := NewWeightedAPSPParallel(g, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestWeightedFirstArcs(t *testing.T) {
 	p01 := g.PortTo(0, 1)
 	w[0][p01-1] = 10
 	w[1][g.BackPort(0, p01)-1] = 10
-	a, err := NewWeightedAPSP(g, w)
+	a, err := NewWeightedAPSPParallel(g, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDijkstraSaturatesNearMaxInt32(t *testing.T) {
 		w[u][p-1] = big
 		w[u+1][g.BackPort(graph.NodeID(u), p)-1] = big
 	}
-	a, err := NewWeightedAPSP(g, w)
+	a, err := NewWeightedAPSPParallel(g, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +166,14 @@ func TestDijkstraSaturatesNearMaxInt32(t *testing.T) {
 	if d := a.Dist(0, 3); d != Unreachable {
 		t.Fatalf("d(0,3) = %d, want saturation at Unreachable (true cost 3*%d overflows int32)", d, int64(big))
 	}
-	// The parallel build saturates identically.
+	// The pooled build saturates exactly as a single Dijkstra does.
 	par, err := NewWeightedAPSPParallel(g, w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := Dijkstra(g, w, 0)
 	for v := 0; v < 4; v++ {
-		if par.Dist(0, graph.NodeID(v)) != a.Dist(0, graph.NodeID(v)) {
+		if par.Dist(0, graph.NodeID(v)) != ref[v] {
 			t.Fatalf("parallel saturation diverges at vertex %d", v)
 		}
 	}
@@ -187,7 +188,7 @@ func TestWeightedFirstArcsNearMaxWeights(t *testing.T) {
 	p01 := g.PortTo(0, 1)
 	w[0][p01-1] = math.MaxInt32 - 2
 	w[1][g.BackPort(0, p01)-1] = math.MaxInt32 - 2
-	a, err := NewWeightedAPSP(g, w)
+	a, err := NewWeightedAPSPParallel(g, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +217,6 @@ func TestWeightsValidateMalformedRowErrors(t *testing.T) {
 	if err := w.Validate(g); err == nil {
 		t.Fatal("short row accepted")
 	}
-	if _, err := NewWeightedAPSP(g, w); err == nil {
-		t.Fatal("NewWeightedAPSP accepted malformed weights")
-	}
 	if _, err := NewWeightedAPSPParallel(g, w, 2); err == nil {
 		t.Fatal("NewWeightedAPSPParallel accepted malformed weights")
 	}
@@ -242,14 +240,19 @@ func TestDijkstraIntoReusesScratch(t *testing.T) {
 	}
 }
 
+// TestParallelAPSPMatchesSerial pins the batched table to the serial
+// one-BFS-per-row reference at several worker counts.
 func TestParallelAPSPMatchesSerial(t *testing.T) {
 	g := gen.RandomConnected(200, 0.05, xrand.New(3))
-	serial := NewAPSP(g)
+	serial := make([][]int32, 200)
+	for u := range serial {
+		serial[u] = BFS(g, graph.NodeID(u))
+	}
 	for _, workers := range []int{0, 1, 4, 13} {
 		par := NewAPSPParallel(g, workers)
 		for u := 0; u < 200; u++ {
 			for v := 0; v < 200; v++ {
-				if serial.Dist(graph.NodeID(u), graph.NodeID(v)) != par.Dist(graph.NodeID(u), graph.NodeID(v)) {
+				if serial[u][v] != par.Dist(graph.NodeID(u), graph.NodeID(v)) {
 					t.Fatalf("workers=%d: mismatch at (%d,%d)", workers, u, v)
 				}
 			}

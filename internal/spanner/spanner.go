@@ -84,8 +84,8 @@ func Verify(g, h *graph.Graph, t int) (float64, error) {
 			return 0, fmt.Errorf("spanner: edge {%d,%d} not in the base graph", e[0], e[1])
 		}
 	}
-	ag := shortest.NewAPSP(g)
-	ah := shortest.NewAPSP(h)
+	ag := shortest.NewAPSPParallel(g, 0)
+	ah := shortest.NewAPSPParallel(h, 0)
 	worst := 0.0
 	for u := 0; u < g.Order(); u++ {
 		for v := u + 1; v < g.Order(); v++ {

@@ -90,7 +90,7 @@ func netConfSchemes(t *testing.T, g *graph.Graph, apsp *shortest.APSP) map[strin
 	if err != nil {
 		t.Fatalf("tables: %v", err)
 	}
-	lm, err := landmark.New(g, apsp, landmark.Options{Seed: 17})
+	lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 17}, 0)
 	if err != nil {
 		t.Fatalf("landmark: %v", err)
 	}

@@ -2,7 +2,7 @@
 // tier answer a stretch query with one shortest.PairReader.Dist call
 // instead of a full distance row is
 //
-//	rd.Dist(u, v) == NewAPSP(g).Row(u)[v]  for every u, v
+//	rd.Dist(u, v) == NewAPSPParallel(g, 0).Row(u)[v]  for every u, v
 //
 // for every reader that implements PairReader — the scalar streaming
 // reader (bidirectional BFS) and the dense table. The suite checks it
@@ -40,7 +40,7 @@ func pairReaders(t *testing.T, g *graph.Graph, apsp *shortest.APSP) map[string]s
 // pair, u == v included, on one reader per backend.
 func checkAllPairs(t *testing.T, name string, g *graph.Graph) {
 	t.Helper()
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	n := g.Order()
 	for rname, rd := range pairReaders(t, g, apsp) {
 		for u := 0; u < n; u++ {
@@ -93,8 +93,8 @@ func TestPairDistDisconnected(t *testing.T) {
 }
 
 // TestPairDistSampled4096 checks seeded pair samples at the serving
-// benchmark's order. The reference row is BFSInto(g, u), the kernel
-// NewAPSP builds each of its rows with, so no n² table is held.
+// benchmark's order. The reference row is BFSInto(g, u), which every
+// dense table row equals, so no n² table is held.
 func TestPairDistSampled4096(t *testing.T) {
 	const n, sources, targets = 4096, 24, 96
 	for _, fam := range gen.FamilyNames {
@@ -132,7 +132,7 @@ func TestPairDistSampled4096(t *testing.T) {
 // no Dist call changes a row slice an earlier Row returned.
 func TestPairDistInterleavedWithRow(t *testing.T) {
 	g := faulted(gen.RandomConnected(200, 0.03, xrand.New(31)), 10, 32)
-	apsp := shortest.NewAPSP(g)
+	apsp := shortest.NewAPSPParallel(g, 0)
 	rd := shortest.NewStreamSource(g).NewReader()
 	pr := rd.(shortest.PairReader)
 	r := xrand.New(33)
@@ -175,7 +175,7 @@ func TestPairReaderCapabilities(t *testing.T) {
 		src  shortest.DistanceSource
 		pair bool
 	}{
-		{"dense", shortest.NewAPSP(g), true},
+		{"dense", shortest.NewAPSPParallel(g, 0), true},
 		{"stream", shortest.NewStreamSource(g), true},
 		{"weighted stream", wstream, false},
 	} {

@@ -31,13 +31,13 @@ import (
 // minimum-cost tables (guaranteed cost stretch 1 — asserted exactly) and
 // the landmark scheme, which routes by hops and is simply measured under
 // the weighted metric.
-func weightedConfSchemes(t *testing.T, f confFamily, w shortest.Weights, apsp *shortest.APSP) []confScheme {
+func weightedConfSchemes(t *testing.T, f confFamily, w shortest.Weights) []confScheme {
 	t.Helper()
 	tb, err := table.NewWeighted(f.g, w, nil, table.MinPort)
 	if err != nil {
 		t.Fatalf("%s: weighted tables: %v", f.name, err)
 	}
-	lm, err := landmark.New(f.g, apsp, landmark.Options{Seed: 17})
+	lm, err := landmark.NewStreamed(f.g, landmark.Options{Seed: 17}, 0)
 	if err != nil {
 		t.Fatalf("%s: landmark: %v", f.name, err)
 	}
@@ -55,12 +55,11 @@ func TestWeightedConformanceMatrix(t *testing.T) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			w := shortest.RandomWeights(f.g, 9, xrand.New(91))
-			wapsp, err := shortest.NewWeightedAPSP(f.g, w)
+			wapsp, err := shortest.NewWeightedAPSPParallel(f.g, w, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			apsp := shortest.NewAPSP(f.g)
-			for _, cs := range weightedConfSchemes(t, f, w, apsp) {
+			for _, cs := range weightedConfSchemes(t, f, w) {
 				name := cs.s.Name()
 				serial, err := routing.MeasureWeightedStretch(f.g, cs.s, w, wapsp)
 				if err != nil {
@@ -107,23 +106,24 @@ func TestWeightedConformanceMatrix(t *testing.T) {
 	}
 }
 
-// TestWeightedAPSPParallelMatchesSerial pins NewWeightedAPSPParallel ==
-// NewWeightedAPSP at several worker counts on every family.
+// TestWeightedAPSPParallelMatchesSerial pins NewWeightedAPSPParallel to
+// the serial one-Dijkstra-per-row reference at several worker counts on
+// every family.
 func TestWeightedAPSPParallelMatchesSerial(t *testing.T) {
 	for _, f := range confFamilies() {
 		w := shortest.RandomWeights(f.g, 9, xrand.New(92))
-		serial, err := shortest.NewWeightedAPSP(f.g, w)
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
 		n := f.g.Order()
+		serial := make([][]int32, n)
+		for u := range serial {
+			serial[u] = shortest.Dijkstra(f.g, w, graph.NodeID(u))
+		}
 		for _, workers := range []int{0, 1, 4, 13} {
 			par, err := shortest.NewWeightedAPSPParallel(f.g, w, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", f.name, workers, err)
 			}
 			for u := 0; u < n; u++ {
-				if !reflect.DeepEqual(par.Row(graph.NodeID(u)), serial.Row(graph.NodeID(u))) {
+				if !reflect.DeepEqual(par.Row(graph.NodeID(u)), serial[u]) {
 					t.Fatalf("%s workers=%d: row %d diverges from serial", f.name, workers, u)
 				}
 			}
@@ -136,8 +136,7 @@ func TestWeightedAPSPParallelMatchesSerial(t *testing.T) {
 // its unweighted report, for every backend.
 func TestUniformWeightsReportEqualsUnweighted(t *testing.T) {
 	for _, f := range confFamilies() {
-		apsp := shortest.NewAPSP(f.g)
-		lm, err := landmark.New(f.g, apsp, landmark.Options{Seed: 17})
+		lm, err := landmark.NewStreamed(f.g, landmark.Options{Seed: 17}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
