@@ -15,8 +15,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/evaluate"
 	"repro/internal/gen"
-	"repro/internal/routing"
 	"repro/internal/scheme/interval"
 	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
@@ -40,8 +40,8 @@ func BenchmarkAblationTablePolicy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		minBits = routing.MeasureMemory(g, sm).GlobalBits
-		greedyBits = routing.MeasureMemory(g, sg).GlobalBits
+		minBits = evaluate.Memory(g, sm, evaluate.Options{}).GlobalBits
+		greedyBits = evaluate.Memory(g, sg, evaluate.Options{}).GlobalBits
 	}
 	b.ReportMetric(float64(minBits), "minport-bits")
 	b.ReportMetric(float64(greedyBits), "rungreedy-bits")
@@ -85,7 +85,7 @@ func BenchmarkAblationLandmarkDensity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bits[j] = routing.MeasureMemory(g, lm).LocalBits
+			bits[j] = evaluate.Memory(g, lm, evaluate.Options{}).LocalBits
 		}
 	}
 	b.ReportMetric(float64(bits[0]), "L4-bits")

@@ -124,7 +124,7 @@ func BenchmarkNetServeRoundTrip(b *testing.B) {
 		}
 		// Warm up outside the timer: pooled connection dialed, scratch
 		// buffers grown to steady-state size.
-		for _, res := range cluster.ServeBatch(qs) {
+		for _, res := range cluster.ServeBatchInto(qs, nil) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
@@ -132,7 +132,7 @@ func BenchmarkNetServeRoundTrip(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out := cluster.ServeBatch(qs)
+				out := cluster.ServeBatchInto(qs, nil)
 				if out[0].Err != nil {
 					b.Fatal(out[0].Err)
 				}

@@ -49,7 +49,7 @@ type codecCell struct {
 func codecCells(t *testing.T, f confFamily, apsp *shortest.APSP, w shortest.Weights) []codecCell {
 	t.Helper()
 	var cells []codecCell
-	for _, cs := range confSchemes(t, f, apsp) {
+	for _, cs := range confSchemes(t, f, apsp, 17) {
 		cells = append(cells, codecCell{f.g, cs.s})
 	}
 	if f.isComplete {

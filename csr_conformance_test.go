@@ -7,8 +7,6 @@
 package repro
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/evaluate"
@@ -169,28 +167,6 @@ func TestEvaluatorWorkerCountsStreamRace(t *testing.T) {
 						f.name, workers, opt.DistMode, rep, ref)
 				}
 			}
-		}
-	}
-}
-
-// TestAPSPParallelMatchesSerial pins the table-construction contract:
-// NewAPSPParallel (64-source MS-BFS batches) stays bit-identical to the
-// serial one-BFS-per-row reference at every worker count, on every
-// conformance family.
-func TestAPSPParallelMatchesSerial(t *testing.T) {
-	for _, f := range confFamilies() {
-		g := f.g
-		ref := bfsRows(g)
-		check := func(label string, a *shortest.APSP) {
-			t.Helper()
-			for u := 0; u < g.Order(); u++ {
-				if !reflect.DeepEqual(a.Row(graph.NodeID(u)), ref[u]) {
-					t.Fatalf("%s: %s: row %d differs from the per-row BFS reference", f.name, label, u)
-				}
-			}
-		}
-		for _, w := range []int{1, 3, 8} {
-			check(fmt.Sprintf("parallel workers=%d", w), shortest.NewAPSPParallel(g, w))
 		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/oracle"
-	"repro/internal/routing"
 	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
 	"repro/internal/shortest"
@@ -35,11 +35,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sr, err := routing.MeasureStretch(g, tb, apsp)
+	sr, err := evaluate.Stretch(g, tb, apsp, evaluate.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mr := routing.MeasureMemory(g, tb)
+	mr := evaluate.Memory(g, tb, evaluate.Options{})
 	fmt.Printf("%-26s %14s %13db %16.2f\n", "routing tables", "1", mr.LocalBits, sr.Max)
 
 	// Stretch <= 3: the landmark ROUTING scheme (k = 2 of the hierarchy).
@@ -47,11 +47,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sr, err = routing.MeasureStretch(g, lm, apsp)
+	sr, err = evaluate.Stretch(g, lm, apsp, evaluate.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mr = routing.MeasureMemory(g, lm)
+	mr = evaluate.Memory(g, lm, evaluate.Options{})
 	fmt.Printf("%-26s %14s %13db %16.2f\n", "landmark routing (k=2)", "3", mr.LocalBits, sr.Max)
 
 	// k >= 2: the distance-oracle hierarchy (state shrinks with k).

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/scheme/interval"
 	"repro/internal/scheme/tree"
 	"repro/internal/xrand"
@@ -45,11 +45,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sr, err := routing.MeasureStretch(f.g, s, nil)
+		sr, err := evaluate.Stretch(f.g, s, nil, evaluate.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		mr := routing.MeasureMemory(f.g, s)
+		mr := evaluate.Memory(f.g, s, evaluate.Options{})
 		fmt.Printf("%-24s %6d %8d %10d %12d %10.2f\n",
 			f.name, f.g.Order(), s.MaxIntervalsPerArc(), s.TotalIntervals(), mr.LocalBits, sr.Max)
 	}
@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mr := routing.MeasureMemory(g, ts)
+	mr := evaluate.Memory(g, ts, evaluate.Options{})
 	fmt.Printf("\ndedicated tree 1-IRS on a fresh 120-vertex tree: MEM_local=%d bits, MEM_global=%d bits\n",
 		mr.LocalBits, mr.GlobalBits)
 	fmt.Println("(matches the acyclic-graphs row of the paper's Table 1: O(d log n) per router)")

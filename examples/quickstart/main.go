@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -56,11 +57,11 @@ func main() {
 
 	// Compare stretch and memory over ALL pairs.
 	for _, s := range []routing.Scheme{tables, lm} {
-		sr, err := routing.MeasureStretch(g, s, apsp)
+		sr, err := evaluate.Stretch(g, s, apsp, evaluate.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		mr := routing.MeasureMemory(g, s)
+		mr := evaluate.Memory(g, s, evaluate.Options{})
 		fmt.Printf("%-16s stretch max=%.2f mean=%.2f | MEM_local=%d bits MEM_global=%d bits\n",
 			s.Name(), sr.Max, sr.Mean, mr.LocalBits, mr.GlobalBits)
 	}

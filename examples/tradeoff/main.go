@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/routing"
 	"repro/internal/scheme/interval"
@@ -33,11 +34,11 @@ func main() {
 	fmt.Printf("%-28s %8s %8s %12s %12s\n", "scheme", "s(max)", "s(mean)", "MEM_local", "MEM_global")
 
 	show := func(s routing.Scheme) {
-		sr, err := routing.MeasureStretch(g, s, apsp)
+		sr, err := evaluate.Stretch(g, s, apsp, evaluate.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		mr := routing.MeasureMemory(g, s)
+		mr := evaluate.Memory(g, s, evaluate.Options{})
 		fmt.Printf("%-28s %8.2f %8.2f %12d %12d\n", s.Name(), sr.Max, sr.Mean, mr.LocalBits, mr.GlobalBits)
 	}
 
@@ -59,11 +60,11 @@ func main() {
 			log.Fatal(err)
 		}
 		lmName := fmt.Sprintf("landmark(|L|=%d)", lm.NumLandmarks())
-		sr, err := routing.MeasureStretch(g, lm, apsp)
+		sr, err := evaluate.Stretch(g, lm, apsp, evaluate.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		mr := routing.MeasureMemory(g, lm)
+		mr := evaluate.Memory(g, lm, evaluate.Options{})
 		fmt.Printf("%-28s %8.2f %8.2f %12d %12d\n", lmName, sr.Max, sr.Mean, mr.LocalBits, mr.GlobalBits)
 	}
 

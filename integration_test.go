@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -55,7 +56,7 @@ func TestPipelineTheorem1EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The tables must actually route on the instance with stretch 1.
-	rep, err := routing.MeasureStretch(ins.CG.G, s, nil)
+	rep, err := evaluate.Stretch(ins.CG.G, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,49 +74,49 @@ func TestAllSchemesDeliverEverywhere(t *testing.T) {
 	apsp := shortest.NewAPSPParallel(gRand, 0)
 	if s, err := table.New(gRand, apsp, table.MinPort); err != nil {
 		t.Fatal(err)
-	} else if err := routing.Validate(gRand, s); err != nil {
+	} else if _, err := evaluate.Stretch(gRand, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if s, err := interval.New(gRand, apsp, interval.Options{Labels: interval.DFSLabels(gRand), Policy: interval.RunGreedy}); err != nil {
 		t.Fatal(err)
-	} else if err := routing.Validate(gRand, s); err != nil {
+	} else if _, err := evaluate.Stretch(gRand, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if s, err := landmark.NewStreamed(gRand, landmark.Options{Seed: 5}, 0); err != nil {
 		t.Fatal(err)
-	} else if err := routing.Validate(gRand, s); err != nil {
+	} else if _, err := evaluate.Stretch(gRand, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
 	gCube := gen.Hypercube(5)
 	if s, err := ecube.New(gCube, 5); err != nil {
 		t.Fatal(err)
-	} else if err := routing.Validate(gCube, s); err != nil {
+	} else if _, err := evaluate.Stretch(gCube, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if s, err := interval.NewHypercube1IRS(gCube, 5); err != nil {
 		t.Fatal(err)
-	} else if err := routing.Validate(gCube, s); err != nil {
+	} else if _, err := evaluate.Stretch(gCube, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
 	gK := gen.Complete(16)
 	if s, err := kcomplete.NewFriendly(gK); err != nil {
 		t.Fatal(err)
-	} else if err := routing.Validate(gK, s); err != nil {
+	} else if _, err := evaluate.Stretch(gK, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	gK2 := gen.Complete(16)
 	if s, err := kcomplete.Scramble(gK2, r.Split()); err != nil {
 		t.Fatal(err)
-	} else if err := routing.Validate(gK2, s); err != nil {
+	} else if _, err := evaluate.Stretch(gK2, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
 	gTree := gen.RandomTree(48, r.Split())
 	if s, err := tree.New(gTree, 0); err != nil {
 		t.Fatal(err)
-	} else if err := routing.Validate(gTree, s); err != nil {
+	} else if _, err := evaluate.Stretch(gTree, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,9 +139,9 @@ func TestMemoryHierarchyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbBits := routing.MeasureMemory(g, tb).LocalBits
-	ecBits := routing.MeasureMemory(g, ec).LocalBits
-	lmBits := routing.MeasureMemory(g, lm).LocalBits
+	tbBits := evaluate.Memory(g, tb, evaluate.Options{}).LocalBits
+	ecBits := evaluate.Memory(g, ec, evaluate.Options{}).LocalBits
+	lmBits := evaluate.Memory(g, lm, evaluate.Options{}).LocalBits
 	if !(ecBits < lmBits && lmBits < tbBits) {
 		t.Fatalf("memory ordering violated: ecube %d, landmark %d, tables %d", ecBits, lmBits, tbBits)
 	}

@@ -8,8 +8,8 @@
 // The rule is source-order dominance within one function: before the
 // first conn I/O there must be a SetDeadline / SetReadDeadline /
 // SetWriteDeadline call. Conn I/O is a .Read/.Write on a net.Conn-typed
-// value or a call to the frame helpers (readFrame, readFrameInto,
-// writeFrame) with a net.Conn in scope; the helpers themselves see only
+// value or a call to the frame helpers (readFrameInto, writeFrame) with
+// a net.Conn in scope; the helpers themselves see only
 // bufio.Reader/io.Writer and are exempt.
 //
 // Functions whose conn arrives already armed (the caller set the
@@ -36,7 +36,7 @@ var Analyzer = &framework.Analyzer{
 // ioHelpers are the frame-layer functions that perform conn I/O one
 // level down; calling them counts as touching the conn.
 var ioHelpers = map[string]bool{
-	"readFrame": true, "readFrameInto": true, "writeFrame": true,
+	"readFrameInto": true, "writeFrame": true,
 }
 
 func run(pass *framework.Pass) error {

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/evaluate"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/scheme/table"
 	"repro/internal/shortest"
 	"repro/internal/xrand"
@@ -181,7 +181,7 @@ func TestRoutingTablesObeyConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(cg.G, s, nil)
+	rep, err := evaluate.Stretch(cg.G, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

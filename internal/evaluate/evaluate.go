@@ -20,10 +20,10 @@
 //     denominator order, so the floating-point evaluation sequence is
 //     fixed no matter how rows were interleaved at runtime.
 //
-// The result is bit-identical for every worker count, and bit-identical
-// to the serial reference implementations in internal/routing
-// (MeasureStretch, MeasureWeightedStretch, MeasureMemory), which
-// accumulate the same integer state pair-by-pair.
+// The result is bit-identical for every worker count. This package is
+// the only code that sweeps the pair space: internal/routing keeps the
+// model and the single-pair simulator, and the serial reference loops
+// the tests compare against live in the root package's tests.
 //
 // A deterministic sampling mode (Options.Sample, seeded through
 // internal/xrand) evaluates a uniform subset of the ordered pairs so that
@@ -209,9 +209,7 @@ func BucketBounds(i int) (lo, hi float64) {
 	return lo, 1 + float64(i+1)/4
 }
 
-// Report aggregates one evaluation run. In exhaustive mode (Sampled
-// false) it carries exactly the information of routing.StretchReport plus
-// the streaming extras (histogram, hop totals).
+// Report aggregates one stretch evaluation run over the measured pairs.
 type Report struct {
 	Pairs     int     // ordered pairs measured
 	Max       float64 // max ratio (the paper's stretch factor in routing runs)
@@ -222,20 +220,6 @@ type Report struct {
 	TotalHops int64 // total hops over all measured pairs
 	Hist      Histogram
 	Sampled   bool // true when Options.Sample was in effect
-}
-
-// StretchReport converts to the routing package's serial report type. In
-// exhaustive mode the fields are bit-identical to what
-// routing.MeasureStretch returns for the same inputs.
-func (r *Report) StretchReport() routing.StretchReport {
-	return routing.StretchReport{
-		Max:     r.Max,
-		Mean:    r.Mean,
-		Pairs:   r.Pairs,
-		WorstU:  r.WorstU,
-		WorstV:  r.WorstV,
-		MaxHops: r.MaxHops,
-	}
 }
 
 // PairFunc measures one ordered pair (u, v), u != v: it returns the
@@ -404,9 +388,9 @@ func PairsFrom(n int, newF func() PairFunc, opt Options) (*Report, error) {
 			bigDens[den] += num
 		}
 	}
-	// Fold through the one shared routine (see routing.MeanFromSums: the
-	// exact float evaluation order is the serial/parallel contract). The
-	// map is tiny — one entry per distinct denominator.
+	// Fold through the one shared routine (see MeanFromSums: the exact
+	// float evaluation order is the contract). The map is tiny — one
+	// entry per distinct denominator.
 	sums := bigDens
 	if sums == nil {
 		sums = make(map[int32]int64, len(numByDen))
@@ -416,8 +400,32 @@ func PairsFrom(n int, newF func() PairFunc, opt Options) (*Report, error) {
 			sums[int32(den)] = num
 		}
 	}
-	rep.Mean = routing.MeanFromSums(sums, rep.Pairs)
+	rep.Mean = MeanFromSums(sums, rep.Pairs)
 	return rep, nil
+}
+
+// MeanFromSums evaluates Σ_d num(d)/d in increasing denominator order and
+// divides by the pair count. Accumulating integer numerators per
+// denominator and folding them in a fixed order makes the mean
+// independent of pair evaluation order, which is what lets the engine
+// shard pairs across workers and still report bit-identically at every
+// worker count. Every mean over per-pair ratios (faults.Measure too)
+// MUST use this one fold: the exact float evaluation order is the
+// contract.
+func MeanFromSums(numByDen map[int32]int64, pairs int) float64 {
+	if pairs == 0 {
+		return 0
+	}
+	dens := make([]int32, 0, len(numByDen))
+	for den := range numByDen {
+		dens = append(dens, den)
+	}
+	slices.Sort(dens)
+	var sum float64
+	for _, den := range dens {
+		sum += float64(numByDen[den]) / float64(den)
+	}
+	return sum / float64(pairs)
 }
 
 func evalRowAll(acc *rowAcc, u graph.NodeID, n int, f PairFunc) {
@@ -510,14 +518,13 @@ func samplePlan(n int, opt Options) ([][]graph.NodeID, error) {
 	return plan, nil
 }
 
-// Stretch measures the stretch factor of routing function r on g over the
-// ordered pair space: the parallel, streaming replacement for
-// routing.MeasureStretch. Distances come from Options.Source(g, apsp):
-// pass a precomputed dense table, or nil apsp with Options.Distances /
-// Options.DistMode selecting the streaming backend. Every
-// backend and worker count yields the bit-identical report; in
-// exhaustive mode the embedded StretchReport fields are bit-identical to
-// the serial baseline.
+// Stretch measures the stretch factor s(R, G) of routing function r on g
+// over the ordered pair space. Distances come from Options.Source(g,
+// apsp): pass a precomputed dense table, or nil apsp with
+// Options.Distances / Options.DistMode selecting the streaming backend.
+// Every backend and worker count yields the bit-identical report. The
+// error is the first failing pair in row-major order, so a nil error
+// also certifies universality: r delivers every ordered pair.
 func Stretch(g *graph.Graph, r routing.Function, apsp *shortest.APSP, opt Options) (*Report, error) {
 	g.Freeze() // serial point: workers only read the CSR arcs after this
 	src, err := opt.Source(g, apsp)
@@ -527,15 +534,14 @@ func Stretch(g *graph.Graph, r routing.Function, apsp *shortest.APSP, opt Option
 	return stretchPairs(g, r, src, nil, opt)
 }
 
-// WeightedStretch measures cost stretch under arc weights w — the
-// parallel replacement for routing.MeasureWeightedStretch. apsp must be
-// the weighted distance table for w, or nil to resolve a backend via
-// Options.SourceFor: dense builds the weighted table with the run's
+// WeightedStretch measures cost stretch under arc weights w: the cost of
+// the routing path (sum of arc weights) over the weighted distance. apsp
+// must be the weighted distance table for w, or nil to resolve a backend
+// via Options.SourceFor: dense builds the weighted table with the run's
 // worker budget, stream recomputes rows by per-reader Dijkstra under w
 // with the same O(workers·n) residency contract as the hop metric — full
 // -distmode parity. Every backend and worker count yields the
-// bit-identical report; in exhaustive mode the embedded StretchReport
-// fields are bit-identical to the serial routing.MeasureWeightedStretch.
+// bit-identical report.
 func WeightedStretch(g *graph.Graph, r routing.Function, w shortest.Weights, apsp *shortest.APSP, opt Options) (*Report, error) {
 	g.Freeze()
 	// Every backend the resolver BUILDS validates w itself; when the
@@ -602,14 +608,23 @@ func stretchPairs(g *graph.Graph, r routing.Function, src shortest.DistanceSourc
 	return PairsFrom(g.Order(), newF, opt)
 }
 
-// Memory meters LocalBits for every router with a worker pool — the
-// parallel replacement for routing.MeasureMemory, bit-identical to it
-// (the per-router values are integers and the fold runs serially in
-// router order). Sampling does not apply: MEM_local is a maximum over
-// routers and must see every one.
-func Memory(g *graph.Graph, s routing.LocalCoder, opt Options) routing.MemoryReport {
+// MemoryReport summarizes the router-resident state of a scheme under the
+// fixed coding strategy: the paper's MEM_local (max) and MEM_global (sum).
+type MemoryReport struct {
+	LocalBits  int     // MEM_local(G, R) = max_x MEM(G,R,x)
+	GlobalBits int     // MEM_global(G, R) = sum_x MEM(G,R,x)
+	MeanBits   float64 // average per router
+	ArgMax     graph.NodeID
+	PerNode    []int
+}
+
+// Memory meters LocalBits for every router with a worker pool. The
+// report does not depend on the worker count: the per-router values are
+// integers and the fold runs serially in router order. Sampling does not
+// apply: MEM_local is a maximum over routers and must see every one.
+func Memory(g *graph.Graph, s routing.LocalCoder, opt Options) MemoryReport {
 	n := g.Order()
-	rep := routing.MemoryReport{PerNode: make([]int, n)}
+	rep := MemoryReport{PerNode: make([]int, n)}
 	if n == 0 {
 		return rep
 	}

@@ -9,209 +9,60 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
-	"repro/internal/scheme/ecube"
-	"repro/internal/scheme/interval"
-	"repro/internal/scheme/kcomplete"
-	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
-	"repro/internal/scheme/tree"
 	"repro/internal/shortest"
 	"repro/internal/xrand"
 )
 
-// schemesFor builds every applicable scheme of internal/scheme for g.
-func schemesFor(t *testing.T, g *graph.Graph, apsp *shortest.APSP, hypercubeDim int, isTree, isComplete bool) []routing.Scheme {
-	t.Helper()
-	tb, err := table.New(g, apsp, table.MinPort)
+// TestStretchCertifiesDelivery: a nil error from Stretch means the
+// scheme delivered every ordered pair — the universality check.
+func TestStretchCertifiesDelivery(t *testing.T) {
+	g := gen.Petersen()
+	s, err := table.New(g, nil, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := interval.New(g, apsp, interval.Options{Labels: interval.DFSLabels(g), Policy: interval.RunGreedy})
-	if err != nil {
+	if _, err := Stretch(g, s, nil, Options{}); err != nil {
 		t.Fatal(err)
-	}
-	lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 11}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := []routing.Scheme{tb, iv, lm}
-	if hypercubeDim > 0 {
-		ec, err := ecube.New(g, hypercubeDim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, ec)
-	}
-	if isTree {
-		tr, err := tree.New(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, tr)
-	}
-	if isComplete {
-		fr, err := kcomplete.NewFriendly(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, fr)
-	}
-	return out
-}
-
-// TestAdversarialCompleteBitIdentical covers kcomplete.Adversarial, which
-// scrambles its graph's port labeling in place and therefore needs a
-// dedicated instance.
-func TestAdversarialCompleteBitIdentical(t *testing.T) {
-	g := gen.Complete(16)
-	ad, err := kcomplete.Scramble(g, xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	apsp := shortest.NewAPSPParallel(g, 0)
-	want, err := routing.MeasureStretch(g, ad, apsp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		rep, err := Stretch(g, ad, apsp, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.StretchReport(); got != want {
-			t.Fatalf("workers=%d: report %+v, serial %+v", workers, got, want)
-		}
 	}
 }
 
-// TestExhaustiveBitIdenticalToSerial checks the headline determinism
-// contract: for every scheme on grid and hypercube workloads, the
-// parallel exhaustive report equals routing.MeasureStretch and
-// routing.MeasureMemory field for field (including the float Mean), and
-// is invariant under the worker count.
-func TestExhaustiveBitIdenticalToSerial(t *testing.T) {
-	type workload struct {
-		name       string
-		g          *graph.Graph
-		dim        int
-		isTree     bool
-		isComplete bool
-	}
-	workloads := []workload{
-		{name: "grid 5x5", g: gen.Grid2D(5, 5)},
-		{name: "hypercube H4", g: gen.Hypercube(4), dim: 4},
-		{name: "tree(40)", g: gen.RandomTree(40, xrand.New(3)), isTree: true},
-		{name: "K16", g: gen.Complete(16), isComplete: true},
-	}
-	for _, w := range workloads {
-		apsp := shortest.NewAPSPParallel(w.g, 0)
-		for _, s := range schemesFor(t, w.g, apsp, w.dim, w.isTree, w.isComplete) {
-			want, err := routing.MeasureStretch(w.g, s, apsp)
-			if err != nil {
-				t.Fatalf("%s/%s: serial: %v", w.name, s.Name(), err)
-			}
-			var first *Report
-			for _, workers := range []int{1, 2, 7} {
-				rep, err := Stretch(w.g, s, apsp, Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s/%s: workers=%d: %v", w.name, s.Name(), workers, err)
-				}
-				if got := rep.StretchReport(); got != want {
-					t.Fatalf("%s/%s: workers=%d: report %+v, serial %+v", w.name, s.Name(), workers, got, want)
-				}
-				if first == nil {
-					first = rep
-				} else if !reflect.DeepEqual(rep, first) {
-					t.Fatalf("%s/%s: workers=%d: full report differs from workers=1", w.name, s.Name(), workers)
-				}
-			}
-			var histTotal int64
-			for _, c := range first.Hist.Buckets {
-				histTotal += c
-			}
-			if histTotal != int64(first.Pairs) {
-				t.Fatalf("%s/%s: histogram counts %d pairs, report says %d", w.name, s.Name(), histTotal, first.Pairs)
-			}
-			wantMem := routing.MeasureMemory(w.g, s)
-			gotMem := Memory(w.g, s, Options{Workers: 5})
-			if !reflect.DeepEqual(gotMem, wantMem) {
-				t.Fatalf("%s/%s: memory report %+v, serial %+v", w.name, s.Name(), gotMem, wantMem)
-			}
-		}
+func TestStretchRejectsLoop(t *testing.T) {
+	g := gen.Cycle(4)
+	if _, err := Stretch(g, loopScheme{}, nil, Options{}); err == nil {
+		t.Fatal("a looping scheme measured without error")
 	}
 }
 
-// TestWeightedBitIdenticalToSerial checks the weighted engine against
-// routing.MeasureWeightedStretch on a weighted torus.
-func TestWeightedBitIdenticalToSerial(t *testing.T) {
-	g := gen.Torus2D(5, 5)
-	w := shortest.UniformWeights(g)
-	r := xrand.New(17)
-	for u := 0; u < g.Order(); u++ {
-		backs := g.BackPorts(graph.NodeID(u))
-		for i, v := range g.Arcs(graph.NodeID(u)) {
-			if graph.NodeID(u) < v {
-				c := int32(r.Intn(5) + 1)
-				w[u][i] = c
-				w[v][backs[i]-1] = c
-			}
-		}
-	}
-	s, err := table.NewWeighted(g, w, nil, table.MinPort)
+func TestMeasureStretchShortest(t *testing.T) {
+	g := gen.Hypercube(4)
+	s, err := table.New(g, nil, table.MinPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := routing.MeasureWeightedStretch(g, s, w, nil)
+	rep, err := Stretch(g, s, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		rep, err := WeightedStretch(g, s, w, nil, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.StretchReport(); got != want {
-			t.Fatalf("workers=%d: report %+v, serial %+v", workers, got, want)
-		}
+	if rep.Max != 1.0 {
+		t.Fatalf("shortest-path routing has stretch %v, want 1", rep.Max)
+	}
+	if rep.Pairs != 16*15 {
+		t.Fatalf("measured %d pairs, want 240", rep.Pairs)
+	}
+	if rep.Mean != 1.0 {
+		t.Fatalf("mean stretch %v, want 1", rep.Mean)
 	}
 }
 
-// TestWeightedLargeCosts pins the weighted path against the dense
-// denominator index: weighted path costs are NOT bounded by the
-// diameter, so huge (valid, symmetric) arc weights must route through
-// the accumulator's sparse fallback — same numbers as the serial
-// reference, no cost-sized allocations.
-func TestWeightedLargeCosts(t *testing.T) {
-	g := gen.Torus2D(4, 4)
-	w := shortest.UniformWeights(g)
-	const big = int32(1) << 24
-	r := xrand.New(23)
-	for u := 0; u < g.Order(); u++ {
-		backs := g.BackPorts(graph.NodeID(u))
-		for i, v := range g.Arcs(graph.NodeID(u)) {
-			if graph.NodeID(u) < v {
-				c := big + int32(r.Intn(1000))
-				w[u][i] = c
-				w[v][backs[i]-1] = c
-			}
-		}
+func TestMeasureMemory(t *testing.T) {
+	g := gen.Cycle(6)
+	rep := Memory(g, constBits(6), Options{})
+	if rep.LocalBits != 6 || rep.GlobalBits != 36 {
+		t.Fatalf("memory report (%d,%d), want (6,36)", rep.LocalBits, rep.GlobalBits)
 	}
-	s, err := table.NewWeighted(g, w, nil, table.MinPort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := routing.MeasureWeightedStretch(g, s, w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		rep, err := WeightedStretch(g, s, w, nil, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.StretchReport(); got != want {
-			t.Fatalf("workers=%d: report %+v, serial %+v", workers, got, want)
-		}
+	if rep.MeanBits != 6 {
+		t.Fatalf("mean %v, want 6", rep.MeanBits)
 	}
 }
 
@@ -492,3 +343,15 @@ func (funcScheme) Port(x graph.NodeID, h routing.Header) graph.Port {
 	return 1
 }
 func (funcScheme) Next(x graph.NodeID, h routing.Header) routing.Header { return h }
+
+// loopScheme always forwards on port 1 and never delivers.
+type loopScheme struct{}
+
+func (loopScheme) Init(src, dst graph.NodeID) routing.Header            { return dst }
+func (loopScheme) Port(x graph.NodeID, h routing.Header) graph.Port     { return 1 }
+func (loopScheme) Next(x graph.NodeID, h routing.Header) routing.Header { return h }
+
+// constBits charges every router the same number of bits.
+type constBits int
+
+func (c constBits) LocalBits(graph.NodeID) int { return int(c) }

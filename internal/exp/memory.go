@@ -29,12 +29,12 @@ func init() {
 // measureScheme routes all pairs and meters all routers for one scheme
 // through the concurrent evaluation engine (exhaustive unless routelab
 // asked for sampling).
-func measureScheme(g *graph.Graph, s routing.Scheme, apsp *shortest.APSP) (routing.StretchReport, routing.MemoryReport, error) {
+func measureScheme(g *graph.Graph, s routing.Scheme, apsp *shortest.APSP) (*evaluate.Report, evaluate.MemoryReport, error) {
 	rep, err := evaluate.Stretch(g, s, apsp, evalOpt)
 	if err != nil {
-		return routing.StretchReport{}, routing.MemoryReport{}, err
+		return nil, evaluate.MemoryReport{}, err
 	}
-	return rep.StretchReport(), evaluate.Memory(g, s, evalOpt), nil
+	return rep, evaluate.Memory(g, s, evalOpt), nil
 }
 
 // runE1 is the empirical analogue of the paper's Table 1: for one
@@ -281,11 +281,10 @@ func runE10() ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		srep, err := evaluate.Stretch(g, lm, apsp, evalOpt)
+		sr, err := evaluate.Stretch(g, lm, apsp, evalOpt)
 		if err != nil {
 			return nil, err
 		}
-		sr := srep.StretchReport()
 		lmem := evaluate.Memory(g, lm, evalOpt)
 		tmem := evaluate.Memory(g, tb, evalOpt)
 		t.AddRow(

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/evaluate"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/shortest"
@@ -32,7 +33,7 @@ type Outcome struct {
 	Failures map[routing.Reason]int
 
 	// MeanStretch is the exact fixed-fold mean of routedLen/dist over
-	// delivered connected pairs (routing.MeanFromSums), and MaxStretch
+	// delivered connected pairs (evaluate.MeanFromSums), and MaxStretch
 	// the worst such ratio.
 	MeanStretch float64
 	MaxStretch  float64
@@ -120,7 +121,7 @@ func Measure(g *graph.Graph, fn routing.Function, dist *shortest.APSP, maxHops i
 			}
 		}
 	}
-	o.MeanStretch = routing.MeanFromSums(lenByDist, o.Delivered)
+	o.MeanStretch = evaluate.MeanFromSums(lenByDist, o.Delivered)
 	return o, nil
 }
 

@@ -86,7 +86,7 @@ func waitServe(t *testing.T, done <-chan error, within time.Duration) error {
 func TestAcceptRetriesTemporaryErrors(t *testing.T) {
 	const fails = 4
 	ln := newFlakyListener(fails, emfile)
-	srv := NewServer(echoHandler, Options{})
+	srv := NewServerInto(echoHandler, Options{})
 	done := serveAsync(srv, ln)
 
 	client, server := net.Pipe()
@@ -117,7 +117,7 @@ func TestAcceptRetriesTemporaryErrors(t *testing.T) {
 // seven failures the delay has doubled to 320 ms.
 func TestAcceptBackoffEndsOnClose(t *testing.T) {
 	ln := newFlakyListener(1<<30, emfile)
-	srv := NewServer(echoHandler, Options{})
+	srv := NewServerInto(echoHandler, Options{})
 	done := serveAsync(srv, ln)
 	deadline := time.Now().Add(5 * time.Second)
 	for ln.acceptCalls() < 7 && time.Now().Before(deadline) {
@@ -140,7 +140,7 @@ func TestAcceptBackoffEndsOnClose(t *testing.T) {
 func TestAcceptFatalErrorReturned(t *testing.T) {
 	fatal := errors.New("listener broke")
 	ln := newFlakyListener(1, fatal)
-	srv := NewServer(echoHandler, Options{})
+	srv := NewServerInto(echoHandler, Options{})
 	defer srv.Close()
 	if err := waitServe(t, serveAsync(srv, ln), 5*time.Second); !errors.Is(err, fatal) {
 		t.Fatalf("Serve = %v, want %v", err, fatal)

@@ -21,10 +21,10 @@ type ClusterOptions struct {
 }
 
 // Cluster is the thin router/aggregator front over k shard servers:
-// ServeBatch scatters a batch to the shards owning each query's source
-// router, gathers the sub-replies, and reassembles them in request
-// order. It has the exact signature and positional contract of
-// serve.(*Server).ServeBatch, so the conformance suite can compare the
+// ServeBatchInto scatters a batch to the shards owning each query's
+// source router, gathers the sub-replies, and reassembles them in
+// request order. It has the exact signature and positional contract of
+// serve.(*Server).ServeBatchInto, so the conformance suite can compare the
 // two byte for byte — and so a Cluster can itself be the handler of a
 // front Server, which is how routeserve exposes a sharded cluster
 // behind one listen address.
@@ -71,19 +71,15 @@ func (c *Cluster) Shards() int { return c.m.K }
 // Map returns the ownership partition.
 func (c *Cluster) Map() ShardMap { return c.m }
 
-// ServeBatch answers every query positionally, scattering to owning
-// shards concurrently. Per-query errors (wrong op, unreachable pair)
-// travel inside shard replies; shard-level failures become per-query
-// errors on that shard's queries only.
-func (c *Cluster) ServeBatch(qs []serve.Query) []serve.Result {
-	return c.ServeBatchInto(qs, nil)
-}
-
-// ServeBatchInto is ServeBatch with a caller-recycled result buffer,
-// mirroring serve.(*Server).ServeBatchInto: every position is
-// overwritten (stamped locally, or written by exactly one shard
-// goroutine), so reuse never leaks stale answers. This is the handler
-// a front Server plugs in via NewServerInto.
+// ServeBatchInto answers every query positionally, scattering to
+// owning shards concurrently. Per-query errors (wrong op, unreachable
+// pair) travel inside shard replies; shard-level failures become
+// per-query errors on that shard's queries only. out is a
+// caller-recycled result buffer (nil allocates), mirroring
+// serve.(*Server).ServeBatchInto: every position is overwritten
+// (stamped locally, or written by exactly one shard goroutine), so
+// reuse never leaks stale answers. This is the handler a front Server
+// plugs in via NewServerInto.
 //
 //repolint:hotpath
 func (c *Cluster) ServeBatchInto(qs []serve.Query, out []serve.Result) []serve.Result {

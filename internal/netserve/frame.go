@@ -30,22 +30,16 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame consumes one frame. A declared length beyond MaxFrameBytes
-// is an error before the buffer is allocated; a zero-length frame is an
-// error too (no message encodes to zero bytes, so accepting one would
-// only desynchronize the stream later).
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var scratch []byte
-	return readFrameInto(r, &scratch)
-}
-
 // frameGrowChunk is the smallest buffer grown for a frame body that
 // does not fit the caller's scratch.
 const frameGrowChunk = 64 << 10
 
-// readFrameInto is readFrame with a caller-recycled buffer: the payload
-// is read into *scratch when it is large enough, and a larger buffer
-// replaces *scratch otherwise. Both loop ends — the server's
+// readFrameInto consumes one frame. A declared length beyond
+// MaxFrameBytes is an error before any buffer is allocated; a
+// zero-length frame is an error too (no message encodes to zero bytes,
+// so accepting one would only desynchronize the stream later). The
+// payload is read into the caller-recycled *scratch when it is large
+// enough, and a larger buffer replaces *scratch otherwise. Both loop ends — the server's
 // per-connection read loop and the client's pooled connections — hold
 // one scratch per stream, so a warm connection reads frames with zero
 // buffer allocation. A frame larger than the scratch is read into a

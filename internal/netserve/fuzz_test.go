@@ -26,7 +26,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{0x4e, 0x53, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0x7f}) // huge count
 	f.Add(EncodeRefusal(RefuseOverloaded, "x"))                         // wrong type
 	f.Fuzz(func(t *testing.T, data []byte) {
-		qs, err := DecodeRequest(data)
+		qs, err := DecodeRequestInto(data, nil)
 		if err != nil {
 			return
 		}

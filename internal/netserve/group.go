@@ -5,7 +5,6 @@ import (
 	"net"
 
 	"repro/internal/graph"
-	"repro/internal/serve"
 )
 
 // ShardMap partitions the router ID space [0,n) into k near-equal
@@ -61,18 +60,10 @@ type Group struct {
 	addrs   []string
 }
 
-// ListenGroup starts k servers on 127.0.0.1 ephemeral ports. handler
-// is called once per shard index; opt applies to every shard.
-func ListenGroup(k int, handler func(shard int) BatchHandler, opt Options) (*Group, error) {
-	return ListenGroupInto(k, func(shard int) BatchHandlerInto {
-		h := handler(shard)
-		return func(qs []serve.Query, _ []serve.Result) []serve.Result { return h(qs) }
-	}, opt)
-}
-
-// ListenGroupInto is ListenGroup for allocation-lean handlers: each
-// shard server recycles its per-connection result buffers through the
-// handler (NewServerInto semantics).
+// ListenGroupInto starts k servers on 127.0.0.1 ephemeral ports.
+// handler is called once per shard index; opt applies to every shard.
+// Each shard server recycles its per-connection result buffers through
+// its handler (NewServerInto semantics).
 func ListenGroupInto(k int, handler func(shard int) BatchHandlerInto, opt Options) (*Group, error) {
 	g := &Group{}
 	for i := 0; i < k; i++ {

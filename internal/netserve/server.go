@@ -13,17 +13,12 @@ import (
 	"repro/internal/serve"
 )
 
-// BatchHandler answers one decoded query batch positionally — the
-// signature of serve.(*Server).ServeBatch and of
-// (*Cluster).ServeBatch, so a shard and an aggregator front are the
-// same server with a different handler plugged in.
-type BatchHandler func(qs []serve.Query) []serve.Result
-
-// BatchHandlerInto is the allocation-lean handler shape — the
+// BatchHandlerInto answers one decoded query batch positionally — the
 // signature of serve.(*Server).ServeBatchInto and of
-// (*Cluster).ServeBatchInto: out's backing array may be reused when it
-// is big enough, and every position of the returned slice is
-// overwritten. The server hands each connection's previous result
+// (*Cluster).ServeBatchInto, so a shard and an aggregator front are the
+// same server with a different handler plugged in. out's backing array
+// may be reused when it is big enough (a nil out allocates), and every
+// position of the returned slice is overwritten. The server hands each connection's previous result
 // buffer back in, so a warm connection serves batches without
 // allocating results.
 type BatchHandlerInto func(qs []serve.Query, out []serve.Result) []serve.Result
@@ -67,7 +62,7 @@ func (o Options) withDefaults() Options {
 
 // Server accepts connections and answers framed query batches through
 // its handler. The query path holds no locks: the semaphore gates
-// admission, the handler (serve.Server.ServeBatch) is lock-free by the
+// admission, the handler (serve.Server.ServeBatchInto) is lock-free by the
 // read-only-after-decode contract, and each connection is owned by one
 // goroutine.
 type Server struct {
@@ -85,16 +80,8 @@ type Server struct {
 	wg sync.WaitGroup // connection goroutines
 }
 
-// NewServer returns a server answering batches with h. The recycled
-// result buffer is dropped on the floor, so plain handlers keep their
-// allocate-per-batch behaviour; use NewServerInto to opt in to reuse.
-func NewServer(h BatchHandler, opt Options) *Server {
-	return NewServerInto(func(qs []serve.Query, _ []serve.Result) []serve.Result { return h(qs) }, opt)
-}
-
-// NewServerInto returns a server answering batches with an
-// allocation-lean handler: each connection's result buffer cycles
-// through h across batches.
+// NewServerInto returns a server answering batches with h: each
+// connection's result buffer cycles through h across batches.
 func NewServerInto(h BatchHandlerInto, opt Options) *Server {
 	opt = opt.withDefaults()
 	return &Server{

@@ -19,7 +19,7 @@ import (
 // deterministic stand-in for a serve.Server that makes positional
 // mixups visible (the conformance suite at the repository root runs
 // the real schemes; these tests probe the transport behaviors).
-func echoHandler(qs []serve.Query) []serve.Result {
+func echoHandler(qs []serve.Query, _ []serve.Result) []serve.Result {
 	rs := make([]serve.Result, len(qs))
 	for i, q := range qs {
 		if q.Op == serve.OpStretch {
@@ -43,7 +43,7 @@ func testQueries(n, count int) []serve.Query {
 
 func TestClusterEndToEnd(t *testing.T) {
 	const n = 30
-	group, err := ListenGroup(3, func(int) BatchHandler { return echoHandler }, Options{})
+	group, err := ListenGroupInto(3, func(int) BatchHandlerInto { return echoHandler }, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	defer c.Close()
 	qs := testQueries(n, 500)
 	qs = append(qs, serve.Query{Op: serve.OpLen, U: 99, V: 0}) // out of range: answered locally
-	out := c.ServeBatch(qs)
+	out := c.ServeBatchInto(qs, nil)
 	for i := 0; i < 500; i++ {
 		if out[i].Err != nil || out[i].Len != echoLen(qs[i]) {
 			t.Fatalf("query %d: got %+v", i, out[i])
@@ -65,7 +65,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("out-of-range query: got %+v", out[500])
 	}
 	// A second batch reuses pooled connections.
-	out = c.ServeBatch(qs[:10])
+	out = c.ServeBatchInto(qs[:10], nil)
 	for i := range out {
 		if out[i].Err != nil {
 			t.Fatalf("pooled batch query %d: %v", i, out[i].Err)
@@ -79,7 +79,7 @@ func TestClusterEndToEnd(t *testing.T) {
 // untouched, in request order.
 func TestShardHangDeadline(t *testing.T) {
 	const n = 20
-	healthy := NewServer(echoHandler, Options{})
+	healthy := NewServerInto(echoHandler, Options{})
 	addr0, err := healthy.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestShardHangDeadline(t *testing.T) {
 	lo1, _ := c.Map().Range(1)
 	qs := testQueries(n, 200)
 	start := time.Now()
-	out := c.ServeBatch(qs)
+	out := c.ServeBatchInto(qs, nil)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("batch took %s; straggler deadline did not fire", elapsed)
 	}
@@ -137,7 +137,7 @@ func TestShardHangDeadline(t *testing.T) {
 // preserved.
 func TestShardKilledMidBatch(t *testing.T) {
 	const n = 20
-	healthy := NewServer(echoHandler, Options{})
+	healthy := NewServerInto(echoHandler, Options{})
 	addr0, err := healthy.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestShardKilledMidBatch(t *testing.T) {
 				return
 			}
 			go func() {
-				readFrame(bufio.NewReader(conn)) //nolint:errcheck // killed-shard simulation
+				readFrameInto(bufio.NewReader(conn), new([]byte)) //nolint:errcheck // killed-shard simulation
 				conn.Close()
 			}()
 		}
@@ -168,7 +168,7 @@ func TestShardKilledMidBatch(t *testing.T) {
 	defer c.Close()
 	lo1, _ := c.Map().Range(1)
 	qs := testQueries(n, 200)
-	out := c.ServeBatch(qs)
+	out := c.ServeBatchInto(qs, nil)
 	dead, alive := 0, 0
 	for i, q := range qs {
 		if q.U >= lo1 {
@@ -193,11 +193,11 @@ func TestShardKilledMidBatch(t *testing.T) {
 // instead of queueing behind the stuck batch.
 func TestAdmissionOverload(t *testing.T) {
 	release := make(chan struct{})
-	blocking := func(qs []serve.Query) []serve.Result {
+	blocking := func(qs []serve.Query, out []serve.Result) []serve.Result {
 		<-release
-		return echoHandler(qs)
+		return echoHandler(qs, out)
 	}
-	srv := NewServer(blocking, Options{MaxInFlight: 1})
+	srv := NewServerInto(blocking, Options{MaxInFlight: 1})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -253,12 +253,12 @@ func TestAdmissionOverload(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	slow := func(qs []serve.Query) []serve.Result {
+	slow := func(qs []serve.Query, out []serve.Result) []serve.Result {
 		close(entered)
 		<-release
-		return echoHandler(qs)
+		return echoHandler(qs, out)
 	}
-	srv := NewServer(slow, Options{DrainTimeout: 5 * time.Second})
+	srv := NewServerInto(slow, Options{DrainTimeout: 5 * time.Second})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestGracefulDrain(t *testing.T) {
 // a frame whose payload does not decode draws RefuseMalformed (and the
 // stream, still synchronized, keeps serving).
 func TestMalformedFrameRefused(t *testing.T) {
-	srv := NewServer(echoHandler, Options{})
+	srv := NewServerInto(echoHandler, Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -332,11 +332,11 @@ func TestMalformedFrameRefused(t *testing.T) {
 // under CI's -race (the scheme-level canary lives in the root suite).
 func TestServerConcurrentClients(t *testing.T) {
 	var served atomic.Int64
-	counting := func(qs []serve.Query) []serve.Result {
+	counting := func(qs []serve.Query, out []serve.Result) []serve.Result {
 		served.Add(1)
-		return echoHandler(qs)
+		return echoHandler(qs, out)
 	}
-	srv := NewServer(counting, Options{MaxInFlight: 16})
+	srv := NewServerInto(counting, Options{MaxInFlight: 16})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

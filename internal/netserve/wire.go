@@ -183,7 +183,7 @@ func finishPayload(r *coding.BitReader) error {
 
 // EncodeRequest serializes a query batch. Batches must be non-empty,
 // at most MaxBatchQueries long, with ops in the known set and node IDs
-// inside [0, coding.MaxWireOrder) — the same ranges DecodeRequest
+// inside [0, coding.MaxWireOrder) — the same ranges DecodeRequestInto
 // enforces, so encode-side validation and decode-side acceptance agree
 // bit for bit.
 func EncodeRequest(qs []serve.Query) ([]byte, error) {
@@ -223,17 +223,12 @@ func AppendRequest(w *coding.BitWriter, qs []serve.Query) error {
 	return nil
 }
 
-// DecodeRequest parses a query batch. Malformed bytes error without
+// DecodeRequestInto parses a query batch. Malformed bytes error without
 // panicking; the count cap is checked before the batch allocation; an
-// accepted batch re-encodes to the identical bytes.
-func DecodeRequest(payload []byte) ([]serve.Query, error) {
-	return DecodeRequestInto(payload, nil)
-}
-
-// DecodeRequestInto is DecodeRequest with a caller-recycled query
-// slice: scratch's backing array is reused when it is big enough
-// (queries are plain values, nothing from earlier batches survives in
-// them). The server's per-connection loop passes each batch's slice
+// accepted batch re-encodes to the identical bytes. scratch is a
+// caller-recycled query slice (nil allocates): its backing array is
+// reused when it is big enough (queries are plain values, nothing from
+// earlier batches survives in them). The server's per-connection loop passes each batch's slice
 // back in, so a warm connection decodes requests with zero slice
 // allocation.
 //

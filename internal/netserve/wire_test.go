@@ -26,7 +26,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeRequest(b)
+	got, err := DecodeRequestInto(b, nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestRequestRejections(t *testing.T) {
 	if _, err := EncodeRequest([]serve.Query{{Op: serve.OpLen, U: -1, V: 1}}); err == nil {
 		t.Error("negative source encoded")
 	}
-	if _, err := DecodeRequest(nil); err == nil {
+	if _, err := DecodeRequestInto(nil, nil); err == nil {
 		t.Error("empty payload decoded")
 	}
 	// An oversized declared count must be rejected by the cap before the
@@ -65,12 +65,12 @@ func TestRequestRejections(t *testing.T) {
 	w := coding.NewBitWriter()
 	writeEnvelope(w, msgQuery)
 	w.WriteUvarint(1 << 40)
-	if _, err := DecodeRequest(w.Bytes()); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := DecodeRequestInto(w.Bytes(), nil); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversized count: got %v, want cap error", err)
 	}
 	// Reply payload handed to the request decoder is a type error.
 	resp, _ := EncodeResponse([]serve.Result{{Len: 3}})
-	if _, err := DecodeRequest(resp); err == nil {
+	if _, err := DecodeRequestInto(resp, nil); err == nil {
 		t.Error("reply decoded as request")
 	}
 }
@@ -187,7 +187,7 @@ func TestVersionSkewRejected(t *testing.T) {
 	w.WriteUvarint(ProtoVersion + 1)
 	w.WriteUvarint(msgQuery)
 	w.WriteUvarint(1)
-	if _, err := DecodeRequest(w.Bytes()); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := DecodeRequestInto(w.Bytes(), nil); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("got %v, want version error", err)
 	}
 }
@@ -198,19 +198,19 @@ func TestFrameRoundTripAndCaps(t *testing.T) {
 	if err := writeFrame(&buf, payload); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
-	got, err := readFrame(bufio.NewReader(&buf))
+	got, err := readFrameInto(bufio.NewReader(&buf), new([]byte))
 	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("readFrame: %v %v", got, err)
+		t.Fatalf("readFrameInto: %v %v", got, err)
 	}
 	// A declared length beyond the cap errors before allocation.
 	var huge bytes.Buffer
 	huge.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // uvarint ~2^41
-	if _, err := readFrame(bufio.NewReader(&huge)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := readFrameInto(bufio.NewReader(&huge), new([]byte)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversized frame: got %v, want cap error", err)
 	}
 	var zero bytes.Buffer
 	zero.WriteByte(0)
-	if _, err := readFrame(bufio.NewReader(&zero)); err == nil {
+	if _, err := readFrameInto(bufio.NewReader(&zero), new([]byte)); err == nil {
 		t.Error("zero-length frame accepted")
 	}
 	if err := writeFrame(&bytes.Buffer{}, make([]byte, MaxFrameBytes+1)); err == nil {
@@ -231,7 +231,7 @@ func TestFrameBodyAllocatesWhatArrives(t *testing.T) {
 	br := bufio.NewReader(&lie)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(br)
+	_, err := readFrameInto(br, new([]byte))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "frame body") {
 		t.Fatalf("truncated MaxFrameBytes frame: got %v, want a frame body error", err)

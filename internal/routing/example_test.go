@@ -29,34 +29,3 @@ func ExampleRoute() {
 	// hops: 4
 	// 0 1 2 5 8
 }
-
-// Measure the paper's two memory aggregates for a scheme.
-func ExampleMeasureMemory() {
-	g := gen.Cycle(16)
-	s, err := table.New(g, nil, table.MinPort)
-	if err != nil {
-		panic(err)
-	}
-	rep := routing.MeasureMemory(g, s)
-	fmt.Println("MEM_local == max per-router bits:", rep.LocalBits == rep.PerNode[rep.ArgMax])
-	fmt.Println("MEM_global bounded by n * MEM_local:", rep.GlobalBits <= 16*rep.LocalBits)
-	// Output:
-	// MEM_local == max per-router bits: true
-	// MEM_global bounded by n * MEM_local: true
-}
-
-// Verify a scheme's stretch factor over all ordered pairs.
-func ExampleMeasureStretch() {
-	g := gen.Petersen()
-	s, err := table.New(g, nil, table.MinPort)
-	if err != nil {
-		panic(err)
-	}
-	rep, err := routing.MeasureStretch(g, s, nil)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("stretch %.1f over %d pairs\n", rep.Max, rep.Pairs)
-	// Output:
-	// stretch 1.0 over 90 pairs
-}

@@ -10,14 +10,17 @@
 // the paper's memory requirement deliberately excludes them — so Header is
 // an opaque interface value here and only router-resident state is
 // metered.
+//
+// The package is the model and the simulator only: Route, RouteVisit and
+// RouteLen walk one pair. Sweeps over the pair space — the stretch factor
+// s(R, G) and the MEM_local / MEM_global aggregates — are measured by
+// internal/evaluate, the one measurement engine.
 package routing
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/shortest"
 )
 
 // Header is the message header h_i carried between routers. Its concrete
@@ -230,138 +233,6 @@ func PathLen(hops []Hop) int {
 		return 0
 	}
 	return len(hops) - 1
-}
-
-// Validate checks that R delivers every ordered pair of distinct vertices
-// of g, returning the first failure. It is the universality check: a
-// routing function must exist and terminate for ALL pairs.
-func Validate(g *graph.Graph, r Function) error {
-	n := g.Order()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
-			if _, err := Route(g, r, graph.NodeID(u), graph.NodeID(v), 0); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// StretchReport summarizes path quality over all ordered pairs.
-type StretchReport struct {
-	Max     float64 // the paper's stretch factor s(R, G)
-	Mean    float64 // average over ordered pairs
-	Pairs   int     // ordered pairs measured
-	WorstU  graph.NodeID
-	WorstV  graph.NodeID
-	MaxHops int // longest routing path seen
-}
-
-// MeasureStretch routes every ordered pair and compares with shortest
-// distances. dists is any distance backend — a dense *shortest.APSP (the
-// default and the historical argument), a streaming or cached source —
-// or nil, in which case a dense table is computed. Backends return
-// bit-identical rows, so the choice never changes the report.
-//
-// This is the serial reference implementation; the worker-pool engine in
-// internal/evaluate produces bit-identical reports (and histograms, hop
-// totals and a sampling mode on top) and is what the experiment harness
-// uses. To keep the two paths bit-identical, the mean is accumulated as
-// exact integer path-length sums keyed by distance and folded in a fixed
-// order — see MeanFromSums.
-func MeasureStretch(g *graph.Graph, r Function, dists shortest.DistanceSource) (StretchReport, error) {
-	if dists == nil {
-		dists = shortest.NewAPSPParallel(g, 0)
-	}
-	rd := dists.NewReader()
-	n := g.Order()
-	rep := StretchReport{}
-	lenByDist := map[int32]int64{}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
-			hops, err := Route(g, r, graph.NodeID(u), graph.NodeID(v), 0)
-			if err != nil {
-				return rep, err
-			}
-			l := PathLen(hops)
-			d := rd.Row(graph.NodeID(u))[v]
-			if d == shortest.Unreachable {
-				return rep, fmt.Errorf("routing: graph disconnected at pair %d->%d", u, v)
-			}
-			s := float64(l) / float64(d)
-			lenByDist[d] += int64(l)
-			rep.Pairs++
-			if l > rep.MaxHops {
-				rep.MaxHops = l
-			}
-			if s > rep.Max {
-				rep.Max = s
-				rep.WorstU, rep.WorstV = graph.NodeID(u), graph.NodeID(v)
-			}
-		}
-	}
-	rep.Mean = MeanFromSums(lenByDist, rep.Pairs)
-	return rep, nil
-}
-
-// MeanFromSums evaluates Σ_d num(d)/d in increasing denominator order and
-// divides by the pair count. Accumulating integer numerators per
-// denominator and folding them in a fixed order makes the mean
-// independent of pair evaluation order, which is the invariant that lets
-// internal/evaluate shard pairs across workers and still match the
-// serial measurement paths bit-for-bit — both sides MUST use this one
-// fold (the exact float evaluation order is the contract).
-func MeanFromSums(numByDen map[int32]int64, pairs int) float64 {
-	if pairs == 0 {
-		return 0
-	}
-	dens := make([]int32, 0, len(numByDen))
-	for den := range numByDen {
-		dens = append(dens, den)
-	}
-	sort.Slice(dens, func(i, j int) bool { return dens[i] < dens[j] })
-	var sum float64
-	for _, den := range dens {
-		sum += float64(numByDen[den]) / float64(den)
-	}
-	return sum / float64(pairs)
-}
-
-// MemoryReport summarizes the router-resident state of a scheme under the
-// fixed coding strategy: the paper's MEM_local (max) and MEM_global (sum).
-type MemoryReport struct {
-	LocalBits  int     // MEM_local(G, R) = max_x MEM(G,R,x)
-	GlobalBits int     // MEM_global(G, R) = sum_x MEM(G,R,x)
-	MeanBits   float64 // average per router
-	ArgMax     graph.NodeID
-	PerNode    []int
-}
-
-// MeasureMemory queries LocalBits for every router. It is the serial
-// reference for evaluate.Memory, which meters routers with a worker pool
-// and returns a bit-identical report.
-func MeasureMemory(g *graph.Graph, s LocalCoder) MemoryReport {
-	n := g.Order()
-	rep := MemoryReport{PerNode: make([]int, n)}
-	for x := 0; x < n; x++ {
-		b := s.LocalBits(graph.NodeID(x))
-		rep.PerNode[x] = b
-		rep.GlobalBits += b
-		if b > rep.LocalBits {
-			rep.LocalBits = b
-			rep.ArgMax = graph.NodeID(x)
-		}
-	}
-	if n > 0 {
-		rep.MeanBits = float64(rep.GlobalBits) / float64(n)
-	}
-	return rep
 }
 
 // MaxBitsOver returns the maximum of LocalBits over a subset of routers —

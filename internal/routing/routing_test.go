@@ -115,49 +115,6 @@ func TestRouteInvalidPort(t *testing.T) {
 	}
 }
 
-func TestValidateAcceptsGreedy(t *testing.T) {
-	g := gen.Petersen()
-	if err := Validate(g, newGreedy(g)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsLoop(t *testing.T) {
-	g := gen.Cycle(4)
-	if err := Validate(g, loopScheme{}); err == nil {
-		t.Fatal("validate accepted a looping scheme")
-	}
-}
-
-func TestMeasureStretchShortest(t *testing.T) {
-	g := gen.Hypercube(4)
-	rep, err := MeasureStretch(g, newGreedy(g), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Max != 1.0 {
-		t.Fatalf("greedy shortest routing has stretch %v, want 1", rep.Max)
-	}
-	if rep.Pairs != 16*15 {
-		t.Fatalf("measured %d pairs, want 240", rep.Pairs)
-	}
-	if rep.Mean != 1.0 {
-		t.Fatalf("mean stretch %v, want 1", rep.Mean)
-	}
-}
-
-func TestMeasureMemory(t *testing.T) {
-	g := gen.Cycle(6)
-	s := newGreedy(g)
-	rep := MeasureMemory(g, s)
-	if rep.LocalBits != 6 || rep.GlobalBits != 36 {
-		t.Fatalf("memory report (%d,%d), want (6,36)", rep.LocalBits, rep.GlobalBits)
-	}
-	if rep.MeanBits != 6 {
-		t.Fatalf("mean %v, want 6", rep.MeanBits)
-	}
-}
-
 func TestBitsOverSubset(t *testing.T) {
 	g := gen.Cycle(6)
 	s := newGreedy(g)

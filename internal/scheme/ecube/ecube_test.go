@@ -3,6 +3,7 @@ package ecube
 import (
 	"testing"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -16,7 +17,7 @@ func TestEcubeShortestOnHypercubes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
-		rep, err := routing.MeasureStretch(g, s, nil)
+		rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -35,7 +36,7 @@ func TestEcubeLocalBitsLogN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := routing.MeasureMemory(g, s)
+		rep := evaluate.Memory(g, s, evaluate.Options{})
 		if rep.LocalBits != d {
 			t.Fatalf("d=%d: LocalBits %d, want %d", d, rep.LocalBits, d)
 		}

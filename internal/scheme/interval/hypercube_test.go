@@ -4,9 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/xrand"
 )
 
@@ -29,7 +29,7 @@ func TestHypercube1IRSShortest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil)
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestHypercube1IRSMemoryLogSquared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := routing.MeasureMemory(g, s)
+	mem := evaluate.Memory(g, s, evaluate.Options{})
 	if mem.LocalBits > 4*d*d+8*d {
 		t.Fatalf("H_%d 1-IRS needs %d bits, want O(d^2)", d, mem.LocalBits)
 	}

@@ -4,9 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/xrand"
 )
 
@@ -18,7 +18,7 @@ func TestIntervalRoutesShortestProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep, err := routing.MeasureStretch(g, s, nil)
+		rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 		if err != nil {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestPoliciesBothRouteShortest(t *testing.T) {
 			if s.TotalIntervals() < g.Order()-1 {
 				return false // every router needs at least one interval somewhere
 			}
-			rep, err := routing.MeasureStretch(g, s, nil)
+			rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 			if err != nil || rep.Max != 1.0 {
 				return false
 			}
@@ -218,7 +218,7 @@ func TestLocalBitsReflectIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := routing.MeasureMemory(gp, sp)
+	mem := evaluate.Memory(gp, sp, evaluate.Options{})
 	if mem.LocalBits > 64 {
 		t.Fatalf("path interval router uses %d bits, want O(log n)", mem.LocalBits)
 	}

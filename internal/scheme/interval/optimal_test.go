@@ -3,9 +3,9 @@ package interval
 import (
 	"testing"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/xrand"
 )
 
@@ -59,7 +59,7 @@ func TestOptimalLabelsPetersenSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil)
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/coding"
 	"repro/internal/combinat"
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/xrand"
 )
 
@@ -17,7 +17,7 @@ func TestFriendlyRoutesOneHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil)
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAdversarialRoutesOneHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil)
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,8 @@ func TestMemoryGapFriendlyVsAdversarial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := routing.MeasureMemory(gf, f).LocalBits
-	ab := routing.MeasureMemory(ga, a).LocalBits
+	fb := evaluate.Memory(gf, f, evaluate.Options{}).LocalBits
+	ab := evaluate.Memory(ga, a, evaluate.Options{}).LocalBits
 	if ab < 10*fb {
 		t.Fatalf("expected a wide memory gap, got friendly=%d adversarial=%d", fb, ab)
 	}

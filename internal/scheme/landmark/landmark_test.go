@@ -6,10 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/evaluate"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/shortest"
 	"repro/internal/xrand"
 )
@@ -20,7 +20,7 @@ func TestLandmarkDeliversEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := routing.Validate(g, s); err != nil {
+	if _, err := evaluate.Stretch(g, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -33,7 +33,7 @@ func TestLandmarkStretchAtMost3Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep, err := routing.MeasureStretch(g, s, nil)
+		rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 		if err != nil {
 			return false
 		}
@@ -54,7 +54,7 @@ func TestLandmarkStretchOnStructuredGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rep, err := routing.MeasureStretch(g, s, nil)
+		rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -72,7 +72,7 @@ func TestLandmarkMemoryBelowTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := routing.MeasureMemory(g, s)
+	mem := evaluate.Memory(g, s, evaluate.Options{})
 	// Full tables would cost at least (n-1) * 1 bits > 299; the landmark
 	// scheme should be comfortably below n log n / 4 on this sparse graph.
 	tableBits := (g.Order() - 1) * 3
@@ -103,7 +103,7 @@ func TestExplicitLandmarkCount(t *testing.T) {
 	if s.NumLandmarks() != 5 {
 		t.Fatalf("landmark count %d, want 5", s.NumLandmarks())
 	}
-	if err := routing.Validate(g, s); err != nil {
+	if _, err := evaluate.Stretch(g, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,7 +116,7 @@ func TestAllNodesLandmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil)
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSingleLandmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil)
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/shortest"
 	"repro/internal/xrand"
 )
@@ -22,7 +22,7 @@ func TestTablesRouteShortest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rep, err := routing.MeasureStretch(g, s, nil)
+		rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -66,7 +66,7 @@ func TestRunGreedyStillShortest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil)
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRunGreedyWinsOnRunFriendlyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if routing.MeasureMemory(g, b).GlobalBits > routing.MeasureMemory(g, a).GlobalBits {
+	if evaluate.Memory(g, b, evaluate.Options{}).GlobalBits > evaluate.Memory(g, a, evaluate.Options{}).GlobalBits {
 		t.Fatal("RunGreedy lost to MinPort on a run-friendly graph")
 	}
 }
@@ -156,7 +156,7 @@ func TestCycleTablesCompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := routing.MeasureMemory(g, s)
+	rep := evaluate.Memory(g, s, evaluate.Options{})
 	raw := 63*1 + 1 // 63 destinations, 1 bit per port (degree 2)
 	if rep.LocalBits >= raw {
 		t.Fatalf("cycle tables did not compress: %d >= %d", rep.LocalBits, raw)

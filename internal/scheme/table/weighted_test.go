@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -36,7 +37,7 @@ func TestWeightedTablesOptimalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep, err := routing.MeasureWeightedStretch(g, s, w, nil)
+		rep, err := evaluate.WeightedStretch(g, s, w, nil, evaluate.Options{})
 		if err != nil {
 			return false
 		}
@@ -101,7 +102,7 @@ func TestWeightedTablesHopStretchCanExceedOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil) // hop-metric stretch
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{}) // hop-metric stretch
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/coding"
+	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/xrand"
 )
 
@@ -20,7 +20,7 @@ func TestTreeRoutingShortestProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep, err := routing.MeasureStretch(g, s, nil)
+		rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 		if err != nil {
 			return false
 		}
@@ -71,7 +71,7 @@ func TestPathTreeMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := routing.MeasureMemory(g, s)
+	rep := evaluate.Memory(g, s, evaluate.Options{})
 	// own interval (2*8) + parent port (1) + one child interval (2*8).
 	if rep.LocalBits > 40 {
 		t.Fatalf("path router needs %d bits, want O(log n) ~ <= 40", rep.LocalBits)
@@ -104,7 +104,7 @@ func TestSingletonTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := routing.Validate(g, s); err != nil {
+	if _, err := evaluate.Stretch(g, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +115,7 @@ func TestCaterpillarRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := routing.Validate(g, s); err != nil {
+	if _, err := evaluate.Stretch(g, s, nil, evaluate.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,7 +126,7 @@ func TestBinaryTreeRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := routing.MeasureStretch(g, s, nil)
+	rep, err := evaluate.Stretch(g, s, nil, evaluate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

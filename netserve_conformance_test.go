@@ -101,12 +101,12 @@ func netConfSchemes(t *testing.T, g *graph.Graph, apsp *shortest.APSP) map[strin
 // aggregator. Each shard gets its own distance source instance.
 func startLoopbackCluster(t *testing.T, g *graph.Graph, fn routing.Scheme, apsp *shortest.APSP, mode evaluate.DistMode, k int) (*netserve.Group, *netserve.Cluster) {
 	t.Helper()
-	group, err := netserve.ListenGroup(k, func(int) netserve.BatchHandler {
+	group, err := netserve.ListenGroupInto(k, func(int) netserve.BatchHandlerInto {
 		sv := serve.New(g, fn, netConfSource(t, g, apsp, mode), serve.Options{Workers: 2})
-		return sv.ServeBatch
+		return sv.ServeBatchInto
 	}, netserve.Options{})
 	if err != nil {
-		t.Fatalf("ListenGroup(%d): %v", k, err)
+		t.Fatalf("ListenGroupInto(%d): %v", k, err)
 	}
 	cluster, err := netserve.DialCluster(group.Addrs(), g.Order(), netserve.ClusterOptions{Deadline: 30 * time.Second})
 	if err != nil {
@@ -189,10 +189,10 @@ func TestNetServeConformanceMatrix(t *testing.T) {
 						group, cluster := startLoopbackCluster(t, g, fn, apsp, mode, k)
 						defer group.Close()
 						defer cluster.Close()
-						assertNetEqual(t, label, serial, cluster.ServeBatch(qs))
+						assertNetEqual(t, label, serial, cluster.ServeBatchInto(qs, nil))
 						// A second pass reuses pooled connections — the
 						// steady-state path must answer identically too.
-						assertNetEqual(t, label+"/pooled", serial[:300], cluster.ServeBatch(qs[:300]))
+						assertNetEqual(t, label+"/pooled", serial[:300], cluster.ServeBatchInto(qs[:300], nil))
 					})
 				}
 			}
@@ -237,9 +237,9 @@ func TestNetServeMappedStore(t *testing.T) {
 	group, cluster := startLoopbackCluster(t, m.Graph(), m.Scheme(), apsp, evaluate.DistStream, 2)
 	defer group.Close()
 	defer cluster.Close()
-	assertNetEqual(t, "mapped/tables/stream/shards=2", serial, cluster.ServeBatch(qs))
+	assertNetEqual(t, "mapped/tables/stream/shards=2", serial, cluster.ServeBatchInto(qs, nil))
 	// Steady state over pooled connections, straight out of the mapping.
-	assertNetEqual(t, "mapped/tables/stream/shards=2/pooled", serial[:300], cluster.ServeBatch(qs[:300]))
+	assertNetEqual(t, "mapped/tables/stream/shards=2/pooled", serial[:300], cluster.ServeBatchInto(qs[:300], nil))
 	if err := m.Verify(); err != nil {
 		t.Fatalf("post-serving Verify: %v", err)
 	}
@@ -291,7 +291,7 @@ func TestNetServeConcurrentRace(t *testing.T) {
 					draining.Done() // midpoint: unblock the drain
 					armed = true
 				}
-				out := cluster.ServeBatch(qs)
+				out := cluster.ServeBatchInto(qs, nil)
 				gotErr := false
 				for i := range out {
 					if out[i].Err != nil {

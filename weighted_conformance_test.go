@@ -6,7 +6,7 @@
 //
 //   - the weighted dense and streaming backends produce bit-identical
 //     evaluation reports at several worker counts, exhaustive and
-//     sampled, all equal to the serial routing.MeasureWeightedStretch;
+//     sampled, the exhaustive ones equal to the serial oracle;
 //   - the parallel weighted all-pairs table is bit-identical to the
 //     serial one at any worker count;
 //   - under UniformWeights the weighted report collapses to the
@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/evaluate"
 	"repro/internal/graph"
-	"repro/internal/routing"
 	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
 	"repro/internal/shortest"
@@ -55,13 +54,9 @@ func TestWeightedConformanceMatrix(t *testing.T) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			w := shortest.RandomWeights(f.g, 9, xrand.New(91))
-			wapsp, err := shortest.NewWeightedAPSPParallel(f.g, w, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, cs := range weightedConfSchemes(t, f, w) {
 				name := cs.s.Name()
-				serial, err := routing.MeasureWeightedStretch(f.g, cs.s, w, wapsp)
+				serial, err := serialStretch(f.g, cs.s, w)
 				if err != nil {
 					t.Fatalf("%s: serial: %v", name, err)
 				}
@@ -71,22 +66,16 @@ func TestWeightedConformanceMatrix(t *testing.T) {
 				if cs.exact && serial.Max != 1 {
 					t.Fatalf("%s: guaranteed cost-stretch-1 scheme measured %v", name, serial.Max)
 				}
-				var ref *evaluate.Report
 				for _, o := range backendOptions(evaluate.Options{}) {
 					rep, err := evaluate.WeightedStretch(f.g, cs.s, w, nil, o)
 					if err != nil {
 						t.Fatalf("%s: %s workers=%d: %v", name, o.DistMode, o.Workers, err)
 					}
-					if got := rep.StretchReport(); got != serial {
-						t.Fatalf("%s: %s workers=%d: report %+v != serial %+v", name, o.DistMode, o.Workers, got, serial)
-					}
-					if ref == nil {
-						ref = rep
-					} else if !reflect.DeepEqual(rep, ref) {
-						t.Fatalf("%s: %s workers=%d: full report diverges across weighted backends", name, o.DistMode, o.Workers)
+					if *rep != serial {
+						t.Fatalf("%s: %s workers=%d: report %+v != serial %+v", name, o.DistMode, o.Workers, *rep, serial)
 					}
 				}
-				ref = nil
+				var ref *evaluate.Report
 				for _, o := range backendOptions(evaluate.Options{Sample: 300, Seed: 7}) {
 					rep, err := evaluate.WeightedStretch(f.g, cs.s, w, nil, o)
 					if err != nil {
@@ -113,10 +102,7 @@ func TestWeightedAPSPParallelMatchesSerial(t *testing.T) {
 	for _, f := range confFamilies() {
 		w := shortest.RandomWeights(f.g, 9, xrand.New(92))
 		n := f.g.Order()
-		serial := make([][]int32, n)
-		for u := range serial {
-			serial[u] = shortest.Dijkstra(f.g, w, graph.NodeID(u))
-		}
+		serial := dijkstraRows(f.g, w)
 		for _, workers := range []int{0, 1, 4, 13} {
 			par, err := shortest.NewWeightedAPSPParallel(f.g, w, workers)
 			if err != nil {
