@@ -6,7 +6,7 @@
 // trajectory") next to the evaluator suite, so the core perf trajectory
 // accumulates one data point per run:
 //
-//	go test -run '^$' -bench '^(BenchmarkBFS|BenchmarkBFSTree|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkLandmarkStreamed|BenchmarkAPSP|BenchmarkTableNew|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096)$' \
+//	go test -run '^$' -bench '^(BenchmarkBFS|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkLandmarkStreamed|BenchmarkAPSP|BenchmarkTableNew|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096)$' \
 //	    -benchtime 1x -count 5 -timeout 30m . | go run ./cmd/benchjson > BENCH_core.json
 //
 // The graphs are seeded random connected graphs with mean degree 8, the
@@ -104,24 +104,6 @@ func benchPairs(n, count int, seed uint64) [][2]graph.NodeID {
 	return pairs
 }
 
-// BenchmarkBFSTree measures the parent-port tree build used by scheme
-// constructors (one tree per root), with the caller-owned scratch they
-// reuse across roots. As in BenchmarkBFS, the scratch is warmed outside
-// the timer on a root other than the first timed one.
-func BenchmarkBFSTree(b *testing.B) {
-	const n = 4096
-	g := benchGraph(n)
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-		b.ReportAllocs()
-		dist, parent, queue := shortest.BFSTreeInto(g, graph.NodeID(n-1), nil, nil, nil)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dist, parent, queue = shortest.BFSTreeInto(g, graph.NodeID(i%n), dist, parent, queue)
-		}
-		_, _ = dist, parent
-	})
-}
-
 // BenchmarkMSBFS measures one full 64-source MS-BFS batch with
 // caller-owned scratch — the per-block cost of the batched distance
 // backends. Divide by 64 to compare against BenchmarkBFS's per-row
@@ -153,7 +135,8 @@ func BenchmarkMSBFS(b *testing.B) {
 
 // BenchmarkLandmarkStreamed measures landmark.NewStreamed on all cores —
 // the scheme build behind a stream-mode landmark set-up: |L| landmark
-// trees plus one ball of radius d(v, l(v)) per destination v.
+// rows in MS-BFS blocks plus one ball of radius d(v, l(v)) per
+// destination v.
 func BenchmarkLandmarkStreamed(b *testing.B) {
 	g := benchGraph(4096)
 	b.Run("n=4096", func(b *testing.B) {

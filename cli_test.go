@@ -59,6 +59,23 @@ func buildCLIs(t *testing.T) string {
 	return cli.dir
 }
 
+// TestRoutebenchVets type-checks cmd/routebench, the serving benchmark.
+// It is its own module, so `go build ./...` and `go test ./...` from
+// the root never compile it: an API change here that breaks it would
+// otherwise surface only when the benchmark runs. go vet writes nothing
+// into the module directory.
+func TestRoutebenchVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the routebench module")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, "go", "-C", filepath.Join("cmd", "routebench"), "vet", ".")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go -C cmd/routebench vet .: %v\n%s", err, out)
+	}
+}
+
 // runCLI runs one binary from dir and returns its stdout, stderr and
 // exit code (-1 when it did not exit normally).
 func runCLI(t *testing.T, dir, name string, args ...string) (string, string, int) {

@@ -25,7 +25,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench 'BenchmarkEvaluate' -benchtime 1x . | benchjson > BENCH_evaluate.json
-//	go test -run '^$' -bench '^(BenchmarkBFS|BenchmarkBFSTree|BenchmarkAPSP|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096)$' -benchtime 1x . | benchjson > BENCH_core.json
+//	go test -run '^$' -bench '^(BenchmarkBFS|BenchmarkAPSP|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096)$' -benchtime 1x . | benchjson > BENCH_core.json
 //	go test -run '^$' -bench '^(BenchmarkDijkstra|BenchmarkWeightedAPSP|BenchmarkWeightedEvaluateStreaming)$' -benchtime 1x . | benchjson > BENCH_weighted.json
 //
 // Lines that are neither benchmark results nor recognized metadata pass

@@ -284,16 +284,16 @@ func (acc *rowAcc) addNum(den int32, num int64) {
 // accumulators in row order. The report is independent of Workers; the
 // first error in row-major pair order aborts with a nil report.
 func Pairs(n int, f PairFunc, opt Options) (*Report, error) {
-	return PairsFrom(n, func() PairFunc { return f }, opt)
+	return pairsFrom(n, func() PairFunc { return f }, opt)
 }
 
-// PairsFrom is Pairs with a per-worker PairFunc factory: newF is called
+// pairsFrom is Pairs with a per-worker PairFunc factory: newF is called
 // once inside each worker goroutine, so the returned function may own
 // mutable per-worker state — a streaming distance reader with its BFS
 // scratch is the motivating case. Determinism is untouched: rows are
 // still claimed per source and folded in fixed order, and every
 // per-worker PairFunc must compute identical values for identical pairs.
-func PairsFrom(n int, newF func() PairFunc, opt Options) (*Report, error) {
+func pairsFrom(n int, newF func() PairFunc, opt Options) (*Report, error) {
 	rep := &Report{}
 	if n <= 1 {
 		return rep, nil
@@ -605,7 +605,7 @@ func stretchPairs(g *graph.Graph, r routing.Function, src shortest.DistanceSourc
 			return int32(cost), d, l, nil
 		}
 	}
-	return PairsFrom(g.Order(), newF, opt)
+	return pairsFrom(g.Order(), newF, opt)
 }
 
 // MemoryReport summarizes the router-resident state of a scheme under the

@@ -124,18 +124,3 @@ func lessID(a, b string) bool {
 	}
 	return a < b
 }
-
-// RunAll executes every experiment in order, rendering to w; the first
-// error aborts.
-func RunAll(w io.Writer) error {
-	for _, e := range All() {
-		tables, err := e.Run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		for _, t := range tables {
-			t.Render(w)
-		}
-	}
-	return nil
-}

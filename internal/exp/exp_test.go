@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -161,6 +162,31 @@ func runExperiment(t *testing.T, id string) []*Table {
 	}
 	runs[id] = tables
 	return tables
+}
+
+// TestStreamModeMatchesDense runs experiments that read distances
+// through the evaluator — E1 and E10 on hop rows, E17 on weighted
+// rows, E20 on both through the codec round trip — under routelab's
+// -distmode stream, and requires every table equal to the dense run:
+// the distance backend may change how distances are computed, never a
+// reported number.
+func TestStreamModeMatchesDense(t *testing.T) {
+	for _, id := range []string{"E1", "E10", "E17", "E20"} {
+		dense := runExperiment(t, id)
+		e, _ := Get(id)
+		stream := func() []*Table {
+			defer SetEvalOptions(EvalOptions())
+			SetEvalOptions(evaluate.Options{Seed: 1, DistMode: evaluate.DistStream})
+			tables, err := e.Run()
+			if err != nil {
+				t.Fatalf("%s under stream: %v", id, err)
+			}
+			return tables
+		}()
+		if !reflect.DeepEqual(stream, dense) {
+			t.Fatalf("%s: stream tables differ from dense", id)
+		}
+	}
 }
 
 // wallTimeExperiments print wall time in a column named "ms"; those

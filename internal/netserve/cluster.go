@@ -65,9 +65,6 @@ func DialCluster(addrs []string, n int, opt ClusterOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return c.m.K }
-
 // Map returns the ownership partition.
 func (c *Cluster) Map() ShardMap { return c.m }
 

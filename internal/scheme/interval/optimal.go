@@ -70,13 +70,3 @@ func OptimalLabels(g *graph.Graph, apsp *shortest.APSP) ([]int32, int, error) {
 	}
 	return bestLabels, bestK, nil
 }
-
-// IRSNumber returns the smallest k found such that g admits a
-// shortest-path k-IRS: exhaustive over labelings, greedy over the
-// per-destination port choice. It is therefore an UPPER bound on the true
-// interval routing number of references [4,5,15] (exact whenever it
-// returns 1, since 1 cannot be improved).
-func IRSNumber(g *graph.Graph, apsp *shortest.APSP) (int, error) {
-	_, k, err := OptimalLabels(g, apsp)
-	return k, err
-}

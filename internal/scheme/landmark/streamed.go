@@ -18,12 +18,11 @@ import (
 // Every column access d(·,v) of the definitions becomes a read of some
 // BFS labelling we are willing to keep:
 //
-//   - |L| landmark-rooted trees (shortest.BFSTreeInto: the distance row
-//     and the canonical first-arc vector, the lowest port of each vertex
-//     one step closer to the root — firstArc's tie-break, by symmetry
-//     of d) give the distance-to-landmark rows AND the whole lmPort table
-//     (O(|L|·n) memory, which the lmPort tables the scheme must store are
-//     anyway);
+//   - the |L| landmark rows d(l_i, ·) = d(·, l_i), computed by
+//     shortest.MSBFSInto in blocks of MSBFSWidth landmarks into one
+//     |L|×n block (O(|L|·n) memory, which the lmPort tables the scheme
+//     must store are anyway), give the nearest landmarks and, through
+//     firstArc on each finished row, the whole lmPort table;
 //   - per destination v, a BFS from v truncated at radius d(v, l(v))
 //     answers the rest. v's cluster entries live at the x with
 //     d(x,v) < d(v,l(v)), and its address path climbs from distance
@@ -33,6 +32,10 @@ import (
 //     such read exact (see ball.grow). A destination costs the arcs its ball touches,
 //     not O(n+m), and the balls are sharded over a worker pool into
 //     per-worker scratch (O(workers·n) memory).
+//
+// Every port of the scheme is firstArc's lowest-port tie-break on an
+// exact distance row or ball labelling, so the tables depend only on
+// the graph and Options, never on workers or traversal order.
 //
 // workers <= 0 selects GOMAXPROCS.
 func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
@@ -46,26 +49,32 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 	if workers > n {
 		workers = n
 	}
-	// Connectivity gate: one row instead of n.
-	row0 := shortest.BFS(g, 0)
-	for _, d := range row0 {
+	s := newShell(g, opt) // freezes g: workers below only read the CSR arcs
+	k := len(s.landmarks)
+
+	// Landmark rows: distToLm[i][v] = d(landmarks[i], v) = d(v, l_i), one
+	// MS-BFS pass per block of MSBFSWidth landmarks, each worker reusing
+	// its own scratch across the blocks it claims.
+	rows := make([]int32, k*n)
+	scratch := make([]*shortest.MSBFSScratch, workers)
+	blocks := (k + shortest.MSBFSWidth - 1) / shortest.MSBFSWidth
+	parallelFor(workers, blocks, func(w int, b int) {
+		lo := b * shortest.MSBFSWidth
+		hi := min(lo+shortest.MSBFSWidth, k)
+		_, scratch[w] = shortest.MSBFSInto(g, s.landmarks[lo:hi], rows[lo*n:hi*n:hi*n], scratch[w])
+	})
+	distToLm := make([][]int32, k)
+	for i := range distToLm {
+		distToLm[i] = rows[i*n : (i+1)*n]
+	}
+	// Connectivity gate, before any port is derived (firstArc has no
+	// answer at an unreachable vertex): one row reaches every vertex iff
+	// the graph is connected.
+	for _, d := range distToLm[0] {
 		if d == shortest.Unreachable {
 			return nil, graph.ErrNotConnected
 		}
 	}
-	s := newShell(g, opt) // freezes g: workers below only read the CSR arcs
-	k := len(s.landmarks)
-
-	// Landmark-rooted trees: distToLm[i][v] = d(landmarks[i], v) = d(v, l_i),
-	// lmParent[i][v] = lowest port of v one step closer to l_i (NoPort at
-	// the landmark itself). Queues are per-worker scratch; the dist and
-	// parent vectors are retained by construction.
-	distToLm := make([][]int32, k)
-	lmParent := make([][]graph.Port, k)
-	queues := make([][]graph.NodeID, workers)
-	parallelFor(workers, k, func(w int, i int) {
-		distToLm[i], lmParent[i], queues[w] = shortest.BFSTreeInto(g, s.landmarks[i], nil, nil, queues[w])
-	})
 
 	// Nearest landmark (ties to the smallest id: landmarks are sorted and
 	// the comparison is strict).
@@ -80,15 +89,20 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 		s.nearest[v] = s.landmarks[bi]
 	}
 
-	// lmPort is the transpose of the landmark parent vectors: lmPort[x][i]
-	// is the canonical first arc of x toward landmark i, which BFSTreeInto
-	// already resolved (and left NoPort at the landmark itself).
-	parallelFor(workers, n, func(_ int, x int) {
-		ports := make([]graph.Port, k)
-		for i := range ports {
-			ports[i] = lmParent[i][x]
+	// lmPort[x][i] is the canonical first arc of x toward landmark i,
+	// NoPort at the landmark itself (distance 0). Landmark-outer: each
+	// pass walks one finished row, so firstArc's probes stay within it.
+	ports := make([]graph.Port, n*k)
+	for x := range s.lmPort {
+		s.lmPort[x] = ports[x*k : (x+1)*k : (x+1)*k]
+	}
+	parallelFor(workers, k, func(_ int, i int) {
+		row := distToLm[i]
+		for x, d := range row {
+			if d != 0 {
+				s.lmPort[x][i] = firstArc(g, row, graph.NodeID(x))
+			}
 		}
-		s.lmPort[x] = ports
 	})
 
 	// Per-destination sweep: the ball around v answers every d(·,v) column

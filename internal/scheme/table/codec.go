@@ -30,13 +30,6 @@ func (s *Scheme) EncodePayload(w *coding.BitWriter) (rb []int, routerStart int) 
 	return rb, routerStart
 }
 
-// AppendRowCode appends router x's self-delimiting row code to a shared
-// writer — the streaming form of EncodeRow the schemeio delta codec
-// interleaves with its own framing.
-func (s *Scheme) AppendRowCode(w *coding.BitWriter, x graph.NodeID) {
-	s.encodeRowTo(w, x)
-}
-
 // AppendPortRowCode appends the fixed row coding of a standalone row
 // (one port per destination, NoPort at x) for a router of the given
 // degree — the scheme-free form a decoded delta re-encodes through.
@@ -45,7 +38,7 @@ func AppendPortRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, de
 }
 
 // DecodeRowFrom parses one self-delimiting row code from a shared
-// reader — the streaming inverse of AppendRowCode.
+// reader — the streaming inverse of AppendPortRowCode.
 func DecodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph.Port, error) {
 	return decodeRowFrom(r, n, x, deg)
 }

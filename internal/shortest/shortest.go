@@ -115,56 +115,6 @@ func BFSInto(g *graph.Graph, src graph.NodeID, dist []int32, queue []graph.NodeI
 	return dist, queue
 }
 
-// BFSTreeInto returns, along with the distance vector, a parent-port
-// vector: parent[v] is the port AT v leading one step closer to src
-// (NoPort at src and unreachable vertices). Following parent ports from
-// any v walks a shortest path to src.
-//
-// The parent port is canonical: the LOWEST port of v whose endpoint is
-// one step closer to src — the same tie-break as FirstArcs — so the
-// tree depends only on the graph, never on traversal order. dist,
-// parent and queue are caller-owned scratch, reused when large enough
-// and reallocated otherwise (nil allocates fresh), and all three are
-// returned, so constructors building one tree per root (the landmark
-// scheme) run with zero steady-state allocation.
-//
-// The tree rides the direction-optimized BFSInto and then resolves each
-// visited vertex's parent with an early-exit scan of its own arcs
-// against the finished distance vector — the canonical lowest-port rule
-// reads only dist, so it is indifferent to the traversal direction, and
-// the first matching arc (typically within a probe or two) ends the
-// scan.
-func BFSTreeInto(g *graph.Graph, src graph.NodeID, dist []int32, parent []graph.Port, queue []graph.NodeID) ([]int32, []graph.Port, []graph.NodeID) {
-	n := g.Order()
-	dist, queue = BFSInto(g, src, dist, queue)
-	if cap(parent) < n {
-		parent = make([]graph.Port, n)
-	}
-	parent = parent[:n]
-	for i := range parent {
-		parent[i] = graph.NoPort
-	}
-	// Vertex order, not queue order: after a Freeze this walks the CSR
-	// arena sequentially, and the probes into dist stay L1-resident.
-	for u := 0; u < n; u++ {
-		du := dist[u]
-		if du == 0 || du == Unreachable {
-			continue // src and unreachable vertices keep NoPort
-		}
-		closer := du - 1
-		for i, w := range g.Arcs(graph.NodeID(u)) {
-			if w < 0 {
-				continue
-			}
-			if dist[w] == closer {
-				parent[u] = graph.Port(i + 1)
-				break
-			}
-		}
-	}
-	return dist, parent, queue
-}
-
 // APSP holds an all-pairs distance table. For the graph orders used here
 // (up to a few thousand) the n^2 table is the right tool; it is built by
 // NewAPSPParallel (hop metric) or NewWeightedAPSPParallel (arc costs).
@@ -230,17 +180,6 @@ func (a *APSP) Diameter() int32 {
 		}
 	}
 	return diam
-}
-
-// Eccentricity returns max_v d_G(u, v).
-func (a *APSP) Eccentricity(u graph.NodeID) int32 {
-	var e int32
-	for _, d := range a.dist[u] {
-		if d > e {
-			e = d
-		}
-	}
-	return e
 }
 
 // FirstArcs returns the ports p of u that begin some shortest path from u
@@ -352,32 +291,4 @@ func CountShortestPaths(g *graph.Graph, a *APSP, u, v graph.NodeID, cap int64) i
 		return total
 	}
 	return count(u)
-}
-
-// ShortestPath returns one shortest u→v path as a vertex sequence
-// (inclusive of both ends), or nil if unreachable. Ties break toward the
-// lowest port, making the result deterministic.
-func ShortestPath(g *graph.Graph, a *APSP, u, v graph.NodeID) []graph.NodeID {
-	if a.Dist(u, v) == Unreachable {
-		return nil
-	}
-	path := []graph.NodeID{u}
-	rowV := a.Row(v)
-	x := u
-	for x != v {
-		dxv := rowV[x]
-		next := graph.NodeID(-1)
-		for _, w := range g.Arcs(x) {
-			if w < 0 {
-				continue
-			}
-			if rowV[w]+1 == dxv {
-				next = w
-				break
-			}
-		}
-		x = next
-		path = append(path, x)
-	}
-	return path
 }

@@ -28,18 +28,6 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 }
 
-func TestBFSTreeParentPorts(t *testing.T) {
-	g := gen.RandomConnected(40, 0.1, xrand.New(4))
-	dist, parent, _ := BFSTreeInto(g, 0, nil, nil, nil)
-	for v := 1; v < g.Order(); v++ {
-		// Following the parent port must decrease the distance by 1.
-		u := g.Neighbor(graph.NodeID(v), parent[v])
-		if dist[u] != dist[v]-1 {
-			t.Fatalf("parent port at %d leads to distance %d, want %d", v, dist[u], dist[v]-1)
-		}
-	}
-}
-
 func TestAPSPSymmetryAndTriangle(t *testing.T) {
 	check := func(seed uint64, nn uint8) bool {
 		n := int(nn%30) + 2
@@ -89,12 +77,6 @@ func TestDiameterAndEccentricity(t *testing.T) {
 	a := NewAPSPParallel(g, 0)
 	if a.Diameter() != 6 {
 		t.Fatalf("path diameter %d, want 6", a.Diameter())
-	}
-	if a.Eccentricity(3) != 3 {
-		t.Fatalf("middle eccentricity %d, want 3", a.Eccentricity(3))
-	}
-	if a.Eccentricity(0) != 6 {
-		t.Fatalf("end eccentricity %d, want 6", a.Eccentricity(0))
 	}
 }
 
@@ -223,66 +205,6 @@ func TestCountShortestPathsPetersen(t *testing.T) {
 	ca := NewAPSPParallel(c, 0)
 	if got := CountShortestPaths(c, ca, 0, 3, 1<<20); got != 2 {
 		t.Fatalf("C6: %d shortest paths 0->3, want 2", got)
-	}
-}
-
-// TestBFSTreeIntoMatchesBFSTree pins the scratch contract: BFSTreeInto
-// with fresh scratch and with reused scratch produces identical
-// vectors, and the parent ports follow the canonical lowest-port
-// tie-break of FirstArcs.
-func TestBFSTreeIntoMatchesBFSTree(t *testing.T) {
-	g := gen.RandomConnected(60, 0.1, xrand.New(7))
-	a := NewAPSPParallel(g, 0)
-	var dist []int32
-	var parent []graph.Port
-	var queue []graph.NodeID
-	for src := 0; src < g.Order(); src += 7 {
-		wd, wp, _ := BFSTreeInto(g, graph.NodeID(src), nil, nil, nil)
-		dist, parent, queue = BFSTreeInto(g, graph.NodeID(src), dist, parent, queue)
-		for v := 0; v < g.Order(); v++ {
-			if dist[v] != wd[v] || parent[v] != wp[v] {
-				t.Fatalf("src %d vertex %d: reused scratch (%d,%d) vs fresh (%d,%d)",
-					src, v, dist[v], parent[v], wd[v], wp[v])
-			}
-			if v == src {
-				if parent[v] != graph.NoPort {
-					t.Fatalf("src %d: root has parent port %d", src, parent[v])
-				}
-				continue
-			}
-			arcs := FirstArcs(g, a, graph.NodeID(v), graph.NodeID(src))
-			if len(arcs) == 0 || parent[v] != arcs[0] {
-				t.Fatalf("src %d vertex %d: parent %d is not the lowest first arc %v",
-					src, v, parent[v], arcs)
-			}
-		}
-	}
-}
-
-func TestShortestPathValid(t *testing.T) {
-	check := func(seed uint64, nn uint8) bool {
-		n := int(nn%25) + 2
-		g := gen.RandomConnected(n, 0.2, xrand.New(seed))
-		a := NewAPSPParallel(g, 0)
-		r := xrand.New(seed + 1)
-		u := graph.NodeID(r.Intn(n))
-		v := graph.NodeID(r.Intn(n))
-		path := ShortestPath(g, a, u, v)
-		if len(path) == 0 || path[0] != u || path[len(path)-1] != v {
-			return false
-		}
-		if int32(len(path)-1) != a.Dist(u, v) {
-			return false
-		}
-		for i := 0; i+1 < len(path); i++ {
-			if !g.HasEdge(path[i], path[i+1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

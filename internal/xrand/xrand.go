@@ -54,11 +54,6 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
