@@ -215,9 +215,12 @@ func BenchmarkTableNew(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteVisit measures the allocation-free route simulator on
-// shortest-path tables over a fixed pre-drawn pair set — the inner loop
-// the all-pairs evaluator runs n(n-1) times.
+// BenchmarkRouteVisit measures the allocation-free route simulators on
+// shortest-path tables over a fixed pre-drawn set of 4096 pairs. One op
+// walks the whole set, so a -benchtime 1x run times 4096 routes, not
+// one cold walk. The visit arm streams every hop to a callback
+// (RouteVisit); the len arm only counts them (RouteLen, the walk the
+// all-pairs evaluator and the serving path run per pair).
 func BenchmarkRouteVisit(b *testing.B) {
 	const n = 4096
 	g := benchGraph(n)
@@ -226,16 +229,30 @@ func BenchmarkRouteVisit(b *testing.B) {
 		b.Fatal(err)
 	}
 	pairs := benchPairs(n, 4096, 3)
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	b.Run(fmt.Sprintf("visit/n=%d", n), func(b *testing.B) {
 		b.ReportAllocs()
-		var hops int
+		hops := 0
+		visit := func(routing.Hop) { hops++ }
 		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			l := -1
-			if err := routing.RouteVisit(g, s, p[0], p[1], 0, func(routing.Hop) { l++ }); err != nil {
-				b.Fatal(err)
+			for _, p := range pairs {
+				if err := routing.RouteVisit(g, s, p[0], p[1], 0, visit); err != nil {
+					b.Fatal(err)
+				}
 			}
-			hops += l
+		}
+		_ = hops
+	})
+	b.Run(fmt.Sprintf("len/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		hops := 0
+		for i := 0; i < b.N; i++ {
+			for _, p := range pairs {
+				l, err := routing.RouteLen(g, s, p[0], p[1], 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hops += l
+			}
 		}
 		_ = hops
 	})

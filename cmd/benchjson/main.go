@@ -1,11 +1,8 @@
 // Command benchjson converts `go test -bench` text output on stdin into
-// the machine-readable JSON documents CI archives — BENCH_evaluate.json
-// (the evaluator suite), BENCH_core.json (the BFS/APSP/RouteVisit
-// core-kernel micro-benchmarks plus the n=4096 streaming evaluator) and
-// BENCH_weighted.json (the Dijkstra/weighted-APSP/weighted-streaming
-// kernels) — so the performance trajectories accumulate run over run
-// instead of living in throwaway logs. The format is documented in
-// DESIGN.md ("Bench trajectory"):
+// the machine-readable BENCH_*.json documents CI archives, so the
+// performance trajectories accumulate run over run instead of living in
+// throwaway logs. The format is documented in DESIGN.md ("Bench
+// trajectory"):
 //
 //	{
 //	  "goos": "linux", "goarch": "amd64", "pkg": "repro", "cpu": "...",
@@ -25,8 +22,9 @@
 // Usage:
 //
 //	go test -run '^$' -bench 'BenchmarkEvaluate' -benchtime 1x . | benchjson > BENCH_evaluate.json
-//	go test -run '^$' -bench '^(BenchmarkBFS|BenchmarkAPSP|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096)$' -benchtime 1x . | benchjson > BENCH_core.json
-//	go test -run '^$' -bench '^(BenchmarkDijkstra|BenchmarkWeightedAPSP|BenchmarkWeightedEvaluateStreaming)$' -benchtime 1x . | benchjson > BENCH_weighted.json
+//
+// The -bench regex, -benchtime and -count that write each archived
+// BENCH file live in one place: its step in .github/workflows/ci.yml.
 //
 // Lines that are neither benchmark results nor recognized metadata pass
 // through untouched semantically: they are ignored, so PASS/ok trailers

@@ -10,11 +10,12 @@
 //   - memory bit-identity: LocalBits and the full memory report are
 //     unchanged by a round trip — persistence cannot move the paper's
 //     measured quantity;
-//   - LocalBits cross-check: the per-router serialized payload stays
-//     within a documented factor-2-plus-64-bit corridor of LocalBits on
-//     every family (DESIGN.md "Scheme persistence wire format"), so the
-//     Kolmogorov stand-in and the real encoding cannot silently
-//     diverge;
+//   - LocalBits cross-check: the per-router serialized payload is the
+//     metered code exactly for tables and interval routing, and stays
+//     within a documented factor-2-plus-64-bit corridor of LocalBits
+//     for the other schemes on every family (DESIGN.md "Scheme
+//     persistence wire format"), so the Kolmogorov stand-in and the
+//     real encoding cannot silently diverge;
 //   - canonical bytes: re-encoding a decoded scheme reproduces the
 //     blob byte for byte.
 package repro
@@ -24,9 +25,12 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/evaluate"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/scheme/interval"
 	"repro/internal/scheme/kcomplete"
 	"repro/internal/scheme/table"
 	"repro/internal/schemeio"
@@ -229,36 +233,79 @@ func TestMappedReaderConformanceMatrix(t *testing.T) {
 	}
 }
 
-// TestCodecLocalBitsCrossCheck pins the documented corridor between the
-// two bit meters: for every router of every scheme on every family,
-// wire(x) <= 2*LocalBits(x) + 64 and LocalBits(x) <= 2*wire(x) + 64.
-// The slack absorbs per-scheme framing (varint counts, byte padding)
-// and the schemes whose router state is implicit in the graph (e-cube,
-// friendly K_n: wire(x) = 0 while LocalBits = O(log n)); the factor
-// catches any real divergence between the Kolmogorov stand-in and the
-// encoding that actually ships.
+// TestCodecLocalBitsCrossCheck pins the wire spans to the metered code.
+// The table kinds (hop and weighted) ship exactly the code LocalBits
+// meters, so RouterBits[x] == LocalBits(x); interval ships it less the
+// ceil(log2 n)-bit own label, which moves to the shared label section.
+// Every other scheme stays in the documented corridor wire(x) <=
+// 2*LocalBits(x) + 64 and LocalBits(x) <= 2*wire(x) + 64: the slack
+// absorbs per-scheme framing (varint counts, byte padding) and the
+// schemes whose router state is implicit in the graph (e-cube, friendly
+// K_n: wire(x) = 0 while LocalBits = O(log n)). A hypercube 1-IRS cell
+// rides along, and its decoded scheme must route every pair as the
+// built one does.
 func TestCodecLocalBitsCrossCheck(t *testing.T) {
 	const factor, slack = 2, 64
+	type cell struct {
+		name string
+		g    *graph.Graph
+		s    routing.Scheme
+	}
+	var cells []cell
 	for _, f := range confFamilies() {
 		apsp := shortest.NewAPSPParallel(f.g, 0)
 		w := shortest.RandomWeights(f.g, 9, xrand.New(91))
 		for _, c := range codecCells(t, f, apsp, w) {
-			enc, err := schemeio.Encode(c.g, c.s)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", f.name, c.s.Name(), err)
+			cells = append(cells, cell{f.name, c.g, c.s})
+		}
+	}
+	cube := gen.Hypercube(5)
+	irs, err := interval.NewHypercube1IRS(cube, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells = append(cells, cell{"hypercube(5)", cube, irs})
+	for _, c := range cells {
+		enc, err := schemeio.Encode(c.g, c.s)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.name, c.s.Name(), err)
+		}
+		lc := c.s.(routing.LocalCoder)
+		for x := 0; x < c.g.Order(); x++ {
+			wb := enc.RouterBits[x]
+			lb := lc.LocalBits(graph.NodeID(x))
+			switch c.s.(type) {
+			case *table.Scheme:
+				if wb != lb {
+					t.Fatalf("%s/%s: router %d serialized in %d bits, LocalBits %d", c.name, c.s.Name(), x, wb, lb)
+				}
+			case *interval.Scheme:
+				if own := coding.BitsFor(uint64(c.g.Order())); wb+own != lb {
+					t.Fatalf("%s/%s: router %d serialized in %d bits + %d-bit label, LocalBits %d",
+						c.name, c.s.Name(), x, wb, own, lb)
+				}
+			default:
+				if wb > factor*lb+slack || lb > factor*wb+slack {
+					t.Fatalf("%s/%s: router %d serialized in %d bits, LocalBits %d — meters diverged",
+						c.name, c.s.Name(), x, wb, lb)
+				}
 			}
-			lc := c.s.(routing.LocalCoder)
-			for x := 0; x < c.g.Order(); x++ {
-				wb := enc.RouterBits[x]
-				lb := lc.LocalBits(graph.NodeID(x))
-				if wb > factor*lb+slack {
-					t.Fatalf("%s/%s: router %d serialized in %d bits, LocalBits only %d — meters diverged",
-						f.name, c.s.Name(), x, wb, lb)
-				}
-				if lb > factor*wb+slack {
-					t.Fatalf("%s/%s: router %d meters %d LocalBits but serialized in %d bits — meters diverged",
-						f.name, c.s.Name(), x, lb, wb)
-				}
+		}
+	}
+	enc, err := schemeio.Encode(cube, irs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := schemeio.Decode(enc.Bytes, cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < cube.Order(); u++ {
+		for v := 0; v < cube.Order(); v++ {
+			want, errW := routing.Route(cube, irs, graph.NodeID(u), graph.NodeID(v), 0)
+			got, errG := routing.Route(cube, dec, graph.NodeID(u), graph.NodeID(v), 0)
+			if errW != nil || errG != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("hypercube 1-IRS %d->%d: decoded route %v (%v), built %v (%v)", u, v, got, errG, want, errW)
 			}
 		}
 	}

@@ -47,7 +47,6 @@ var Analyzer = &framework.Analyzer{
 // size anything.
 var sourceMethods = map[string]bool{
 	"ReadUvarint": true, "ReadBits": true, "ReadGamma": true,
-	"ReadGamma0": true, "ReadDelta": true, "ReadRice": true,
 	"ReadUnary": true, "Uvarint": true, "Varint": true,
 }
 

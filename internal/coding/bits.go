@@ -6,11 +6,11 @@
 // complexity is uncomputable, so experiments need a concrete stand-in that
 // is (a) fixed in advance, (b) self-delimiting, and (c) reasonably tight
 // on the structures that appear in routing tables. This package is that
-// strategy: a bit-granular writer/reader plus a toolbox of classical codes
-// — unary, Elias gamma/delta, Golomb–Rice, fixed width, permutation
-// (Lehmer/factoradic) codes, combination ranking and restricted-growth
-// strings. Measured sizes are honest upper bounds on Kolmogorov complexity
-// up to an additive constant (the decoder program).
+// strategy: a bit-granular writer/reader plus the codes the schemes
+// encode with — fixed width, unary, Elias gamma, LEB128 varints and
+// permutation (Lehmer/factoradic) ranks. Measured sizes are honest upper
+// bounds on Kolmogorov complexity up to an additive constant (the
+// decoder program).
 package coding
 
 import (

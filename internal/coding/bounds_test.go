@@ -24,20 +24,3 @@ func TestReadBitsWidthError(t *testing.T) {
 		t.Fatalf("ReadBits(8) after rejected widths = %#x, %v; want 0xff, nil", v, err)
 	}
 }
-
-// TestReadRiceParamError pins the same contract for the Rice parameter.
-func TestReadRiceParamError(t *testing.T) {
-	r := NewBitReader([]byte{0x00}, 8)
-	for _, k := range []int{-1, 64, 1 << 20} {
-		if _, err := r.ReadRice(k); err == nil {
-			t.Errorf("ReadRice(%d) = nil error, want out-of-range error", k)
-		} else if !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("ReadRice(%d) error = %q, want out-of-range", k, err)
-		}
-	}
-	// 0x00 = unary 0 (immediate stop bit) then k=0 remainder: value 0.
-	v, err := r.ReadRice(0)
-	if err != nil || v != 0 {
-		t.Fatalf("ReadRice(0) after rejected params = %d, %v; want 0, nil", v, err)
-	}
-}

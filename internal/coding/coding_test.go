@@ -100,60 +100,6 @@ func TestGammaLenMatchesWriter(t *testing.T) {
 	}
 }
 
-func TestGamma0RoundTrip(t *testing.T) {
-	w := NewBitWriter()
-	for v := uint64(0); v < 50; v++ {
-		w.WriteGamma0(v)
-	}
-	r := NewBitReader(w.Bytes(), w.Len())
-	for v := uint64(0); v < 50; v++ {
-		got, err := r.ReadGamma0()
-		if err != nil || got != v {
-			t.Fatalf("gamma0(%d) -> %d (%v)", v, got, err)
-		}
-	}
-}
-
-func TestDeltaRoundTripProperty(t *testing.T) {
-	check := func(raw []uint32) bool {
-		w := NewBitWriter()
-		vals := make([]uint64, 0, len(raw))
-		for _, x := range raw {
-			v := uint64(x) + 1
-			vals = append(vals, v)
-			w.WriteDelta(v)
-		}
-		r := NewBitReader(w.Bytes(), w.Len())
-		for _, v := range vals {
-			got, err := r.ReadDelta()
-			if err != nil || got != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRiceRoundTrip(t *testing.T) {
-	for k := 0; k <= 8; k++ {
-		w := NewBitWriter()
-		vals := []uint64{0, 1, 5, 63, 64, 1000}
-		for _, v := range vals {
-			w.WriteRice(v, k)
-		}
-		r := NewBitReader(w.Bytes(), w.Len())
-		for _, v := range vals {
-			got, err := r.ReadRice(k)
-			if err != nil || got != v {
-				t.Fatalf("rice k=%d v=%d: got %d (%v)", k, v, got, err)
-			}
-		}
-	}
-}
-
 func TestPermutationRankUnrank(t *testing.T) {
 	check := func(seed uint64, nn uint8) bool {
 		n := int(nn%8) + 1
@@ -244,141 +190,6 @@ func TestPermutationBitsGrowth(t *testing.T) {
 			t.Fatalf("PermutationBits(%d) = %v, log2 n! = %v", n, got, exact)
 		}
 	}
-}
-
-func TestCombinationRankUnrank(t *testing.T) {
-	check := func(seed uint64, nn, kk uint8) bool {
-		n := int(nn%20) + 1
-		k := int(kk) % (n + 1)
-		elems := xrand.New(seed).Sample(n, k)
-		rank := RankCombination(elems, n)
-		back, err := UnrankCombination(rank, n, k)
-		if err != nil {
-			return false
-		}
-		// back is sorted; compare as sets.
-		seen := make(map[int]bool, k)
-		for _, v := range elems {
-			seen[v] = true
-		}
-		for _, v := range back {
-			if !seen[v] {
-				return false
-			}
-		}
-		return len(back) == k
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCombinationBitsMatchesBinomial(t *testing.T) {
-	b := CombinationBits(10, 4) // C(10,4) = 210, ceil(log2) = 8
-	if b != 8 {
-		t.Fatalf("CombinationBits(10,4) = %d, want 8", b)
-	}
-	if CombinationBits(5, 0) != 0 {
-		t.Fatal("empty set should cost 0 bits")
-	}
-}
-
-func TestWriteReadCombination(t *testing.T) {
-	r := xrand.New(7)
-	for trial := 0; trial < 50; trial++ {
-		n := r.Intn(25) + 1
-		k := r.Intn(n + 1)
-		elems := r.Sample(n, k)
-		w := NewBitWriter()
-		w.WriteCombination(elems, n)
-		rd := NewBitReader(w.Bytes(), w.Len())
-		got, err := rd.ReadCombination(n, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := make(map[int]bool)
-		for _, v := range elems {
-			seen[v] = true
-		}
-		for _, v := range got {
-			if !seen[v] {
-				t.Fatalf("decoded stray element %d", v)
-			}
-		}
-	}
-}
-
-func TestRGSRoundTrip(t *testing.T) {
-	check := func(seed uint64, qq, dd uint8) bool {
-		q := int(qq%30) + 1
-		d := int(dd%6) + 1
-		r := xrand.New(seed)
-		// Generate a valid RGS.
-		rgs := make([]uint8, q)
-		maxv := -1
-		for i := range rgs {
-			limit := maxv + 1
-			if limit > d-1 {
-				limit = d - 1
-			}
-			rgs[i] = uint8(r.Intn(limit + 1))
-			if int(rgs[i]) > maxv {
-				maxv = int(rgs[i])
-			}
-		}
-		w := NewBitWriter()
-		w.WriteRGS(rgs, d)
-		rd := NewBitReader(w.Bytes(), w.Len())
-		got, err := rd.ReadRGS(q, d)
-		if err != nil {
-			return false
-		}
-		for i := range rgs {
-			if got[i] != rgs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRGSBitsIsUpperBound(t *testing.T) {
-	// Worst-case cost bound must dominate any actual encoding.
-	r := xrand.New(4)
-	for trial := 0; trial < 100; trial++ {
-		q := r.Intn(20) + 1
-		d := r.Intn(5) + 1
-		rgs := make([]uint8, q)
-		maxv := -1
-		for i := range rgs {
-			limit := maxv + 1
-			if limit > d-1 {
-				limit = d - 1
-			}
-			rgs[i] = uint8(r.Intn(limit + 1))
-			if int(rgs[i]) > maxv {
-				maxv = int(rgs[i])
-			}
-		}
-		w := NewBitWriter()
-		w.WriteRGS(rgs, d)
-		if w.Len() > RGSBits(q, d) {
-			t.Fatalf("actual RGS cost %d exceeds bound %d (q=%d d=%d)", w.Len(), RGSBits(q, d), q, d)
-		}
-	}
-}
-
-func TestWriteRGSRejectsInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid RGS accepted")
-		}
-	}()
-	w := NewBitWriter()
-	w.WriteRGS([]uint8{0, 2}, 3) // 2 > running max 0 + 1
 }
 
 func TestBitWriterReset(t *testing.T) {

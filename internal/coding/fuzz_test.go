@@ -22,73 +22,6 @@ func FuzzReadGamma(f *testing.F) {
 	})
 }
 
-func FuzzReadDelta(f *testing.F) {
-	f.Add([]byte{0xff, 0xff, 0x00})
-	f.Add([]byte{0x80})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewBitReader(data, len(data)*8)
-		for r.Remaining() > 0 {
-			if _, err := r.ReadDelta(); err != nil {
-				return
-			}
-		}
-	})
-}
-
-func FuzzReadRice(f *testing.F) {
-	f.Add([]byte{0xf0, 0x0f}, 3)
-	f.Add([]byte{0x00}, 0)
-	f.Fuzz(func(t *testing.T, data []byte, k int) {
-		if k < 0 || k > 16 {
-			return
-		}
-		r := NewBitReader(data, len(data)*8)
-		for r.Remaining() > 0 {
-			if _, err := r.ReadRice(k); err != nil {
-				return
-			}
-		}
-	})
-}
-
-func FuzzReadRGS(f *testing.F) {
-	f.Add([]byte{0b00011011}, 8, 3)
-	f.Add([]byte{0xff, 0xff}, 5, 4)
-	f.Fuzz(func(t *testing.T, data []byte, q, d int) {
-		if q < 1 || q > 64 || d < 1 || d > 8 {
-			return
-		}
-		r := NewBitReader(data, len(data)*8)
-		rgs, err := r.ReadRGS(q, d)
-		if err != nil {
-			return
-		}
-		// Any successful parse must be a VALID restricted growth string.
-		maxv := -1
-		for _, v := range rgs {
-			if int(v) > maxv+1 || int(v) >= d {
-				t.Fatalf("decoder produced invalid RGS %v", rgs)
-			}
-			if int(v) > maxv {
-				maxv = int(v)
-			}
-		}
-		// And re-encoding must reproduce the consumed bits' semantics.
-		w := NewBitWriter()
-		w.WriteRGS(rgs, d)
-		r2 := NewBitReader(w.Bytes(), w.Len())
-		back, err := r2.ReadRGS(q, d)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		for i := range rgs {
-			if back[i] != rgs[i] {
-				t.Fatal("RGS re-encode round trip failed")
-			}
-		}
-	})
-}
-
 func FuzzReadPermutation(f *testing.F) {
 	f.Add([]byte{0x12, 0x34, 0x56}, 4)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {

@@ -21,9 +21,13 @@
 //     fixed no matter how rows were interleaved at runtime.
 //
 // The result is bit-identical for every worker count. This package is
-// the only code that sweeps the pair space: internal/routing keeps the
-// model and the single-pair simulator, and the serial reference loops
-// the tests compare against live in the root package's tests.
+// the only code that measures stretch and memory over the pair space:
+// internal/routing keeps the model and the single-pair simulator, and
+// the serial reference loops the tests compare against live in the root
+// package's tests. One other sweep exists: faults.Measure also walks
+// every pair, because it classifies each failed pair by reason where
+// this engine stops at the first failure (its entry in the duplicate
+// ledger, duplicates_test.go, records why it stays).
 //
 // A deterministic sampling mode (Options.Sample, seeded through
 // internal/xrand) evaluates a uniform subset of the ordered pairs so that

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,6 +185,50 @@ func TestRouteErrorReasons(t *testing.T) {
 	assertReason(err, ReasonDeadPort, "dead port 1 at node 0")
 	err = RouteVisit(killed, always1, 0, 3, 0, func(Hop) {})
 	assertReason(err, ReasonDeadPort, "dead port 1 at node 0")
+}
+
+// TestRouteLenMatchesRouteVisit pins RouteLen to RouteVisit, the walk it
+// repeats without the per-hop callback: on every pair of each cell,
+// delivered or failed, RouteLen returns the number of edges RouteVisit
+// visits and an identical *RouteError.
+func TestRouteLenMatchesRouteVisit(t *testing.T) {
+	always1 := funcStub{port: func(x graph.NodeID, h Header) graph.Port { return 1 }}
+	badPort := funcStub{port: func(x graph.NodeID, h Header) graph.Port { return 99 }}
+	wrongNode := funcStub{port: func(x graph.NodeID, h Header) graph.Port { return graph.NoPort }}
+	killed := gen.Cycle(6)
+	killed.RemoveEdge(0, killed.Neighbor(0, 1))
+	grid, cube := gen.Grid2D(4, 4), gen.Hypercube(4)
+	cells := []struct {
+		name    string
+		g       *graph.Graph
+		r       Function
+		maxHops int
+	}{
+		{"grid-greedy", grid, newGreedy(grid), 0},
+		{"cube-greedy", cube, newGreedy(cube), 0},
+		{"loop", gen.Cycle(6), always1, 0},
+		{"hop-budget", gen.Cycle(6), always1, 2},
+		{"invalid-port", gen.Cycle(6), badPort, 0},
+		{"non-delivery", gen.Cycle(6), wrongNode, 0},
+		{"dead-port", killed, always1, 0},
+	}
+	for _, c := range cells {
+		n := c.g.Order()
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				src, dst := graph.NodeID(u), graph.NodeID(v)
+				visited := 0
+				errV := RouteVisit(c.g, c.r, src, dst, c.maxHops, func(Hop) { visited++ })
+				l, errL := RouteLen(c.g, c.r, src, dst, c.maxHops)
+				if !reflect.DeepEqual(errL, errV) {
+					t.Fatalf("%s %d->%d: RouteLen error %v, RouteVisit error %v", c.name, u, v, errL, errV)
+				}
+				if errV == nil && l != visited-1 {
+					t.Fatalf("%s %d->%d: RouteLen %d, RouteVisit walked %d edges", c.name, u, v, l, visited-1)
+				}
+			}
+		}
+	}
 }
 
 // funcStub adapts a port closure into a Function for failure-mode tests.

@@ -11,9 +11,9 @@ import (
 // "interval"). The payload mirrors what LocalBits meters: the label
 // permutation (shared section, n fixed-width values), then per router,
 // per port, the cyclic intervals themselves — a gamma-coded count
-// followed by two label endpoints per interval, the same layout as the
-// per-router EncodeNode code (whose own-label prefix moves into the
-// shared section here). Destination-to-port assignment is
+// followed by two label endpoints per interval (writeIntervalSection).
+// Router x's span is LocalBits(x) less its ceil(log2 n)-bit own label,
+// which lives in the shared section. Destination-to-port assignment is
 // reconstructed by expanding the intervals, so a decoded scheme routes
 // bit-identically and recomputes the identical ivals / LocalBits from
 // the expanded rows.

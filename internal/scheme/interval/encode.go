@@ -7,25 +7,16 @@ import (
 	"repro/internal/graph"
 )
 
-// EncodeNode serializes router x's interval tables with the fixed coding
-// strategy whose cost LocalBits reports:
+// writeIntervalSection appends router x's per-port interval lists, the
+// per-router span of the wire codec's EncodePayload and the code
+// LocalBits meters (less the own label, which the payload carries in its
+// shared label section):
 //
-//	own label                     ceil(log2 n) bits
 //	per port (1..deg):            gamma(#intervals+1)
 //	  per interval:               two labels of ceil(log2 n) bits each
 //
 // Intervals are cyclic [lo, hi] (wrapping past n-1); a destination label
 // is routed on the unique port whose interval set covers it.
-func (s *Scheme) EncodeNode(x graph.NodeID) []byte {
-	w := coding.NewBitWriter()
-	w.WriteBits(uint64(s.label[x]), coding.BitsFor(uint64(len(s.label))))
-	s.writeIntervalSection(w, x)
-	return w.Bytes()
-}
-
-// writeIntervalSection appends router x's per-port interval lists — the
-// body shared by EncodeNode (the metered per-router code) and the wire
-// codec's EncodePayload, so the two layouts cannot drift apart.
 func (s *Scheme) writeIntervalSection(w *coding.BitWriter, x graph.NodeID) {
 	wn := coding.BitsFor(uint64(len(s.label)))
 	for k, cnt := range s.ivals[x] {
@@ -40,52 +31,6 @@ func (s *Scheme) writeIntervalSection(w *coding.BitWriter, x graph.NodeID) {
 			w.WriteBits(uint64(iv[1]), wn)
 		}
 	}
-}
-
-// DecodeNode parses EncodeNode's output back into a per-label port
-// assignment (NoPort at the router's own label). deg is the router's
-// degree and n the graph order — both part of the fixed local structure.
-func DecodeNode(buf []byte, n, deg int) (own int32, assign []graph.Port, err error) {
-	wn := coding.BitsFor(uint64(n))
-	r := coding.NewBitReader(buf, len(buf)*8)
-	v, err := r.ReadBits(wn)
-	if err != nil {
-		return 0, nil, err
-	}
-	if v >= uint64(n) {
-		return 0, nil, fmt.Errorf("interval: corrupt own label %d >= n=%d", v, n)
-	}
-	own = int32(v)
-	assign = make([]graph.Port, n)
-	for k := 0; k < deg; k++ {
-		cnt, err := r.ReadGamma()
-		if err != nil {
-			return 0, nil, err
-		}
-		for i := uint64(0); i < cnt-1; i++ {
-			lo64, err := r.ReadBits(wn)
-			if err != nil {
-				return 0, nil, err
-			}
-			hi64, err := r.ReadBits(wn)
-			if err != nil {
-				return 0, nil, err
-			}
-			lo, hi := int32(lo64), int32(hi64)
-			if lo >= int32(n) || hi >= int32(n) {
-				return 0, nil, fmt.Errorf("interval: corrupt endpoint %d/%d", lo, hi)
-			}
-			for lab := lo; ; lab = (lab + 1) % int32(n) {
-				if lab != own {
-					assign[lab] = graph.Port(k + 1)
-				}
-				if lab == hi {
-					break
-				}
-			}
-		}
-	}
-	return own, assign, nil
 }
 
 // intervalsOf reconstructs the cyclic intervals of labels assigned to

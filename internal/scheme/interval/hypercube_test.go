@@ -1,9 +1,12 @@
 package interval
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/coding"
 	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -63,6 +66,29 @@ func TestHypercube1IRSRejectsWrongGraph(t *testing.T) {
 	}
 }
 
+// payloadRoundTrip encodes s with the wire codec and decodes it against
+// s's graph, reporting whether labels and every router's port
+// assignment come back unchanged.
+func payloadRoundTrip(s *Scheme) error {
+	w := coding.NewBitWriter()
+	s.EncodePayload(w)
+	d, err := DecodePayload(coding.NewBitReader(w.Bytes(), w.Len()), s.g)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(d.label, s.label) {
+		return fmt.Errorf("labels %v, want %v", d.label, s.label)
+	}
+	for x := range s.assign {
+		for lab := range s.assign[x] {
+			if int32(lab) != s.label[x] && d.assign[x][lab] != s.assign[x][lab] {
+				return fmt.Errorf("node %d label %d: port %d vs %d", x, lab, d.assign[x][lab], s.assign[x][lab])
+			}
+		}
+	}
+	return nil
+}
+
 func TestEncodeDecodeNodeRoundTrip(t *testing.T) {
 	check := func(seed uint64, nn uint8) bool {
 		n := int(nn%25) + 3
@@ -71,42 +97,28 @@ func TestEncodeDecodeNodeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for x := 0; x < n; x++ {
-			buf := s.EncodeNode(graph.NodeID(x))
-			own, assign, err := DecodeNode(buf, n, g.Degree(graph.NodeID(x)))
-			if err != nil {
-				return false
-			}
-			if own != s.label[x] {
-				return false
-			}
-			for lab := 0; lab < n; lab++ {
-				if int32(lab) == own {
-					continue
-				}
-				if assign[lab] != s.assign[x][lab] {
-					return false
-				}
-			}
-		}
-		return true
+		return payloadRoundTrip(s) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestEncodeNodeSizeMatchesLocalBits pins the wire payload's per-router
+// spans to the metered code: router x's interval section plus its
+// ceil(log2 n)-bit own label (carried in the shared label section) is
+// exactly LocalBits(x).
 func TestEncodeNodeSizeMatchesLocalBits(t *testing.T) {
 	g := gen.RandomConnected(30, 0.2, xrand.New(6))
 	s, err := New(g, nil, Options{Policy: RunGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb, _ := s.EncodePayload(coding.NewBitWriter())
+	own := coding.BitsFor(30)
 	for x := 0; x < 30; x++ {
-		buf := s.EncodeNode(graph.NodeID(x))
-		bits := s.LocalBits(graph.NodeID(x))
-		if len(buf) != (bits+7)/8 {
-			t.Fatalf("node %d: %d bytes vs %d declared bits", x, len(buf), bits)
+		if bits := s.LocalBits(graph.NodeID(x)); rb[x]+own != bits {
+			t.Fatalf("node %d: %d+%d bits encoded vs %d declared bits", x, rb[x], own, bits)
 		}
 	}
 }
@@ -118,23 +130,7 @@ func TestHypercube1IRSEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.Order()
-	for x := 0; x < n; x++ {
-		buf := s.EncodeNode(graph.NodeID(x))
-		own, assign, err := DecodeNode(buf, n, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if own != int32(x) {
-			t.Fatalf("own label %d, want %d", own, x)
-		}
-		for lab := 0; lab < n; lab++ {
-			if lab == x {
-				continue
-			}
-			if assign[lab] != s.assign[x][lab] {
-				t.Fatalf("node %d label %d: port %d vs %d", x, lab, assign[lab], s.assign[x][lab])
-			}
-		}
+	if err := payloadRoundTrip(s); err != nil {
+		t.Fatal(err)
 	}
 }

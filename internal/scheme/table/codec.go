@@ -7,8 +7,8 @@ import (
 
 // Wire codec for the routing-table scheme (schemeio kind "table"). The
 // payload is the concatenation, in router order, of the exact
-// self-delimiting row codes LocalBits meters (EncodeRow: one flag bit,
-// then the raw or run-length-compressed row) — so the serialized form
+// self-delimiting row codes LocalBits meters (writeRowCode: one flag
+// bit, then the raw or run-length-compressed row) — so the serialized form
 // IS the fixed coding strategy, byte for byte, and per-router wire bits
 // equal LocalBits exactly. Both hop (New) and weighted (NewWeighted)
 // tables serialize through this codec: the wire format stores ports,
@@ -22,9 +22,9 @@ import (
 func (s *Scheme) EncodePayload(w *coding.BitWriter) (rb []int, routerStart int) {
 	routerStart = w.Len()
 	rb = make([]int, len(s.ports))
-	for x := range s.ports {
+	for x, row := range s.ports {
 		start := w.Len()
-		s.encodeRowTo(w, graph.NodeID(x))
+		writeRowCode(w, row, graph.NodeID(x), s.g.Degree(graph.NodeID(x)), s.bits[x])
 		rb[x] = w.Len() - start
 	}
 	return rb, routerStart
@@ -38,9 +38,14 @@ func AppendPortRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, de
 }
 
 // DecodeRowFrom parses one self-delimiting row code from a shared
-// reader — the streaming inverse of AppendPortRowCode.
+// reader into a fresh row of n entries — the streaming inverse of
+// AppendPortRowCode and of each row EncodePayload writes.
 func DecodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph.Port, error) {
-	return decodeRowFrom(r, n, x, deg)
+	row := make([]graph.Port, n)
+	if err := decodeRowInto(r, row, x, deg); err != nil {
+		return nil, err
+	}
+	return row, nil
 }
 
 // DecodePayload parses a payload written by EncodePayload against the
@@ -54,7 +59,7 @@ func DecodePayload(r *coding.BitReader, g *graph.Graph) (*Scheme, error) {
 	for x := 0; x < n; x++ {
 		xi := graph.NodeID(x)
 		deg := g.Degree(xi)
-		row, err := decodeRowFrom(r, n, xi, deg)
+		row, err := DecodeRowFrom(r, n, xi, deg)
 		if err != nil {
 			return nil, err
 		}

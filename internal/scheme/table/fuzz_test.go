@@ -3,12 +3,14 @@ package table
 import (
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/graph"
 )
 
-// FuzzDecodeRow feeds adversarial byte strings to the table-row decoder:
-// it must return a row or an error, never panic or loop, and any
-// successful parse must contain only in-range ports.
+// FuzzDecodeRow feeds adversarial byte strings to DecodeRowFrom, the row
+// decoder of the wire payload and of a generation patch: it must return
+// a row or an error, never panic or loop, and any successful parse must
+// hold NoPort at x and an in-range port at every other destination.
 func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x34}, 8, 1, 3)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 12, 0, 4)
@@ -17,7 +19,7 @@ func FuzzDecodeRow(f *testing.F) {
 		if n < 2 || n > 64 || deg < 1 || deg > 16 || x < 0 || x >= n {
 			return
 		}
-		row, err := DecodeRow(data, n, graph.NodeID(x), deg)
+		row, err := DecodeRowFrom(coding.NewBitReader(data, len(data)*8), n, graph.NodeID(x), deg)
 		if err != nil {
 			return
 		}
@@ -29,14 +31,7 @@ func FuzzDecodeRow(f *testing.F) {
 				continue
 			}
 			if p < 1 || int(p) > deg {
-				// RLE may legally leave a suffix of zero entries when the
-				// stream ends early only if it errored; a nil error with an
-				// out-of-range port is a decoder bug — except trailing
-				// zeros from an under-full stream, which DecodeRow treats
-				// as an error path. Flag anything else.
-				if p != graph.NoPort {
-					t.Fatalf("decoded port %d out of [1,%d] at %d", p, deg, v)
-				}
+				t.Fatalf("decoded port %d out of [1,%d] at %d", p, deg, v)
 			}
 		}
 	})

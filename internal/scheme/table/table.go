@@ -290,28 +290,11 @@ func encodedRowBits(row []graph.Port, x graph.NodeID, deg int) int {
 	return 1 + raw
 }
 
-// EncodeRow serializes router x's table row with the fixed coding
-// strategy; DecodeRow inverts it. These are used by round-trip tests to
-// certify that LocalBits counts a code that really determines the local
-// routing behaviour (the Kolmogorov requirement), and the wire codec
-// (codec.go) concatenates the same self-delimiting row codes.
-func (s *Scheme) EncodeRow(x graph.NodeID) []byte {
-	w := coding.NewBitWriter()
-	s.encodeRowTo(w, x)
-	return w.Bytes()
-}
-
-// encodeRowTo appends router x's row code to a shared writer. The code
-// is self-delimiting given (n, x, deg), so rows concatenate on the wire
-// without per-row framing.
-func (s *Scheme) encodeRowTo(w *coding.BitWriter, x graph.NodeID) {
-	writeRowCode(w, s.ports[x], x, s.g.Degree(x), s.bits[x])
-}
-
-// writeRowCode appends one row code, choosing the branch that bits (a
-// memoized encodedRowBits result for this row) priced cheaper — the
-// free-function form the lazy reader's canonical re-encode check shares
-// with encodeRowTo.
+// writeRowCode appends router x's row code, the fixed coding strategy
+// LocalBits meters: one flag bit, then the raw or run-length-compressed
+// row, choosing the branch that bits (a memoized encodedRowBits result
+// for this row) priced cheaper. The code is self-delimiting given
+// (n, x, deg), so rows concatenate on the wire without per-row framing.
 func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bits int) {
 	wbits := coding.BitsFor(uint64(deg))
 	n := len(row)
@@ -345,22 +328,6 @@ func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bi
 			w.WriteBits(uint64(row[v]-1), wbits)
 		}
 	}
-}
-
-// DecodeRow parses a row encoded by EncodeRow back into a port-per-
-// destination slice (NoPort at x).
-func DecodeRow(buf []byte, n int, x graph.NodeID, deg int) ([]graph.Port, error) {
-	return decodeRowFrom(coding.NewBitReader(buf, len(buf)*8), n, x, deg)
-}
-
-// decodeRowFrom parses one self-delimiting row code from a shared
-// reader — the streaming form DecodeRow and the wire codec both use.
-func decodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph.Port, error) {
-	row := make([]graph.Port, n)
-	if err := decodeRowInto(r, row, x, deg); err != nil {
-		return nil, err
-	}
-	return row, nil
 }
 
 // decodeRowInto parses one row code into a caller-provided row of n

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/coding"
 	"repro/internal/evaluate"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -163,6 +164,9 @@ func TestCycleTablesCompress(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRowRoundTrip round-trips every router's row through
+// the standalone row code (AppendPortRowCode, DecodeRowFrom) on one
+// shared writer and reader, as the delta path uses them.
 func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 	check := func(seed uint64, nn uint8) bool {
 		n := int(nn%25) + 4
@@ -171,17 +175,18 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		w := coding.NewBitWriter()
 		for x := 0; x < n; x++ {
-			buf := s.EncodeRow(graph.NodeID(x))
-			row, err := DecodeRow(buf, n, graph.NodeID(x), g.Degree(graph.NodeID(x)))
+			AppendPortRowCode(w, s.ports[x], graph.NodeID(x), g.Degree(graph.NodeID(x)))
+		}
+		r := coding.NewBitReader(w.Bytes(), w.Len())
+		for x := 0; x < n; x++ {
+			row, err := DecodeRowFrom(r, n, graph.NodeID(x), g.Degree(graph.NodeID(x)))
 			if err != nil {
 				return false
 			}
 			for v := 0; v < n; v++ {
-				if v == x {
-					continue
-				}
-				if row[v] != s.PortEntry(graph.NodeID(x), graph.NodeID(v)) {
+				if v != x && row[v] != s.PortEntry(graph.NodeID(x), graph.NodeID(v)) {
 					return false
 				}
 			}
@@ -193,18 +198,19 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodedSizeMatchesLocalBits pins the wire payload's per-router
+// spans to the metered code: the row EncodePayload writes for x is
+// exactly LocalBits(x) bits.
 func TestEncodedSizeMatchesLocalBits(t *testing.T) {
 	g := gen.RandomConnected(30, 0.2, xrand.New(17))
 	s, err := New(g, nil, MinPort)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb, _ := s.EncodePayload(coding.NewBitWriter())
 	for x := 0; x < 30; x++ {
-		buf := s.EncodeRow(graph.NodeID(x))
-		bits := s.LocalBits(graph.NodeID(x))
-		// The byte buffer is the bit count rounded up to a byte.
-		if len(buf) != (bits+7)/8 {
-			t.Fatalf("node %d: %d bytes encoded vs %d bits declared", x, len(buf), bits)
+		if bits := s.LocalBits(graph.NodeID(x)); rb[x] != bits {
+			t.Fatalf("node %d: %d bits encoded vs %d bits declared", x, rb[x], bits)
 		}
 	}
 }
