@@ -97,8 +97,8 @@ func BenchmarkLoadContainer(b *testing.B) {
 
 // BenchmarkMappedVerify times OpenMapped + Verify on random-family
 // tables: the reload a serving generation pays before its swap, where
-// every row span is decoded, checked for exact consumption and
-// re-encoded for the canonical gate.
+// every row span is decoded, checked for exact consumption and proven
+// canonical in the same decoding pass.
 func BenchmarkMappedVerify(b *testing.B) {
 	dir := b.TempDir()
 	for _, n := range []int{2048, 4096} {

@@ -120,8 +120,14 @@ var duplicateLedger = []duplicate{
 	},
 	{
 		reference:   "bit-at-a-time codec (bits_ref_test.go)",
-		candidate:   "coding word-at-a-time ReadBits/ReadUnary/WriteBits/WriteUnary",
+		candidate:   "coding word-at-a-time ReadBits/ReadUnary/ReadFixedInto/WriteBits/WriteUnary",
 		conformance: "TestBitKernelsMatchReferenceRandom",
+		keep:        testOracle,
+	},
+	{
+		reference:   "table row re-encode gate (canonicalByReencode: decode, encodedRowBits, writeRowCode, bit compare)",
+		candidate:   "table decodeRowInto proving canonicity in the decoding pass",
+		conformance: "TestDecodeRowMatchesReencodeOracle",
 		keep:        testOracle,
 	},
 	{

@@ -171,6 +171,45 @@ func (r *BitReader) ReadBits(width int) (uint64, error) {
 	return v, nil
 }
 
+// ReadFixedInto consumes len(dst) consecutive fields of width bits
+// (0..32) into dst, most significant first, each stored as
+// int32(ReadBits(width)). Bounds are checked once for the whole run:
+// a run longer than what remains consumes the rest and fails with
+// "read past end at bit nbit", like ReadBits, leaving dst unwritten.
+// Fields come out of 64-bit big-endian windows, as many per window as
+// it holds; the fields in the last 7 bytes of buf fall back to ReadBits.
+func (r *BitReader) ReadFixedInto(dst []int32, width int) error {
+	if width < 0 || width > 32 {
+		return fmt.Errorf("coding: fixed field width %d out of range [0,32]", width)
+	}
+	if len(dst)*width > r.nbit-r.pos {
+		r.pos = r.nbit
+		return fmt.Errorf("coding: read past end at bit %d", r.pos)
+	}
+	if width == 0 {
+		clear(dst)
+		return nil
+	}
+	buf, pos, i := r.buf, r.pos, 0
+	for i < len(dst) && pos>>3+8 <= len(buf) {
+		sh := pos & 7
+		w := binary.BigEndian.Uint64(buf[pos>>3:]) << uint(sh)
+		k := min((64-sh)/width, len(dst)-i)
+		for j := i; j < i+k; j++ {
+			dst[j] = int32(w >> uint(64-width))
+			w <<= uint(width)
+		}
+		i += k
+		pos += k * width
+	}
+	r.pos = pos
+	for ; i < len(dst); i++ {
+		v, _ := r.ReadBits(width) // in bounds: checked above
+		dst[i] = int32(v)
+	}
+	return nil
+}
+
 // window returns the buffer bits from pos on, left-justified in a
 // uint64: at least 57 of them are buffer bits (fewer near the end of
 // buf, zero-filled below). Bits at or past nbit may be among them;

@@ -3,6 +3,7 @@ package coding
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -88,6 +89,20 @@ func (r *refBitReader) ReadUnary() (uint64, error) {
 	}
 }
 
+func (r *refBitReader) ReadFixedInto(dst []int32, width int) error {
+	if width < 0 || width > 32 {
+		return fmt.Errorf("coding: fixed field width %d out of range [0,32]", width)
+	}
+	for i := range dst {
+		v, err := r.ReadBits(width)
+		if err != nil {
+			return err
+		}
+		dst[i] = int32(v)
+	}
+	return nil
+}
+
 // opStream feeds a differential run its choices; past the end it
 // yields zeros, so every byte string is a valid program.
 type opStream struct {
@@ -135,7 +150,8 @@ func panics(f func()) (msg string) {
 // phase (bits, words of every width with junk above width, unary runs,
 // resets, bad widths), then a read phase over the written bytes with
 // junk past nbit, a chosen nbit and start offset, and reads of every
-// width, in and out of range, including ones that run past nbit.
+// width, in and out of range, including ones that run past nbit, one
+// field at a time or as a ReadFixedInto run.
 func checkBitOps(t *testing.T, prog []byte) {
 	t.Helper()
 	s := &opStream{b: prog}
@@ -200,7 +216,7 @@ func checkBitOps(t *testing.T, prog []byte) {
 	for steps := 0; !s.done() && steps < 256; steps++ {
 		var got, want uint64
 		var gerr, werr error
-		op := s.next() % 5
+		op := s.next() % 6
 		switch op {
 		case 0:
 			var gb, wb uint
@@ -217,6 +233,13 @@ func checkBitOps(t *testing.T, prog []byte) {
 		case 4:
 			r.Reset(buf, nbit)
 			rr.pos = 0
+		case 5:
+			width, count := int(s.next()%35)-1, int(s.next()%48)
+			gd, wd := make([]int32, count), make([]int32, count)
+			gerr, werr = r.ReadFixedInto(gd, width), rr.ReadFixedInto(wd, width)
+			if gerr == nil && werr == nil && !slices.Equal(gd, wd) {
+				t.Fatalf("ReadFixedInto(%d x %d bits) = %v, reference %v", count, width, gd, wd)
+			}
 		}
 		if got != want || errText(gerr) != errText(werr) || r.Pos() != rr.pos || r.Remaining() != rr.nbit-rr.pos {
 			t.Fatalf("read op %d at nbit %d: (%#x, %v) pos %d, reference (%#x, %v) pos %d",
@@ -276,6 +299,40 @@ func TestBitKernelsMatchReferenceSweep(t *testing.T) {
 					}
 					if gerr != nil {
 						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReadFixedIntoMatchesReferenceSweep reads runs of every length
+// and every width 0..32 from every bit phase 0..7, against nbit cut
+// 0..9 bits short of a junk-filled buffer: runs that end in the last 8
+// bytes, where the window fast path hands over to ReadBits, and runs
+// that cross nbit and must fail with the reference's error and position.
+func TestReadFixedIntoMatchesReferenceSweep(t *testing.T) {
+	buf := make([]byte, 40)
+	rng := xrand.New(32)
+	for i := range buf {
+		buf[i] = byte(rng.Uint64())
+	}
+	for off := 0; off < 8; off++ {
+		for width := 0; width <= 32; width++ {
+			for cut := 0; cut < 10; cut++ {
+				nbit := 8*len(buf) - cut
+				maxCount := 3
+				if width > 0 {
+					maxCount = (nbit-off)/width + 2
+				}
+				for count := 0; count <= maxCount; count++ {
+					r := NewBitReaderAt(buf, off, nbit)
+					rr := &refBitReader{buf: buf, pos: off, nbit: nbit}
+					got, want := make([]int32, count), make([]int32, count)
+					gerr, werr := r.ReadFixedInto(got, width), rr.ReadFixedInto(want, width)
+					if errText(gerr) != errText(werr) || r.Pos() != rr.pos || (gerr == nil && !slices.Equal(got, want)) {
+						t.Fatalf("off %d width %d nbit %d count %d: (%v, %v) pos %d, reference (%v, %v) pos %d",
+							off, width, nbit, count, got, gerr, r.Pos(), want, werr, rr.pos)
 					}
 				}
 			}

@@ -1,7 +1,8 @@
 // Package combinat supplies the exact and asymptotic combinatorial
-// quantities used by the paper's counting arguments: factorials, binomial
-// coefficients, Stirling partition numbers, their base-2 logarithms, and
-// enumeration of set partitions as restricted growth strings.
+// quantities used by the paper's counting arguments: factorials, Stirling
+// partition numbers, base-2 logarithms of factorials and binomial
+// coefficients, and enumeration of set partitions as restricted growth
+// strings.
 //
 // Lemma 1 of the paper bounds |dMpq| >= d^(pq) / (p!·q!·(d!)^p); Theorem 1
 // consumes this as log2|dMpq| >= pq·log2 d − log2 p! − log2 q! − p·log2 d!,
@@ -21,14 +22,6 @@ func Factorial(n int) *big.Int {
 		panic("combinat: negative factorial")
 	}
 	return new(big.Int).MulRange(1, int64(max(n, 1)))
-}
-
-// Binomial returns C(n, k) exactly (0 when k < 0 or k > n).
-func Binomial(n, k int) *big.Int {
-	if k < 0 || k > n {
-		return big.NewInt(0)
-	}
-	return new(big.Int).Binomial(int64(n), int64(k))
 }
 
 // Log2Factorial returns log2(n!) as a float64, exact to double precision

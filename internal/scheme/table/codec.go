@@ -39,7 +39,8 @@ func AppendPortRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, de
 
 // DecodeRowFrom parses one self-delimiting row code from a shared
 // reader into a fresh row of n entries — the streaming inverse of
-// AppendPortRowCode and of each row EncodePayload writes.
+// AppendPortRowCode and of each row EncodePayload writes. It accepts
+// only the canonical code of the row (see decodeRowInto).
 func DecodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph.Port, error) {
 	row := make([]graph.Port, n)
 	if err := decodeRowInto(r, row, x, deg); err != nil {
@@ -51,20 +52,22 @@ func DecodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph
 // DecodePayload parses a payload written by EncodePayload against the
 // graph the scheme was built on, returning a scheme that routes
 // bit-identically to the encoded one. Malformed bytes (out-of-range
-// ports, overrunning runs, truncation) error, never panic; every
-// allocation is sized by g, not by attacker-controlled counts.
+// ports, overrunning runs, non-canonical row codes, truncation) error,
+// never panic; every allocation is sized by g, not by
+// attacker-controlled counts.
 func DecodePayload(r *coding.BitReader, g *graph.Graph) (*Scheme, error) {
 	n := g.Order()
 	s := newScheme(g, n)
 	for x := 0; x < n; x++ {
 		xi := graph.NodeID(x)
 		deg := g.Degree(xi)
+		start := r.Pos()
 		row, err := DecodeRowFrom(r, n, xi, deg)
 		if err != nil {
 			return nil, err
 		}
 		s.ports[x] = row
-		s.bits[x] = encodedRowBits(row, xi, deg)
+		s.bits[x] = r.Pos() - start // a canonical row code is exactly LocalBits long
 	}
 	return s, nil
 }

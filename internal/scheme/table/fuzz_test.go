@@ -1,16 +1,207 @@
 package table
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/coding"
 	"repro/internal/graph"
+	"repro/internal/xrand"
 )
+
+// canonicalByReencode is the re-encode gate decodeRowInto replaced,
+// kept as its oracle: parse the row code at the start of data
+// permissively (every port below deg and no run past the row's end,
+// nothing else), re-encode the row with encodedRowBits and
+// writeRowCode, and accept only if the re-encoding is bit for bit the
+// span the parse consumed. It returns the row and the span length.
+func canonicalByReencode(data []byte, n int, x graph.NodeID, deg int) ([]graph.Port, int, bool) {
+	r := coding.NewBitReader(data, len(data)*8)
+	row := make([]graph.Port, n)
+	wbits := coding.BitsFor(uint64(deg))
+	port := func() (graph.Port, bool) {
+		b, err := r.ReadBits(wbits)
+		if err != nil || int(b) >= deg {
+			return 0, false
+		}
+		return graph.Port(b + 1), true
+	}
+	flag, err := r.ReadBit()
+	if err != nil {
+		return nil, 0, false
+	}
+	if flag == 0 {
+		for v := 0; v < n; v++ {
+			if graph.NodeID(v) == x {
+				continue
+			}
+			p, ok := port()
+			if !ok {
+				return nil, 0, false
+			}
+			row[v] = p
+		}
+	} else {
+		for v := 0; v < n; {
+			if graph.NodeID(v) == x {
+				v++
+				continue
+			}
+			runLen, err := r.ReadGamma()
+			if err != nil {
+				return nil, 0, false
+			}
+			p, ok := port()
+			if !ok {
+				return nil, 0, false
+			}
+			for k := uint64(0); k < runLen; v++ {
+				if v >= n {
+					return nil, 0, false
+				}
+				if graph.NodeID(v) != x {
+					row[v] = p
+					k++
+				}
+			}
+		}
+	}
+	span := r.Pos()
+	w := coding.NewBitWriter()
+	writeRowCode(w, row, x, deg, encodedRowBits(row, x, deg))
+	if w.Len() != span {
+		return nil, 0, false
+	}
+	got, want := coding.NewBitReader(data, span), coding.NewBitReader(w.Bytes(), span)
+	for rem := span; rem > 0; rem-- {
+		a, _ := got.ReadBit()
+		b, _ := want.ReadBit()
+		if a != b {
+			return nil, 0, false
+		}
+	}
+	return row, span, true
+}
+
+// checkDecodeRow runs DecodeRowFrom and the re-encode oracle on one
+// input: they must accept exactly the same inputs, and on an accepted
+// one return the same row with the same span, NoPort at x and an
+// in-range port everywhere else.
+func checkDecodeRow(t *testing.T, data []byte, n int, x graph.NodeID, deg int) {
+	t.Helper()
+	r := coding.NewBitReader(data, len(data)*8)
+	row, err := DecodeRowFrom(r, n, x, deg)
+	want, span, ok := canonicalByReencode(data, n, x, deg)
+	if (err == nil) != ok {
+		t.Fatalf("n=%d x=%d deg=%d data %x: DecodeRowFrom err %v, re-encode oracle accepts %v", n, x, deg, data, err, ok)
+	}
+	if !ok {
+		return
+	}
+	if !slices.Equal(row, want) || r.Pos() != span {
+		t.Fatalf("n=%d x=%d deg=%d data %x: row %v over %d bits, oracle %v over %d", n, x, deg, data, row, r.Pos(), want, span)
+	}
+	for v, p := range row {
+		if graph.NodeID(v) == x {
+			if p != graph.NoPort {
+				t.Fatalf("own entry must be NoPort, got %d", p)
+			}
+			continue
+		}
+		if p < 1 || int(p) > deg {
+			t.Fatalf("decoded port %d out of [1,%d] at %d", p, deg, v)
+		}
+	}
+}
+
+// spellRaw writes a raw row code (flag 0) for row, whatever it costs.
+func spellRaw(row []graph.Port, x graph.NodeID, deg int) []byte {
+	w := coding.NewBitWriter()
+	w.WriteBit(0)
+	for v, p := range row {
+		if graph.NodeID(v) != x {
+			w.WriteBits(uint64(p-1), coding.BitsFor(uint64(deg)))
+		}
+	}
+	return w.Bytes()
+}
+
+// spellRuns writes an RLE row code (flag 1) of the given (length, port)
+// runs, whatever it costs and however the runs split.
+func spellRuns(runs [][2]int, deg int) []byte {
+	w := coding.NewBitWriter()
+	w.WriteBit(1)
+	for _, run := range runs {
+		w.WriteGamma(uint64(run[0]))
+		w.WriteBits(uint64(run[1]-1), coding.BitsFor(uint64(deg)))
+	}
+	return w.Bytes()
+}
+
+// TestDecodeRowMatchesReencodeOracle is the conformance test of the
+// decoder's in-pass canonicity proof against the re-encode gate: both
+// must reject the three non-canonical spellings of a row (raw where RLE
+// is shorter, RLE with equal-port neighbouring runs, also straddling x,
+// and RLE no shorter than raw), and agree on every canonical code of
+// random run-structured rows and on bit-flipped and cut copies of them.
+func TestDecodeRowMatchesReencodeOracle(t *testing.T) {
+	rejects := []struct {
+		name   string
+		data   []byte
+		n, x   int
+		deg    int
+		reason string
+	}{
+		{"raw-where-rle-shorter", spellRaw(slices.Repeat([]graph.Port{2}, 16), 3, 4), 16, 3, 4, "raw row"},
+		{"split-run", spellRuns([][2]int{{4, 2}, {5, 2}, {6, 1}}, 4), 16, 3, 4, "splits a run"},
+		{"split-run-straddling-x", spellRuns([][2]int{{3, 2}, {6, 2}, {6, 1}}, 4), 16, 3, 4, "splits a run"},
+		{"rle-not-shorter", spellRuns([][2]int{{1, 1}, {1, 2}, {1, 3}, {1, 4}, {1, 1}}, 4), 6, 0, 4, "RLE row"},
+	}
+	for _, tc := range rejects {
+		_, err := DecodeRowFrom(coding.NewBitReader(tc.data, len(tc.data)*8), tc.n, graph.NodeID(tc.x), tc.deg)
+		if err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: DecodeRowFrom err %v, want a %q rejection", tc.name, err, tc.reason)
+		}
+		if _, _, ok := canonicalByReencode(tc.data, tc.n, graph.NodeID(tc.x), tc.deg); ok {
+			t.Errorf("%s: the re-encode oracle accepts it", tc.name)
+		}
+	}
+
+	rng := xrand.New(31)
+	for i := 0; i < 4000; i++ {
+		n, deg := 2+rng.Intn(40), 1+rng.Intn(9)
+		x := graph.NodeID(rng.Intn(n))
+		row := make([]graph.Port, n)
+		p := graph.Port(1 + rng.Intn(deg))
+		for v := range row {
+			if rng.Intn(4) == 0 {
+				p = graph.Port(1 + rng.Intn(deg))
+			}
+			if graph.NodeID(v) != x {
+				row[v] = p
+			}
+		}
+		w := coding.NewBitWriter()
+		AppendPortRowCode(w, row, x, deg)
+		data := append([]byte(nil), w.Bytes()...)
+		checkDecodeRow(t, data, n, x, deg)
+		if got, err := DecodeRowFrom(coding.NewBitReader(data, len(data)*8), n, x, deg); err != nil || !slices.Equal(got, row) {
+			t.Fatalf("canonical code of %v: got %v, %v", row, got, err)
+		}
+		for k := 0; k < 4; k++ {
+			bad := append([]byte(nil), data...)
+			bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
+			checkDecodeRow(t, bad, n, x, deg)
+		}
+		checkDecodeRow(t, data[:rng.Intn(len(data))], n, x, deg)
+	}
+}
 
 // FuzzDecodeRow feeds adversarial byte strings to DecodeRowFrom, the row
 // decoder of the wire payload and of a generation patch: it must return
-// a row or an error, never panic or loop, and any successful parse must
-// hold NoPort at x and an in-range port at every other destination.
+// a row or an error, never panic or loop, and accept exactly the inputs
+// the re-encode oracle accepts, with the same row (checkDecodeRow).
 func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x34}, 8, 1, 3)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 12, 0, 4)
@@ -19,20 +210,6 @@ func FuzzDecodeRow(f *testing.F) {
 		if n < 2 || n > 64 || deg < 1 || deg > 16 || x < 0 || x >= n {
 			return
 		}
-		row, err := DecodeRowFrom(coding.NewBitReader(data, len(data)*8), n, graph.NodeID(x), deg)
-		if err != nil {
-			return
-		}
-		for v, p := range row {
-			if v == x {
-				if p != graph.NoPort {
-					t.Fatalf("own entry must be NoPort, got %d", p)
-				}
-				continue
-			}
-			if p < 1 || int(p) > deg {
-				t.Fatalf("decoded port %d out of [1,%d] at %d", p, deg, v)
-			}
-		}
+		checkDecodeRow(t, data, n, graph.NodeID(x), deg)
 	})
 }

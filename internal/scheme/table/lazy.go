@@ -13,13 +13,16 @@ package table
 //
 // Correctness discipline matches the heap reader: each row span is
 // decoded with a reader confined to exactly [offs[x], offs[x+1]) bits,
-// must consume the span exactly, and must re-encode bit-identically
-// under the canonical row coder — the per-span restatement of Decode's
-// "decodes successfully == re-encodes byte-identically" gate. A stripe
+// must consume the span exactly, and must be the one code the canonical
+// row coder emits for its row — proven by decodeRowInto in the decoding
+// pass, the per-span restatement of Decode's "decodes successfully ==
+// re-encodes byte-identically" gate without the re-encode. A stripe
 // that fails any check is poisoned, not fatal: its routers answer
 // NoPort, so a corrupt span surfaces as a per-route RouteError from the
 // simulator ("delivered at wrong node"), never as a panic or a wrong
-// delivery.
+// delivery. So does a stripe whose bytes vanish under it — a mapped
+// file truncated in place — since each stripe decodes under
+// GuardFault, which turns the memory fault into ErrBackingFault.
 
 import (
 	"fmt"
@@ -33,7 +36,7 @@ import (
 )
 
 // lazyStripe is the number of routers decoded together on first touch.
-// 256 rows amortize the payload fetch and scratch-writer warm-up while
+// 256 rows amortize the payload fetch and the fault guard while
 // keeping the worst-case wasted decode (touch one router, decode 256)
 // far below the O(n) rows a heap load pays per router.
 const lazyStripe = 256
@@ -100,8 +103,8 @@ func (l *Lazy) resolveBlob() ([]byte, error) {
 }
 
 // decodeStripe materializes stripe si: every row in [lo, hi) decoded
-// from its indexed span into one arena, each span verified for exact
-// consumption and canonical re-encoding.
+// from its indexed span into one arena, each span proven canonical by
+// decodeRowInto and checked for exact consumption.
 func (l *Lazy) decodeStripe(si int) ([]graph.Port, error) {
 	blob, err := l.resolveBlob()
 	if err != nil {
@@ -113,28 +116,18 @@ func (l *Lazy) decodeStripe(si int) ([]graph.Port, error) {
 		hi = l.n
 	}
 	arena := make([]graph.Port, (hi-lo)*l.n)
-	scratch := coding.NewBitWriter()
 	for x := lo; x < hi; x++ {
 		off, end := l.offs[x], l.offs[x+1]
 		if end > uint64(len(blob))*8 {
 			return nil, fmt.Errorf("table: router %d span ends at bit %d, payload has %d", x, end, len(blob)*8)
 		}
 		row := arena[(x-lo)*l.n : (x-lo+1)*l.n]
-		deg := l.g.Degree(graph.NodeID(x))
 		r := coding.NewBitReaderAt(blob, int(off), int(end))
-		if err := decodeRowInto(r, row, graph.NodeID(x), deg); err != nil {
+		if err := decodeRowInto(r, row, graph.NodeID(x), l.g.Degree(graph.NodeID(x))); err != nil {
 			return nil, fmt.Errorf("table: router %d: %w", x, err)
 		}
 		if r.Pos() != int(end) {
 			return nil, fmt.Errorf("table: router %d code is %d bits, index says %d", x, r.Pos()-int(off), end-off)
-		}
-		// Canonical gate, per span: the bits must be the one encoding the
-		// fixed row coder produces for this row.
-		bits := encodedRowBits(row, graph.NodeID(x), deg)
-		scratch.Reset()
-		writeRowCode(scratch, row, graph.NodeID(x), deg, bits)
-		if scratch.Len() != int(end-off) || !bitsEqualAt(blob, int(off), scratch.Bytes(), scratch.Len()) {
-			return nil, fmt.Errorf("table: router %d span is not the canonical row encoding", x)
 		}
 	}
 	return arena, nil
@@ -143,7 +136,12 @@ func (l *Lazy) decodeStripe(si int) ([]graph.Port, error) {
 // stripe returns stripe si's arena, decoding it on first use.
 func (l *Lazy) stripe(si int) *stripeState {
 	st := &l.stripes[si]
-	st.once.Do(func() { st.rows, st.err = l.decodeStripe(si) })
+	st.once.Do(func() {
+		st.err = GuardFault(func() (err error) {
+			st.rows, err = l.decodeStripe(si)
+			return err
+		})
+	})
 	return st
 }
 
@@ -221,23 +219,3 @@ var (
 	_ routing.Scheme      = (*Lazy)(nil)
 	_ routing.HeaderSizer = (*Lazy)(nil)
 )
-
-// bitsEqualAt reports whether nbits bits of a starting at bit aOff
-// equal the first nbits of b.
-func bitsEqualAt(a []byte, aOff int, b []byte, nbits int) bool {
-	ra := coding.NewBitReaderAt(a, aOff, aOff+nbits)
-	rb := coding.NewBitReader(b, nbits)
-	for rem := nbits; rem > 0; {
-		k := rem
-		if k > 64 {
-			k = 64
-		}
-		va, errA := ra.ReadBits(k)
-		vb, errB := rb.ReadBits(k)
-		if errA != nil || errB != nil || va != vb {
-			return false
-		}
-		rem -= k
-	}
-	return true
-}

@@ -332,33 +332,65 @@ func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bi
 
 // decodeRowInto parses one row code into a caller-provided row of n
 // entries — the arena form the lazy mapped reader uses to decode a
-// whole stripe of routers into one contiguous block. row must arrive
-// zeroed (NoPort everywhere); on success every entry except row[x] is
-// assigned.
+// whole stripe of routers into one contiguous block — and accepts it
+// only if it is the code writeRowCode emits for the row it decodes to:
+//
+//	raw (flag 0): every port below deg, and the row's RLE cost, with
+//	runs merged across the skipped x as encodedRowBits merges them, at
+//	least its raw cost;
+//	RLE (flag 1): every port below deg, no run past the row's end, no
+//	two consecutive runs (across x too) with one port, and a cost
+//	strictly below the raw cost.
+//
+// Gamma codes and fixed-width fields are bijective, so these checks are
+// the re-encode gate's accept set, proven in the decoding pass. row
+// must arrive zeroed (NoPort everywhere); on success every entry except
+// row[x] is assigned.
 func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg int) error {
 	wbits := coding.BitsFor(uint64(deg))
 	n := len(row)
+	raw := (n - 1) * wbits
+	start := r.Pos()
 	flag, err := r.ReadBit()
 	if err != nil {
 		return err
 	}
 	if flag == 0 {
-		for v := 0; v < n; v++ {
+		// The fields land in row as port-1 and are checked and shifted
+		// to ports here, counting the runs merged across x. row[x]
+		// stays NoPort.
+		if err := r.ReadFixedInto(row[:x], wbits); err != nil {
+			return err
+		}
+		if err := r.ReadFixedInto(row[x+1:], wbits); err != nil {
+			return err
+		}
+		runs, prev := 0, graph.NoPort
+		for v, b := range row {
 			if graph.NodeID(v) == x {
 				continue
 			}
-			b, err := r.ReadBits(wbits)
-			if err != nil {
-				return err
+			if uint32(b) >= uint32(deg) {
+				return fmt.Errorf("table: decoded port %d exceeds degree %d", int64(uint32(b))+1, deg)
 			}
-			if int(b) >= deg {
-				return fmt.Errorf("table: decoded port %d exceeds degree %d", b+1, deg)
+			p := b + 1
+			row[v] = p
+			if p != prev {
+				runs++
 			}
-			row[v] = graph.Port(b + 1)
+			prev = p
+		}
+		// Every run costs at least a 1-bit gamma plus its port, so only
+		// a row with few runs can be cheaper in RLE; price those exactly.
+		if runs*(1+wbits) < raw {
+			if bits := encodedRowBits(row, x, deg); bits-1 < raw {
+				return fmt.Errorf("table: raw row of %d bits where RLE takes %d", raw, bits-1)
+			}
 		}
 		return nil
 	}
 	// RLE: runs cover destinations in label order, skipping x.
+	prev := graph.NoPort
 	v := 0
 	for v < n {
 		if graph.NodeID(v) == x {
@@ -377,6 +409,10 @@ func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg in
 			return fmt.Errorf("table: decoded port %d exceeds degree %d", pbits+1, deg)
 		}
 		p := graph.Port(pbits + 1)
+		if p == prev {
+			return fmt.Errorf("table: RLE splits a run of port %d", p)
+		}
+		prev = p
 		for k := uint64(0); k < runLen; {
 			if v >= n {
 				return fmt.Errorf("table: RLE overruns row")
@@ -389,6 +425,9 @@ func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg in
 			v++
 			k++
 		}
+	}
+	if rle := r.Pos() - start - 1; rle >= raw {
+		return fmt.Errorf("table: RLE row of %d bits where raw takes %d", rle, raw)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
 	"repro/internal/shortest"
 	"repro/internal/xrand"
@@ -90,6 +91,65 @@ func TestReplaceWhileMapped(t *testing.T) {
 		}
 		assertSampledRoutes(t, g2, s2, fresh.Scheme(), fresh.Graph())
 		fresh.Close()
+	}
+}
+
+// TestTruncateWhileMapped pins what happens when a container is
+// truncated in place under a live Mapped, the replacement
+// WriteFileAtomic cannot prevent: routes through bytes that are gone
+// fail with a typed per-route error, Verify reports ErrBackingFault,
+// and the process survives. Without the fault guard the mmap arms die
+// of SIGBUS. The mmap table arm routes before truncating, so its first
+// stripe is decoded and the fault hits a later stripe; the other arms
+// truncate before the payload is first read (a pread backing copies
+// the payload on that read, and a non-table scheme decodes whole).
+func TestTruncateWhileMapped(t *testing.T) {
+	const n = 600 // three lazily decoded table stripes
+	gt, st := seededTables(t, n, 1)
+	gl := gen.RandomConnected(n, 6.0/float64(n), xrand.New(4))
+	sl, err := landmark.NewStreamed(gl, landmark.Options{Seed: 17}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		g              *graph.Graph
+		s              routing.Scheme
+		tryMmap, touch bool
+	}{
+		{"tables/mmap", gt, st, true, true},
+		{"tables/pread", gt, st, false, false},
+		{"landmark/mmap", gl, sl, true, false},
+		{"landmark/pread", gl, sl, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "scheme.rsf")
+			saveAtomic(t, path, tc.g, tc.s)
+			m, err := openMappedFile(path, tc.tryMmap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if _, mapped := m.b.(*byteBacking); mapped != tc.tryMmap {
+				t.Skipf("backing is %T", m.b)
+			}
+			if tc.touch {
+				if _, err := routing.RouteLen(m.Graph(), m.Scheme(), 0, 1, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.Truncate(path, 4096); err != nil {
+				t.Fatal(err)
+			}
+			_, err = routing.RouteLen(m.Graph(), m.Scheme(), n-1, n-2, 0)
+			var re *routing.RouteError
+			if !errors.As(err, &re) {
+				t.Fatalf("route %d->%d after truncation = %v, want a *routing.RouteError", n-1, n-2, err)
+			}
+			if err := m.Verify(); !errors.Is(err, ErrBackingFault) {
+				t.Fatalf("Verify after truncation = %v, want ErrBackingFault", err)
+			}
+		})
 	}
 }
 

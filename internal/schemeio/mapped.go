@@ -23,6 +23,13 @@ import (
 	"repro/internal/scheme/table"
 )
 
+// ErrBackingFault is the error a mapped reader reports when container
+// bytes it needs after open are gone: a mapped page past the end of a
+// file truncated in place (a memory fault, recovered), or a short pread.
+// Routes through the affected stripe or scheme fail per route; Verify
+// returns an error matching it under errors.Is.
+var ErrBackingFault = table.ErrBackingFault
+
 // backing abstracts where container bytes live: an mmap'd region, an
 // opened file read via pread, or an in-memory slice (ReadFile, tests,
 // fuzzers).
@@ -73,7 +80,7 @@ func (b *fileBacking) view(off, length int64) ([]byte, error) {
 	}
 	buf := make([]byte, length)
 	if _, err := b.f.ReadAt(buf, off); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("schemeio: %w: read [%d,%d): %v", ErrBackingFault, off, off+length, err)
 	}
 	return buf, nil
 }
@@ -271,34 +278,34 @@ func parseContainer(b backing, size int64) (*Mapped, error) {
 }
 
 // payloadBytes resolves (once) the scheme section: fetch the view and
-// verify its checksum and padding bits. This is the deferred cost an
-// open skips.
+// verify its checksum and padding bits, under GuardFault since the
+// checksum reads every mapped byte. This is the deferred cost an open
+// skips.
 func (m *Mapped) payloadBytes() ([]byte, error) {
 	m.payloadOnce.Do(func() {
-		sb, err := m.b.view(m.schemeOff, m.schemeLen)
-		if err != nil {
-			m.payloadErr = err
-			return
-		}
-		if got := crc32.Checksum(sb, castagnoli); got != m.schemeCRC {
-			m.payloadErr = fmt.Errorf("schemeio: scheme section checksum %#x, computed %#x", m.schemeCRC, got)
-			return
-		}
-		// Sub-byte tail must be zero padding, as in Decode: without this
-		// a mapped table file could alias a heap-rejected one.
-		r := coding.NewBitReaderAt(sb, m.payloadBits, len(sb)*8)
-		for r.Remaining() > 0 {
-			bit, err := r.ReadBit()
+		m.payloadErr = table.GuardFault(func() error {
+			sb, err := m.b.view(m.schemeOff, m.schemeLen)
 			if err != nil {
-				m.payloadErr = err
-				return
+				return err
 			}
-			if bit != 0 {
-				m.payloadErr = fmt.Errorf("schemeio: nonzero padding bit after payload")
-				return
+			if got := crc32.Checksum(sb, castagnoli); got != m.schemeCRC {
+				return fmt.Errorf("schemeio: scheme section checksum %#x, computed %#x", m.schemeCRC, got)
 			}
-		}
-		m.payload = sb
+			// Sub-byte tail must be zero padding, as in Decode: without
+			// this a mapped table file could alias a heap-rejected one.
+			r := coding.NewBitReaderAt(sb, m.payloadBits, len(sb)*8)
+			for r.Remaining() > 0 {
+				bit, err := r.ReadBit()
+				if err != nil {
+					return err
+				}
+				if bit != 0 {
+					return fmt.Errorf("schemeio: nonzero padding bit after payload")
+				}
+			}
+			m.payload = sb
+			return nil
+		})
 	})
 	return m.payload, m.payloadErr
 }
@@ -354,9 +361,9 @@ func (m *Mapped) Close() error { return m.b.close() }
 
 // lazyWhole defers a non-table scheme until first touch: one
 // decodeScheme (canonicality gate and index check included) guarded by
-// a sync.Once. A failed
-// decode poisons the scheme — every port answer is NoPort, surfacing
-// as per-route errors, never a panic.
+// a sync.Once and run under GuardFault. A failed decode, a faulting
+// mapped page included, poisons the scheme — every port answer is
+// NoPort, surfacing as per-route errors, never a panic.
 type lazyWhole struct {
 	m    *Mapped
 	once sync.Once
@@ -366,7 +373,10 @@ type lazyWhole struct {
 
 func (l *lazyWhole) resolve() (routing.Scheme, error) {
 	l.once.Do(func() {
-		l.s, l.err = l.m.decodeScheme()
+		l.err = table.GuardFault(func() (err error) {
+			l.s, err = l.m.decodeScheme()
+			return err
+		})
 	})
 	return l.s, l.err
 }
