@@ -6,7 +6,7 @@
 // trajectory") next to the evaluator suite, so the core perf trajectory
 // accumulates one data point per run:
 //
-//	go test -run '^$' -bench '^(BenchmarkBFS|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkLandmarkStreamed|BenchmarkAPSP|BenchmarkTableNew|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096)$' \
+//	go test -run '^$' -bench '^(BenchmarkBFS|BenchmarkStreamPairDist|BenchmarkMSBFS|BenchmarkLandmarkStreamed|BenchmarkAPSP|BenchmarkTableNew|BenchmarkIntervalNew|BenchmarkRouteVisit|BenchmarkEvaluateStreaming4096)$' \
 //	    -benchtime 1x -count 5 -timeout 30m . | go run ./cmd/benchjson > BENCH_core.json
 //
 // The graphs are seeded random connected graphs with mean degree 8, the
@@ -21,6 +21,7 @@ import (
 	"repro/internal/evaluate"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/scheme/interval"
 	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
 	"repro/internal/shortest"
@@ -213,6 +214,25 @@ func BenchmarkTableNew(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkIntervalNew measures the interval-routing build from a
+// finished all-pairs table, with DFS labels and RunGreedy (the options
+// the experiments and routeserve build it with). The APSP and the labels
+// are computed outside the timer; the build is serial.
+func BenchmarkIntervalNew(b *testing.B) {
+	const n = 2048
+	g := benchGraph(n)
+	apsp := shortest.NewAPSPParallel(g, 0)
+	opt := interval.Options{Labels: interval.DFSLabels(g), Policy: interval.RunGreedy}
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := interval.New(g, apsp, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkRouteVisit measures the allocation-free route simulators on

@@ -120,7 +120,7 @@ var duplicateLedger = []duplicate{
 	},
 	{
 		reference:   "bit-at-a-time codec (bits_ref_test.go)",
-		candidate:   "coding word-at-a-time ReadBits/ReadUnary/ReadFixedInto/WriteBits/WriteUnary",
+		candidate:   "coding word-at-a-time ReadBits/ReadUnary/ReadFixedInto/WriteBits/WriteUnary/WriteFixedFrom",
 		conformance: "TestBitKernelsMatchReferenceRandom",
 		keep:        testOracle,
 	},
@@ -128,6 +128,24 @@ var duplicateLedger = []duplicate{
 		reference:   "table row re-encode gate (canonicalByReencode: decode, encodedRowBits, writeRowCode, bit compare)",
 		candidate:   "table decodeRowInto proving canonicity in the decoding pass",
 		conformance: "TestDecodeRowMatchesReencodeOracle",
+		keep:        testOracle,
+	},
+	{
+		reference:   "per-destination pickOracle (early-exit scan of the neighbour rows, every row priced run by run)",
+		candidate:   "port-outer row kernel (shortest.ArcRows.MinPortRow) with table's in-order RunGreedy pass and run-bounded pricing",
+		conformance: "TestRowKernelMatchesPickOracle",
+		keep:        testOracle,
+	},
+	{
+		reference:   "interval per-destination selectionOracle and per-port countIntervalsOracle",
+		candidate:   "interval.New on the shared row kernel with a one-pass countIntervals",
+		conformance: "TestNewMatchesSelectionOracle",
+		keep:        testOracle,
+	},
+	{
+		reference:   "full-table connectivity scan (connectedScan)",
+		candidate:   "shortest.(*APSP).Connected reading row 0",
+		conformance: "TestConnectedMatchesFullScan",
 		keep:        testOracle,
 	},
 	{

@@ -16,6 +16,7 @@ package coding
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // BitWriter accumulates bits most-significant-first into a byte slice.
@@ -86,6 +87,51 @@ func (w *BitWriter) WriteBits(v uint64, width int) {
 	w.buf = binary.BigEndian.AppendUint64(w.buf, u)
 	w.buf = w.buf[:len(w.buf)-8+(width+7)>>3]
 	w.nbit += width
+}
+
+// WriteFixedFrom appends len(src) consecutive fields of width bits
+// (0..32), most significant first, each the low width bits of
+// src[i]-bias: the writer-side twin of ReadFixedInto, for rows stored
+// with an offset (ports are written as port-1). The buffer grows once
+// for the whole run; fields are shifted into a 64-bit accumulator whose
+// top 32 pending bits are stored whenever that many are pending.
+func (w *BitWriter) WriteFixedFrom(src []int32, bias int32, width int) {
+	if width < 0 || width > 32 {
+		panic("coding: fixed field width out of range")
+	}
+	if width == 0 || len(src) == 0 {
+		return
+	}
+	// The partial last byte goes back into the accumulator, so every
+	// store below starts on a byte boundary at out. pending < 32 bits
+	// wait, right-aligned, in acc; bits above them are already stored.
+	out := len(w.buf)
+	var acc uint64
+	pending := w.nbit & 7
+	if pending != 0 {
+		out--
+		acc = uint64(w.buf[out] >> uint(8-pending))
+	}
+	w.nbit += len(src) * width
+	end := (w.nbit + 7) >> 3
+	buf := slices.Grow(w.buf, end+8-len(w.buf))[:end+8] // the last store writes a whole word
+	mask := uint64(1)<<uint(width) - 1
+	for _, f := range src {
+		acc = acc<<uint(width) | uint64(uint32(f-bias))&mask
+		if pending += width; pending >= 32 {
+			pending -= 32
+			binary.BigEndian.PutUint32(buf[out:], uint32(acc>>uint(pending)))
+			out += 4
+		}
+	}
+	binary.BigEndian.PutUint64(buf[out:], acc<<uint(64-pending))
+	w.buf = buf[:end]
+}
+
+// Grow makes room for nbits more bits, so a writer whose final length
+// is known up front fills one buffer instead of growing it step by step.
+func (w *BitWriter) Grow(nbits int) {
+	w.buf = slices.Grow(w.buf, (w.nbit+nbits+7)>>3+8-len(w.buf))
 }
 
 // BitReader consumes bits most-significant-first from a byte slice.

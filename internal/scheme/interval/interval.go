@@ -97,42 +97,39 @@ func New(g *graph.Graph, apsp *shortest.APSP, opt Options) (*Scheme, error) {
 			s.invlab[v] = graph.NodeID(v)
 		}
 	}
+	// Each router's MinPort row comes from the shared first-arc kernel,
+	// by vertex; one pass in cyclic label order, starting just after x's
+	// own label so RunGreedy merges across the natural wrap point, then
+	// applies the keep-previous-port rule and fills the row by label.
+	var av shortest.ArcRows
+	byVertex := make([]graph.Port, n)
 	for x := 0; x < n; x++ {
 		xi := graph.NodeID(x)
 		arcs := g.Arcs(xi)
+		av.Load(apsp, arcs, xi, nil)
+		clear(byVertex)
+		av.MinPortRow(byVertex)
 		row := make([]graph.Port, n) // indexed by label
 		prev := graph.NoPort
-		// Scan destinations in cyclic label order starting just after x's
-		// own label, so RunGreedy merges across the natural wrap point.
 		start := int(s.label[x]) + 1
 		for t := 0; t < n; t++ {
-			lab := int32((start + t) % n)
+			lab := start + t
+			if lab >= n {
+				lab -= n
+			}
 			v := s.invlab[lab]
 			if v == xi {
 				continue
 			}
-			// The d(·,v) column equals the contiguous row of v by symmetry.
-			rowV := apsp.Row(v)
-			dxv := rowV[x]
-			chosen := graph.NoPort
-			if opt.Policy == RunGreedy && prev != graph.NoPort {
-				if rowV[arcs[prev-1]]+1 == dxv {
-					chosen = prev
-				}
-			}
-			if chosen == graph.NoPort {
-				for i, w := range arcs {
-					if rowV[w]+1 == dxv {
-						chosen = graph.Port(i + 1)
-						break
-					}
-				}
-			}
-			if chosen == graph.NoPort {
+			p := byVertex[v]
+			if p == graph.NoPort {
 				return nil, fmt.Errorf("interval: no shortest first arc %d->%d", x, v)
 			}
-			row[lab] = chosen
-			prev = chosen
+			if opt.Policy == RunGreedy && prev != graph.NoPort && p != prev && av.Keeps(prev, int(v)) {
+				p = prev
+			}
+			row[lab] = p
+			prev = p
 		}
 		s.assign[x] = row
 		s.ivals[x] = countIntervals(row, s.label[x], len(arcs))
@@ -160,43 +157,28 @@ func (s *Scheme) localBits(x int) int {
 // maximal cyclic runs of labels assigned to that port. The router's own
 // label own acts as a wildcard joining its two neighbors' runs, since a
 // message for the router itself is delivered before any table lookup.
+// One pass in label order counts the linear runs, a run of p starting
+// wherever p follows another entry; a run that wraps from the last
+// labels into the first is then counted once, not twice.
 func countIntervals(row []graph.Port, own int32, deg int) []int {
-	n := len(row)
 	counts := make([]int, deg)
-	for k := 0; k < deg; k++ {
-		p := graph.Port(k + 1)
-		runs := 0
-		inRun := false
-		first := -1 // first non-wildcard position, for wrap handling
-		last := -1
-		for t := 0; t < n; t++ {
-			lab := int32(t)
-			if lab == own {
-				continue // wildcard: does not break a run
-			}
-			if first == -1 {
-				first = t
-			}
-			last = t
-			// A run breaks when a non-wildcard label of another port
-			// intervenes; wildcards in between were skipped above, but
-			// positions are not consecutive then — that is fine: cyclic
-			// intervals may cover the wildcard label.
-			if row[lab] == p {
-				if !inRun {
-					runs++
-					inRun = true
-				}
-			} else {
-				inRun = false
-			}
+	first, prev := -1, graph.NoPort
+	for lab, p := range row {
+		if int32(lab) == own {
+			continue // wildcard: does not break a run
 		}
-		// Merge wrap-around: if both the first and last non-wildcard
-		// labels belong to p, the two runs are one cyclic interval.
-		if runs > 1 && first != -1 && row[first] == p && row[last] == p {
-			runs--
+		if first < 0 {
+			first = lab
 		}
-		counts[k] = runs
+		if p != prev && p != graph.NoPort {
+			counts[p-1]++
+		}
+		prev = p
+	}
+	if first >= 0 {
+		if p := row[first]; p != graph.NoPort && p == prev && counts[p-1] > 1 {
+			counts[p-1]--
+		}
 	}
 	return counts
 }
@@ -256,8 +238,8 @@ func (s *Scheme) IntervalsAt(x graph.NodeID) []int { return s.ivals[x] }
 var _ routing.Scheme = (*Scheme)(nil)
 
 // DFSLabels returns a DFS-preorder labeling of g (from vertex 0 following
-// lowest ports first): the classical labeling that yields one interval
-// per arc on trees and few intervals on tree-like graphs.
+// lowest live ports first): the classical labeling that yields one
+// interval per arc on trees and few intervals on tree-like graphs.
 func DFSLabels(g *graph.Graph) []int32 {
 	n := g.Order()
 	labels := make([]int32, n)
@@ -281,7 +263,7 @@ func DFSLabels(g *graph.Graph) []int32 {
 		p := f.next
 		f.next++
 		v := g.Neighbor(f.node, p)
-		if labels[v] != -1 {
+		if v == graph.DeadEnd || labels[v] != -1 {
 			continue
 		}
 		labels[v] = counter

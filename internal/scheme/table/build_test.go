@@ -1,11 +1,14 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -216,5 +219,206 @@ func TestNewInconsistentAPSPLowestRouterError(t *testing.T) {
 func TestNewRejectsOrderMismatch(t *testing.T) {
 	if _, err := New(gen.Cycle(8), shortest.NewAPSPParallel(gen.Cycle(9), 0), MinPort); err == nil {
 		t.Fatal("APSP of order 9 accepted for an 8-vertex graph")
+	}
+}
+
+// pickOracle is the per-destination build the port-outer row kernel
+// (shortest.ArcRows.MinPortRow) replaced, kept as its oracle. For every
+// router x and destination v it keeps the previous destination's port
+// under RunGreedy while that port still begins a minimum-cost path,
+// else scans the neighbour rows from port 1 up and stops at the first
+// with d(w,v) + cost == d(x,v), summed in int64. Rows are priced by
+// oracleRowBits, which prices the runs of every row.
+func pickOracle(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) ([][]graph.Port, []int, error) {
+	n := g.Order()
+	ports, bits := make([][]graph.Port, n), make([]int, n)
+	for x := 0; x < n; x++ {
+		arcs := g.Arcs(graph.NodeID(x))
+		dx := apsp.Row(graph.NodeID(x))
+		ok := func(p graph.Port, v int) bool {
+			nb := arcs[p-1]
+			if nb == graph.DeadEnd {
+				return false
+			}
+			c := int64(1)
+			if w != nil {
+				c = int64(w[x][p-1])
+			}
+			return int64(apsp.Row(nb)[v])+c == int64(dx[v])
+		}
+		row := make([]graph.Port, n)
+		prev := graph.NoPort
+		for v := 0; v < n; v++ {
+			if v == x {
+				continue
+			}
+			chosen := graph.NoPort
+			if prev != graph.NoPort && ok(prev, v) {
+				chosen = prev
+			}
+			for p := graph.Port(1); chosen == graph.NoPort && int(p) <= len(arcs); p++ {
+				if ok(p, v) {
+					chosen = p
+				}
+			}
+			if chosen == graph.NoPort {
+				metric := "shortest"
+				if w != nil {
+					metric = "minimum-cost"
+				}
+				return nil, nil, fmt.Errorf("table: no %s first arc %d->%d", metric, x, v)
+			}
+			row[v] = chosen
+			if pol == RunGreedy {
+				prev = chosen
+			}
+		}
+		ports[x] = row
+		bits[x] = oracleRowBits(row, graph.NodeID(x), len(arcs))
+	}
+	return ports, bits, nil
+}
+
+// oracleRowBits prices a row as encodedRowBits did before the run-count
+// bound: the gamma cost of every run, against the raw cost.
+func oracleRowBits(row []graph.Port, x graph.NodeID, deg int) int {
+	wbits := coding.BitsFor(uint64(deg))
+	raw := (len(row) - 1) * wbits
+	rle, prev := 0, graph.NoPort
+	runLen := 0
+	for v, p := range row {
+		if graph.NodeID(v) == x {
+			continue
+		}
+		if p != prev && runLen > 0 {
+			rle += coding.GammaLen(uint64(runLen)) + wbits
+			runLen = 0
+		}
+		prev = p
+		runLen++
+	}
+	if runLen > 0 {
+		rle += coding.GammaLen(uint64(runLen)) + wbits
+	}
+	return 1 + min(rle, raw)
+}
+
+// oraclePayload writes the payload EncodePayload must produce for the
+// given rows: per router, the RLE code where its bits undercut raw
+// (writeRowCode's RLE branch, which the bulk writer left alone), else
+// flag 0 and one WriteBits per destination.
+func oraclePayload(g *graph.Graph, ports [][]graph.Port, bits []int) *coding.BitWriter {
+	w := coding.NewBitWriter()
+	n := g.Order()
+	for x, row := range ports {
+		deg := g.Degree(graph.NodeID(x))
+		wbits := coding.BitsFor(uint64(deg))
+		if bits[x]-1 < (n-1)*wbits {
+			writeRowCode(w, row, graph.NodeID(x), deg, bits[x])
+			continue
+		}
+		w.WriteBit(0)
+		for v, p := range row {
+			if v != x {
+				w.WriteBits(uint64(p-1), wbits)
+			}
+		}
+	}
+	return w
+}
+
+// killFraction removes about frac of g's edges in a copy, keeping it
+// connected, as the root package's killPlan does.
+func killFraction(t *testing.T, g *graph.Graph, frac float64, seed uint64) *graph.Graph {
+	t.Helper()
+	for k := max(1, int(frac*float64(g.Size()))); k >= 1; k-- {
+		plan, err := faults.NewPlan(g, faults.Options{Mode: faults.KillEdges, Count: k, Seed: seed, KeepConnected: true})
+		if err == nil {
+			h := g.Clone()
+			plan.Apply(h)
+			return h
+		}
+	}
+	return nil // a tree has no removable edge
+}
+
+// TestRowKernelMatchesPickOracle pins the port-outer row kernel, the
+// in-order RunGreedy pass, the run-bounded pricing and the bulk raw-row
+// writer to pickOracle: ports, bits and EncodePayload bytes over every
+// family at n=64 and 300, both policies, the hop metric and weights,
+// plain and faulted; and the error text on an all-pairs table of
+// another graph, which admits no first arc for some pair.
+func TestRowKernelMatchesPickOracle(t *testing.T) {
+	check := func(name string, g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) {
+		t.Helper()
+		wantPorts, wantBits, wantErr := pickOracle(g, apsp, w, pol)
+		var s *Scheme
+		var err error
+		if w == nil {
+			s, err = New(g, apsp, pol)
+		} else {
+			s, err = NewWeighted(g, w, apsp, pol)
+		}
+		if wantErr != nil || err != nil {
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s/%d: error %v, oracle %v", name, pol, err, wantErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(s.ports, wantPorts) {
+			t.Fatalf("%s/%d: ports differ from the oracle", name, pol)
+		}
+		if !slices.Equal(s.bits, wantBits) {
+			t.Fatalf("%s/%d: bits %v, oracle %v", name, pol, s.bits, wantBits)
+		}
+		got := coding.NewBitWriter()
+		s.EncodePayload(got)
+		want := oraclePayload(g, wantPorts, wantBits)
+		if got.Len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s/%d: payload of %d bits differs from the oracle's %d", name, pol, got.Len(), want.Len())
+		}
+	}
+	pols := []Policy{MinPort, RunGreedy}
+	for _, n := range []int{64, 300} {
+		for i, fam := range gen.FamilyNames {
+			g, err := gen.ByName(fam, n, xrand.New(uint64(100+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs := map[string]*graph.Graph{fmt.Sprintf("%s/%d", fam, n): g}
+			if h := killFraction(t, g, 0.08, uint64(0x1a5d+i)); h != nil {
+				graphs[fmt.Sprintf("%s/%d/faulted", fam, n)] = h
+			}
+			for name, gr := range graphs {
+				apsp := shortest.NewAPSPParallel(gr, 0)
+				w := shortest.RandomWeights(gr, 9, xrand.New(uint64(200+i)))
+				wapsp, err := shortest.NewWeightedAPSPParallel(gr, w, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pol := range pols {
+					check(name, gr, apsp, nil, pol)
+					check(name+"/weighted", gr, wapsp, w, pol)
+				}
+			}
+		}
+	}
+	// Tables of other graphs (or other weights) of the same order.
+	const half = 2 * buildClaim
+	g := bridged(half, 1, 2)
+	wrong := shortest.NewAPSPParallel(bridged(half, 1, 3), 0)
+	w := shortest.RandomWeights(g, 9, xrand.New(9))
+	wrongW, err := shortest.NewWeightedAPSPParallel(g, shortest.RandomWeights(g, 9, xrand.New(10)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range pols {
+		_, _, errHop := pickOracle(g, wrong, nil, pol)
+		_, _, errW := pickOracle(g, wrongW, w, pol)
+		if errHop == nil || errW == nil {
+			t.Fatalf("fixture too weak: oracle errors %v and %v", errHop, errW)
+		}
+		check("tampered", g, wrong, nil, pol)
+		check("tampered/weighted", g, wrongW, w, pol)
 	}
 }

@@ -22,6 +22,11 @@ import (
 func (s *Scheme) EncodePayload(w *coding.BitWriter) (rb []int, routerStart int) {
 	routerStart = w.Len()
 	rb = make([]int, len(s.ports))
+	total := 0
+	for _, b := range s.bits {
+		total += b
+	}
+	w.Grow(total)
 	for x, row := range s.ports {
 		start := w.Len()
 		writeRowCode(w, row, graph.NodeID(x), s.g.Degree(graph.NodeID(x)), s.bits[x])

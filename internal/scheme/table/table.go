@@ -125,93 +125,45 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 }
 
 // buildRows derives the rows of routers [lo, hi) into s, stopping at the
-// first router whose row has a destination without a first arc.
+// first router whose row has a destination without a first arc. Each row
+// starts as the MinPort row of shortest.ArcRows; one in-order pass then
+// reports the first destination without a port, applies RunGreedy's
+// keep-previous-port rule and counts the runs encodedRowBits would
+// count, so the row is priced without a second scan.
 func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, lo, hi int) error {
 	n := len(s.ports)
-	var av arcView
+	var av shortest.ArcRows
 	for x := lo; x < hi; x++ {
 		xi := graph.NodeID(x)
 		arcs := s.g.Arcs(xi)
-		av.load(apsp, arcs, xi, w)
+		av.Load(apsp, arcs, xi, w)
 		row := make([]graph.Port, n)
-		prev := graph.NoPort
-		for v := 0; v < n; v++ {
+		av.MinPortRow(row)
+		runs, prev := 0, graph.NoPort
+		for v, p := range row {
 			if v == x {
 				continue
 			}
-			chosen := av.pick(v, prev)
-			if chosen == graph.NoPort {
+			if p == graph.NoPort {
 				metric := "shortest"
 				if w != nil {
 					metric = "minimum-cost"
 				}
 				return fmt.Errorf("table: no %s first arc %d->%d", metric, x, v)
 			}
-			row[v] = chosen
-			if pol == RunGreedy {
-				prev = chosen
+			if pol == RunGreedy && prev != graph.NoPort && p != prev && av.Keeps(prev, v) {
+				p = prev
+				row[v] = p
 			}
+			if p != prev {
+				runs++
+			}
+			prev = p
 		}
 		s.ports[x] = row
-		s.bits[x] = encodedRowBits(row, xi, len(arcs))
+		s.bits[x] = pricedRowBits(row, xi, len(arcs), runs)
 	}
 	return nil
-}
-
-// arcView is router x's row-major view of the distance table. Distances
-// are symmetric, so d(v,x) = Row(x)[v] and d(v,w) = Row(w)[v]: every
-// entry of x's row reads only Row(x) and the rows of x's neighbours,
-// deg+1 rows streamed in destination order, instead of a different
-// n-entry row of the matrix per destination.
-type arcView struct {
-	dx   []int32   // Row(x)
-	nb   [][]int32 // nb[i] = row of the neighbour behind port i+1; nil at a dead slot
-	cost []int32   // cost[i] = cost of port i+1
-	ones []int32   // the hop metric's all-ones costs, grown to the largest degree loaded
-}
-
-// load points the view at router x, whose arcs are arcs, under weights w
-// (nil for the hop metric), reusing the view's slices.
-func (a *arcView) load(apsp *shortest.APSP, arcs []graph.NodeID, x graph.NodeID, w shortest.Weights) {
-	a.dx = apsp.Row(x)
-	a.nb = a.nb[:0]
-	for _, nb := range arcs {
-		if nb == graph.DeadEnd {
-			a.nb = append(a.nb, nil) // hole left by a removed edge
-			continue
-		}
-		a.nb = append(a.nb, apsp.Row(nb))
-	}
-	if w != nil {
-		a.cost = w[x]
-		return
-	}
-	for len(a.ones) < len(arcs) {
-		a.ones = append(a.ones, 1)
-	}
-	a.cost = a.ones[:len(arcs)]
-}
-
-// pick returns the port x uses toward v: prev when it still begins a
-// minimum-cost path (RunGreedy's run extension; NoPort skips the check),
-// else the lowest live port that does, else NoPort. Sums run in int64:
-// with near-MaxInt32 costs the int32 sum d(w,v) + cost can wrap negative
-// and hide (or fake) a first arc. For the hop metric the int64 test is
-// the int32 test d(w,v)+1 == d(x,v) exactly, since distances are never
-// negative.
-func (a *arcView) pick(v int, prev graph.Port) graph.Port {
-	d := int64(a.dx[v])
-	if prev != graph.NoPort {
-		if r := a.nb[prev-1]; r != nil && int64(r[v])+int64(a.cost[prev-1]) == d {
-			return prev
-		}
-	}
-	for i, r := range a.nb {
-		if r != nil && int64(r[v])+int64(a.cost[i]) == d {
-			return graph.Port(i + 1)
-		}
-	}
-	return graph.NoPort
 }
 
 // Name implements routing.Scheme.
@@ -263,9 +215,27 @@ func (s *Scheme) LocalBits(x graph.NodeID) int { return s.bits[x] }
 // whichever is shorter. Degree and n are not charged: they are part of the
 // router's wiring, known to the fixed decoder.
 func encodedRowBits(row []graph.Port, x graph.NodeID, deg int) int {
+	runs, prev := 0, graph.NoPort
+	for v, p := range row {
+		if graph.NodeID(v) != x && p != prev {
+			runs++
+			prev = p
+		}
+	}
+	return pricedRowBits(row, x, deg, runs)
+}
+
+// pricedRowBits is encodedRowBits for a row whose runs, merged across
+// the skipped x, are already counted. Every run costs at least a 1-bit
+// gamma plus its port, so a row with runs*(1+w) >= raw is raw without
+// pricing its runs; only the others are priced exactly.
+func pricedRowBits(row []graph.Port, x graph.NodeID, deg, runs int) int {
 	w := coding.BitsFor(uint64(deg))
 	n := len(row)
 	raw := (n - 1) * w
+	if runs*(1+w) >= raw {
+		return 1 + raw
+	}
 	rle := 0
 	i := 0
 	for i < n {
@@ -295,38 +265,35 @@ func encodedRowBits(row []graph.Port, x graph.NodeID, deg int) int {
 // row, choosing the branch that bits (a memoized encodedRowBits result
 // for this row) priced cheaper. The code is self-delimiting given
 // (n, x, deg), so rows concatenate on the wire without per-row framing.
+// A raw row goes out as two bulk runs of port-1 fields, around x.
 func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bits int) {
 	wbits := coding.BitsFor(uint64(deg))
 	n := len(row)
 	raw := (n - 1) * wbits
-	if bits-1 < raw {
-		w.WriteBit(1) // RLE
-		i := 0
-		for i < n {
-			if graph.NodeID(i) == x {
-				i++
-				continue
-			}
-			j := i
-			for j < n && (graph.NodeID(j) == x || row[j] == row[i]) {
-				j++
-			}
-			runLen := j - i
-			if graph.NodeID(x) > graph.NodeID(i) && graph.NodeID(x) < graph.NodeID(j) {
-				runLen--
-			}
-			w.WriteGamma(uint64(runLen))
-			w.WriteBits(uint64(row[i]-1), wbits)
-			i = j
-		}
-	} else {
+	if bits-1 >= raw {
 		w.WriteBit(0) // raw
-		for v := 0; v < n; v++ {
-			if graph.NodeID(v) == x {
-				continue
-			}
-			w.WriteBits(uint64(row[v]-1), wbits)
+		w.WriteFixedFrom(row[:x], 1, wbits)
+		w.WriteFixedFrom(row[x+1:], 1, wbits)
+		return
+	}
+	w.WriteBit(1) // RLE
+	i := 0
+	for i < n {
+		if graph.NodeID(i) == x {
+			i++
+			continue
 		}
+		j := i
+		for j < n && (graph.NodeID(j) == x || row[j] == row[i]) {
+			j++
+		}
+		runLen := j - i
+		if graph.NodeID(x) > graph.NodeID(i) && graph.NodeID(x) < graph.NodeID(j) {
+			runLen--
+		}
+		w.WriteGamma(uint64(runLen))
+		w.WriteBits(uint64(row[i]-1), wbits)
+		i = j
 	}
 }
 
@@ -380,12 +347,8 @@ func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg in
 			}
 			prev = p
 		}
-		// Every run costs at least a 1-bit gamma plus its port, so only
-		// a row with few runs can be cheaper in RLE; price those exactly.
-		if runs*(1+wbits) < raw {
-			if bits := encodedRowBits(row, x, deg); bits-1 < raw {
-				return fmt.Errorf("table: raw row of %d bits where RLE takes %d", raw, bits-1)
-			}
+		if bits := pricedRowBits(row, x, deg, runs); bits-1 < raw {
+			return fmt.Errorf("table: raw row of %d bits where RLE takes %d", raw, bits-1)
 		}
 		return nil
 	}

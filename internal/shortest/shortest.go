@@ -13,6 +13,7 @@ package shortest
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -154,13 +155,31 @@ func (a *APSP) Row(u graph.NodeID) []int32 { return a.dist[u] }
 // Order returns the number of vertices covered by the table.
 func (a *APSP) Order() int { return a.n }
 
-// Connected reports whether every pair is reachable.
+// Connected reports whether every pair is reachable. Tables are
+// symmetric (RemoveEdge kills both half-edges and Weights.Validate
+// enforces symmetric costs), so reachability is decided by row 0 alone.
+// One caveat: a weighted table stores a path cost that reaches
+// Unreachable as Unreachable. No pair saturates while twice the largest
+// entry of row 0 stays below Unreachable (d(u,v) <= d(u,0) + d(0,v));
+// every hop table qualifies, and any other falls back to a scan of the
+// whole table.
 func (a *APSP) Connected() bool {
-	for _, row := range a.dist {
-		for _, d := range row {
-			if d == Unreachable {
-				return false
-			}
+	if a.n == 0 {
+		return true
+	}
+	var ecc int64
+	for _, d := range a.dist[0] {
+		if d == Unreachable {
+			return false
+		}
+		ecc = max(ecc, int64(d))
+	}
+	if 2*ecc < int64(Unreachable) {
+		return true
+	}
+	for _, row := range a.dist[1:] {
+		if slices.Contains(row, Unreachable) {
+			return false
 		}
 	}
 	return true
