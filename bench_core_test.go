@@ -15,6 +15,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -24,6 +25,7 @@ import (
 	"repro/internal/scheme/interval"
 	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
+	"repro/internal/schemeio"
 	"repro/internal/shortest"
 	"repro/internal/xrand"
 )
@@ -240,12 +242,27 @@ func BenchmarkIntervalNew(b *testing.B) {
 // walks the whole set, so a -benchtime 1x run times 4096 routes, not
 // one cold walk. The visit arm streams every hop to a callback
 // (RouteVisit); the len arm only counts them (RouteLen, the walk the
-// all-pairs evaluator and the serving path run per pair).
+// all-pairs evaluator and the serving path run per pair). The
+// mapped-len arm is the len arm over the same tables opened from an
+// in-memory container (table.Lazy, every stripe proven outside the
+// timer), so each hop reads a packed field of the row code instead of
+// a 32-bit port.
 func BenchmarkRouteVisit(b *testing.B) {
 	const n = 4096
 	g := benchGraph(n)
 	s, err := table.New(g, shortest.NewAPSPParallel(g, 0), table.MinPort)
 	if err != nil {
+		b.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := schemeio.WriteFileV2(&img, g, s); err != nil {
+		b.Fatal(err)
+	}
+	m, err := schemeio.MapBytes(img.Bytes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Verify(); err != nil {
 		b.Fatal(err)
 	}
 	pairs := benchPairs(n, 4096, 3)
@@ -268,6 +285,21 @@ func BenchmarkRouteVisit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range pairs {
 				l, err := routing.RouteLen(g, s, p[0], p[1], 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hops += l
+			}
+		}
+		_ = hops
+	})
+	b.Run(fmt.Sprintf("mapped-len/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		mg, ms := m.Graph(), m.Scheme()
+		hops := 0
+		for i := 0; i < b.N; i++ {
+			for _, p := range pairs {
+				l, err := routing.RouteLen(mg, ms, p[0], p[1], 0)
 				if err != nil {
 					b.Fatal(err)
 				}

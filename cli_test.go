@@ -1,10 +1,12 @@
-// End-to-end checks of the CLIs' distance-backend and fault flags: the
+// End-to-end checks of the CLIs' distance-backend and fault flags, and
+// of a mapped server whose container is truncated under it: the
 // binaries are built once and driven as a user would, so the flag
 // surface itself (accepted values, exit codes, byte-for-byte output) is
 // pinned, not only the cliutil helpers behind it.
 package repro
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -14,8 +16,15 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
+	"repro/internal/netserve"
+	"repro/internal/routing"
+	"repro/internal/schemeio"
+	"repro/internal/serve"
 )
 
 // cli holds the CLI binaries, built at most once per test binary into a
@@ -290,4 +299,118 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return ""
+}
+
+// TestCLIMappedTruncation truncates the container under a live
+// `routeserve -load f -mmap -listen` serving a 600-router table, whose
+// mapped reader proves and copies stripes of 256 routers on first
+// touch. Before the cut, queries whose walks stay inside routers
+// [0, 256) touch only the first stripe; after it the server must keep
+// answering them byte-identically to a heap-loaded server, answer
+// every query sourced in the untouched last stripe with a per-query
+// error, not a dropped connection or a crash, and exit 0 through its
+// drain on SIGTERM.
+func TestCLIMappedTruncation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns the CLIs")
+	}
+	bin := buildCLIs(t)
+	const n = 600
+	path := filepath.Join(t.TempDir(), "s.rsf")
+	if _, stderr, code := runCLI(t, bin, "routeserve", "-family", "random", "-n", fmt.Sprint(n), "-scheme", "tables", "-save", path); code != 0 {
+		t.Fatalf("routeserve -save exit %d: %s", code, stderr)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, s, err := schemeio.ReadFile(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var touched, late []serve.Query
+	for u := 0; u < 256 && len(touched) < 96; u += 7 {
+		for v := 0; v < 256; v += 13 {
+			inside := true
+			err := routing.RouteVisit(g, s, graph.NodeID(u), graph.NodeID(v), 0, func(h routing.Hop) { inside = inside && h.Node < 256 })
+			if err == nil && inside && u != v {
+				touched = append(touched, serve.Query{Op: serve.Op(len(touched) % 2), U: graph.NodeID(u), V: graph.NodeID(v)})
+			}
+		}
+	}
+	for u := 512; u < n; u += 11 {
+		late = append(late, serve.Query{Op: serve.OpLen, U: graph.NodeID(u), V: 3})
+	}
+	if len(touched) < 32 {
+		t.Fatalf("only %d pairs route inside the first stripe", len(touched))
+	}
+	ref := serve.New(g, s, nil, serve.Options{})
+	want := ref.ServeBatch(touched)
+	for i, r := range ref.ServeBatch(late) {
+		if r.Err != nil {
+			t.Fatalf("heap-loaded query %d->%d: %v", late[i].U, late[i].V, r.Err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, filepath.Join(bin, "routeserve"), "-load", path, "-mmap", "-listen", "127.0.0.1:0")
+	errPipe, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	var stderr strings.Builder
+	addr := make(chan string, 1)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		sc := bufio.NewScanner(errPipe)
+		for sc.Scan() {
+			line := sc.Text()
+			stderr.WriteString(line + "\n")
+			if a, ok := strings.CutPrefix(line, "routeserve: listening on "); ok {
+				addr <- strings.Fields(a)[0]
+			}
+		}
+	}()
+	var listenAddr string
+	select {
+	case listenAddr = <-addr:
+	case <-ctx.Done():
+		t.Fatal("routeserve never printed its listen address")
+	}
+	c, err := netserve.DialCluster([]string{listenAddr}, n, netserve.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	assertNetEqual(t, "before truncation", want, c.ServeBatchInto(touched, nil))
+	if err := os.Truncate(path, 4096); err != nil {
+		t.Fatal(err)
+	}
+	assertNetEqual(t, "touched stripe after truncation", want, c.ServeBatchInto(touched, nil))
+	for i, r := range c.ServeBatchInto(late, nil) {
+		var qe *netserve.QueryError
+		if !errors.As(r.Err, &qe) {
+			t.Fatalf("query %d->%d in the untouched stripe after truncation: %+v, want a per-query *netserve.QueryError", late[i].U, late[i].V, r)
+		}
+	}
+	assertNetEqual(t, "touched stripe after the failed queries", want, c.ServeBatchInto(touched, nil))
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	<-drained
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("routeserve after SIGTERM: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "routeserve: draining") {
+		t.Fatalf("routeserve did not drain:\n%s", stderr.String())
+	}
 }

@@ -59,7 +59,7 @@ var duplicateLedger = []duplicate{
 	},
 	{
 		reference:   "schemeio.ReadFile decoding to table.Scheme",
-		candidate:   "schemeio.OpenMapped with table.Lazy stripes",
+		candidate:   "schemeio.OpenMapped with table.Lazy stripes verified and copied on first touch",
 		conformance: "TestMappedReaderConformanceMatrix",
 		bench:       &benchPair{"BENCH_startup.json", "BenchmarkLoadContainer/v2-full/n=2048", "BenchmarkLoadContainer/v2-mapped/n=2048", "ns/op", 5},
 	},
@@ -84,7 +84,7 @@ var duplicateLedger = []duplicate{
 		candidate:   "routing.RouteLen",
 		conformance: "TestRouteLenMatchesRouteVisit",
 		bench:       &benchPair{"BENCH_core.json", "BenchmarkRouteVisit/visit/n=4096", "BenchmarkRouteVisit/len/n=4096", "ns/op", 0},
-		keep: "at parity (visit/len under 1.10 recorded); merging RouteLen onto RouteVisit puts a " +
+		keep: "at parity (visit/len 1.11 recorded); merging RouteLen onto RouteVisit puts a " +
 			"capturing closure in a //repolint:hotpath function on every serving query, which needs " +
 			"its own change measured with a routebench compare",
 	},

@@ -422,3 +422,106 @@ func TestRowKernelMatchesPickOracle(t *testing.T) {
 		check("tampered/weighted", g, wrongW, w, pol)
 	}
 }
+
+// TestRawRowBoundAtTies pins the run bound pricedRowBits applies before
+// pricing a row, runs*(1+w) + 2*r2 with r2 the runs of length two or
+// more: it never exceeds the row's exact RLE cost, so a row whose RLE
+// code ties its raw code stays raw and one a bit cheaper goes RLE, with
+// x skipped inside a run or at the end. Each row's canonical code must
+// carry the branch chosen and decode, and its other spelling must be
+// rejected. A seeded sweep then checks the bound and encodedRowBits
+// against oracleRowBits on random run-structured rows.
+func TestRawRowBoundAtTies(t *testing.T) {
+	// bound returns the run bound of row and its exact RLE cost.
+	bound := func(row []graph.Port, x graph.NodeID, deg int) (int, int) {
+		w := coding.BitsFor(uint64(deg))
+		var lens []int
+		prev := graph.NoPort
+		for v, p := range row {
+			if graph.NodeID(v) == x {
+				continue
+			}
+			if p != prev {
+				lens = append(lens, 0)
+			}
+			lens[len(lens)-1]++
+			prev = p
+		}
+		b, rle := 0, 0
+		for _, l := range lens {
+			b += 1 + w
+			if l >= 2 {
+				b += 2
+			}
+			rle += coding.GammaLen(uint64(l)) + w
+		}
+		return b, rle
+	}
+	// Degree 2, so w = 1 and raw = n-1. A run of 7 costs gamma(7) = 5
+	// bits plus a port bit; a run of 1 costs 2 bits.
+	rows := []struct {
+		name string
+		row  []graph.Port
+		x    graph.NodeID
+		rle  bool // the canonical code is RLE: rle < raw
+	}{
+		{"rle-equals-raw/x-last", []graph.Port{1, 1, 1, 1, 1, 1, 1, 2, 0}, 8, false},
+		{"rle-equals-raw/x-inside-run", []graph.Port{1, 1, 1, 0, 1, 1, 1, 1, 2}, 3, false},
+		{"rle-one-below-raw/x-last", []graph.Port{2, 2, 2, 2, 2, 2, 2, 0}, 7, true},
+		{"rle-one-below-raw/x-inside-run", []graph.Port{2, 2, 0, 2, 2, 2, 2, 2}, 2, true},
+	}
+	const deg = 2
+	for _, tc := range rows {
+		raw := len(tc.row) - 1
+		exact := oracleRowBits(tc.row, tc.x, deg) - 1
+		if tc.rle && exact != raw-1 || !tc.rle && exact != raw {
+			t.Fatalf("%s: row costs %d bits, raw %d: not the intended tie", tc.name, exact, raw)
+		}
+		if b, rle := bound(tc.row, tc.x, deg); b > rle || b >= raw {
+			t.Fatalf("%s: bound %d against RLE cost %d, raw %d: the tie must be priced", tc.name, b, rle, raw)
+		}
+		if got := encodedRowBits(tc.row, tc.x, deg); got-1 != exact {
+			t.Fatalf("%s: encodedRowBits %d, want %d", tc.name, got, exact+1)
+		}
+		w := coding.NewBitWriter()
+		AppendPortRowCode(w, tc.row, tc.x, deg)
+		code := w.Bytes()
+		if rle := code[0]>>7 == 1; rle != tc.rle {
+			t.Fatalf("%s: canonical code has RLE flag %v, want %v", tc.name, rle, tc.rle)
+		}
+		got, err := DecodeRowFrom(coding.NewBitReader(code, w.Len()), len(tc.row), tc.x, deg)
+		if err != nil || !slices.Equal(got, tc.row) {
+			t.Fatalf("%s: canonical code decodes to %v, %v", tc.name, got, err)
+		}
+		other := spellRaw(tc.row, tc.x, deg)
+		if !tc.rle {
+			other = spellRuns([][2]int{{7, 1}, {1, 2}}, deg)
+		}
+		if _, err := DecodeRowFrom(coding.NewBitReader(other, len(other)*8), len(tc.row), tc.x, deg); err == nil {
+			t.Fatalf("%s: the non-canonical spelling %x decodes", tc.name, other)
+		}
+	}
+
+	rng := xrand.New(17)
+	for i := 0; i < 3000; i++ {
+		n, deg := 2+rng.Intn(60), 1+rng.Intn(12)
+		x := graph.NodeID(rng.Intn(n))
+		row := make([]graph.Port, n)
+		p := graph.Port(1 + rng.Intn(deg))
+		for v := range row {
+			if rng.Intn(3) == 0 {
+				p = graph.Port(1 + rng.Intn(deg))
+			}
+			if graph.NodeID(v) != x {
+				row[v] = p
+			}
+		}
+		want := oracleRowBits(row, x, deg)
+		if got := encodedRowBits(row, x, deg); got != want {
+			t.Fatalf("row %v x=%d deg=%d: encodedRowBits %d, oracle %d", row, x, deg, got, want)
+		}
+		if b, rle := bound(row, x, deg); b > rle {
+			t.Fatalf("row %v x=%d deg=%d: bound %d exceeds the RLE cost %d", row, x, deg, b, rle)
+		}
+	}
+}

@@ -87,7 +87,8 @@ func canonicalByReencode(data []byte, n int, x graph.NodeID, deg int) ([]graph.P
 // checkDecodeRow runs DecodeRowFrom and the re-encode oracle on one
 // input: they must accept exactly the same inputs, and on an accepted
 // one return the same row with the same span, NoPort at x and an
-// in-range port everywhere else.
+// in-range port everywhere else. The mapped reader's stripe proof must
+// agree too (checkProveRow).
 func checkDecodeRow(t *testing.T, data []byte, n int, x graph.NodeID, deg int) {
 	t.Helper()
 	r := coding.NewBitReader(data, len(data)*8)
@@ -96,6 +97,7 @@ func checkDecodeRow(t *testing.T, data []byte, n int, x graph.NodeID, deg int) {
 	if (err == nil) != ok {
 		t.Fatalf("n=%d x=%d deg=%d data %x: DecodeRowFrom err %v, re-encode oracle accepts %v", n, x, deg, data, err, ok)
 	}
+	checkProveRow(t, data, n, x, deg, row, r.Pos())
 	if !ok {
 		return
 	}
@@ -111,6 +113,50 @@ func checkDecodeRow(t *testing.T, data []byte, n int, x graph.NodeID, deg int) {
 		}
 		if p < 1 || int(p) > deg {
 			t.Fatalf("decoded port %d out of [1,%d] at %d", p, deg, v)
+		}
+	}
+}
+
+// checkProveRow runs proveRow, the per-router stripe proof, on data
+// padded as a stripe copy is, into a scratch row full of stale ports.
+// Bounded at all of data it must accept exactly when DecodeRowFrom
+// accepted and consumed all of data; bounded at the span DecodeRowFrom
+// consumed it must accept whenever DecodeRowFrom did. On acceptance an
+// RLE code must come back as DecodeRowFrom's row, and a raw code as nil
+// with rawPort answering that row for every destination.
+func checkProveRow(t *testing.T, data []byte, n int, x graph.NodeID, deg int, row []graph.Port, span int) {
+	t.Helper()
+	code := append(slices.Clone(data), make([]byte, 8)...)
+	scratch := make([]graph.Port, n)
+	for v := range scratch {
+		scratch[v] = graph.Port(7*v + 3)
+	}
+	whole := len(data) * 8
+	if _, err := proveRow(code, 0, whole, scratch, x, deg); (err == nil) != (row != nil && span == whole) {
+		t.Fatalf("n=%d x=%d deg=%d data %x: proveRow over %d bits err %v, DecodeRowFrom row %v over %d bits", n, x, deg, data, whole, err, row, span)
+	}
+	if row == nil {
+		return
+	}
+	got, err := proveRow(code, 0, span, scratch, x, deg)
+	if err != nil {
+		t.Fatalf("n=%d x=%d deg=%d data %x: proveRow rejects the %d-bit span DecodeRowFrom accepts: %v", n, x, deg, data, span, err)
+	}
+	if data[0]>>7 == 1 {
+		if !slices.Equal(got, row) {
+			t.Fatalf("n=%d x=%d deg=%d data %x: proveRow RLE row %v, DecodeRowFrom %v", n, x, deg, data, got, row)
+		}
+		return
+	}
+	if got != nil {
+		t.Fatalf("n=%d x=%d deg=%d data %x: proveRow kept a row for a raw code", n, x, deg, data)
+	}
+	w := uint(coding.BitsFor(uint64(deg)))
+	for dst := range row {
+		if d := graph.NodeID(dst); d != x {
+			if p := rawPort(code, 0, w, x, d); p != row[dst] {
+				t.Fatalf("n=%d x=%d deg=%d data %x: rawPort toward %d = %d, row has %d", n, x, deg, data, dst, p, row[dst])
+			}
 		}
 	}
 }
@@ -201,7 +247,8 @@ func TestDecodeRowMatchesReencodeOracle(t *testing.T) {
 // FuzzDecodeRow feeds adversarial byte strings to DecodeRowFrom, the row
 // decoder of the wire payload and of a generation patch: it must return
 // a row or an error, never panic or loop, and accept exactly the inputs
-// the re-encode oracle accepts, with the same row (checkDecodeRow).
+// the re-encode oracle accepts, with the same row, and the stripe proof
+// of the mapped reader must accept and answer alike (checkDecodeRow).
 func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x34}, 8, 1, 3)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 12, 0, 4)

@@ -3,28 +3,38 @@ package table
 // Lazy is the mapped-container view of a routing-table scheme: instead
 // of materializing every router's row at load time (O(n^2) ports, the
 // dominant cost of opening a big table file), it keeps only the
-// per-router bit-offset index from the container and decodes rows on
-// first touch, a stripe of routers at a time, into one contiguous
-// arena per stripe. A shard that is only ever asked about a slice of
-// the source space therefore pays decode cost proportional to the
-// routers it actually routes through, and the payload bytes themselves
-// stay wherever the container backing put them (typically a read-only
-// mmap of page cache).
+// per-router bit-offset index from the container and proves rows on
+// first touch, a stripe of routers at a time. A shard that is only
+// ever asked about a slice of the source space therefore pays proof
+// cost proportional to the routers it actually routes through.
+//
+// A proven stripe is served from its own row codes, not from decoded
+// ports: it keeps a heap copy of the stripe's code bytes, each router's
+// field width BitsFor(deg) and, for the few routers whose code is
+// run-length compressed, the decoded row. A raw row's answer toward dst
+// is the w-bit field at bit offs[x]+1+(dst-[dst>x])*w, read with one
+// unaligned 64-bit load, so a touched stripe holds the bits LocalBits
+// meters for its routers (about 3.3 bits per destination on a random
+// graph at n=4096) instead of 32 bits per destination.
 //
 // Correctness discipline matches the heap reader: each row span is
 // decoded with a reader confined to exactly [offs[x], offs[x+1]) bits,
 // must consume the span exactly, and must be the one code the canonical
-// row coder emits for its row — proven by decodeRowInto in the decoding
-// pass, the per-span restatement of Decode's "decodes successfully ==
-// re-encodes byte-identically" gate without the re-encode. A stripe
-// that fails any check is poisoned, not fatal: its routers answer
-// NoPort, so a corrupt span surfaces as a per-route RouteError from the
-// simulator ("delivered at wrong node"), never as a panic or a wrong
-// delivery. So does a stripe whose bytes vanish under it — a mapped
-// file truncated in place — since each stripe decodes under
-// GuardFault, which turns the memory fault into ErrBackingFault.
+// row coder emits for its row — proven by decodeRowInto, into a scratch
+// row reused across the stripe, the per-span restatement of Decode's
+// "decodes successfully == re-encodes byte-identically" gate without
+// the re-encode. The proof reads the heap copy, so the bytes served are
+// the bytes proven, and no lookup reads the container backing again. A
+// stripe that fails any check is poisoned, not fatal: its routers
+// answer NoPort, so a corrupt span surfaces as a per-route RouteError
+// from the simulator ("delivered at wrong node"), never as a panic or a
+// wrong delivery. So does a stripe whose bytes vanish under it — a
+// mapped file truncated in place — since each stripe is copied and
+// proven under GuardFault, which turns the memory fault into
+// ErrBackingFault.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -35,16 +45,21 @@ import (
 	"repro/internal/routing"
 )
 
-// lazyStripe is the number of routers decoded together on first touch.
+// lazyStripe is the number of routers proven together on first touch.
 // 256 rows amortize the payload fetch and the fault guard while
-// keeping the worst-case wasted decode (touch one router, decode 256)
+// keeping the worst-case wasted proof (touch one router, prove 256)
 // far below the O(n) rows a heap load pays per router.
 const lazyStripe = 256
 
+// rleWidth marks, in stripeState.wid, a router whose code is run-length
+// compressed and whose row is therefore served from stripeState.rle.
+// A field width BitsFor(deg) never exceeds 64.
+const rleWidth = 0xff
+
 // Lazy routes from a table payload resolved on demand. It implements
 // routing.Scheme and routing.HeaderSizer and is safe for concurrent
-// readers: stripe decoding is guarded by a per-stripe sync.Once, and
-// decoded state is read-only afterwards.
+// readers: stripe proofs are guarded by a per-stripe sync.Once, and
+// proven state is read-only afterwards.
 type Lazy struct {
 	g       *graph.Graph
 	n       int
@@ -59,11 +74,15 @@ type Lazy struct {
 	blobErr  error
 }
 
-// stripeState holds one stripe's decode-once cell. rows is the arena:
-// (hi-lo)*n ports, row x at [(x-lo)*n, (x-lo+1)*n).
+// stripeState holds one stripe's prove-once cell and, once proven, what
+// the stripe serves from. Router x of the stripe [lo, hi) reads
+// wid[x-lo] and either rle[x-lo] or its raw fields in code.
 type stripeState struct {
 	once sync.Once
-	rows []graph.Port
+	code []byte         // payload bytes [offs[lo]/8, ceil(offs[hi]/8)), then 8 zero bytes
+	base uint64         // payload bit offset of code[0]
+	wid  []uint8        // BitsFor(deg) per router, rleWidth for an RLE router
+	rle  [][]graph.Port // the decoded row of each RLE router, nil for raw ones
 	err  error
 }
 
@@ -102,66 +121,103 @@ func (l *Lazy) resolveBlob() ([]byte, error) {
 	return l.blob, l.blobErr
 }
 
-// decodeStripe materializes stripe si: every row in [lo, hi) decoded
-// from its indexed span into one arena, each span proven canonical by
-// decodeRowInto and checked for exact consumption.
-func (l *Lazy) decodeStripe(si int) ([]graph.Port, error) {
+// proveStripe fills stripe si: it copies the stripe's code bytes out of
+// the payload, then proves every row span in [lo, hi) canonical with
+// decodeRowInto into scratch (n ports, reused row after row; nil
+// allocates one) and checks it for exact consumption. Only the rows of
+// RLE routers are kept; a raw router keeps just its field width.
+func (l *Lazy) proveStripe(st *stripeState, si int, scratch []graph.Port) error {
 	blob, err := l.resolveBlob()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lo := si * lazyStripe
-	hi := lo + lazyStripe
-	if hi > l.n {
-		hi = l.n
-	}
-	arena := make([]graph.Port, (hi-lo)*l.n)
+	hi := min(lo+lazyStripe, l.n)
 	for x := lo; x < hi; x++ {
-		off, end := l.offs[x], l.offs[x+1]
-		if end > uint64(len(blob))*8 {
-			return nil, fmt.Errorf("table: router %d span ends at bit %d, payload has %d", x, end, len(blob)*8)
-		}
-		row := arena[(x-lo)*l.n : (x-lo+1)*l.n]
-		r := coding.NewBitReaderAt(blob, int(off), int(end))
-		if err := decodeRowInto(r, row, graph.NodeID(x), l.g.Degree(graph.NodeID(x))); err != nil {
-			return nil, fmt.Errorf("table: router %d: %w", x, err)
-		}
-		if r.Pos() != int(end) {
-			return nil, fmt.Errorf("table: router %d code is %d bits, index says %d", x, r.Pos()-int(off), end-off)
+		if l.offs[x+1] > uint64(len(blob))*8 {
+			return fmt.Errorf("table: router %d span ends at bit %d, payload has %d", x, l.offs[x+1], len(blob)*8)
 		}
 	}
-	return arena, nil
+	first, last := l.offs[lo]/8, (l.offs[hi]+7)/8
+	code := make([]byte, last-first+8)
+	copy(code, blob[first:last])
+	base := first * 8
+	if scratch == nil {
+		scratch = make([]graph.Port, l.n)
+	}
+	wid := make([]uint8, hi-lo)
+	var rle [][]graph.Port
+	for x := lo; x < hi; x++ {
+		xi := graph.NodeID(x)
+		deg := l.g.Degree(xi)
+		row, err := proveRow(code, int(l.offs[x]-base), int(l.offs[x+1]-base), scratch, xi, deg)
+		if err != nil {
+			return fmt.Errorf("table: router %d: %w", x, err)
+		}
+		wid[x-lo] = uint8(coding.BitsFor(uint64(deg)))
+		if row != nil {
+			if rle == nil {
+				rle = make([][]graph.Port, hi-lo)
+			}
+			rle[x-lo], wid[x-lo] = row, rleWidth
+		}
+	}
+	st.code, st.base, st.wid, st.rle = code, base, wid, rle
+	return nil
 }
 
-// stripe returns stripe si's arena, decoding it on first use.
-func (l *Lazy) stripe(si int) *stripeState {
+// proveRow is the stripe proof of one router: the code at bits
+// [off, end) of code must be canonical (decodeRowInto, decoding into
+// scratch, whose prior contents do not matter) and exactly end-off bits
+// long. It returns a fresh copy of the row when the code is RLE and nil
+// when it is raw, where rawPort answers from the code itself.
+func proveRow(code []byte, off, end int, scratch []graph.Port, x graph.NodeID, deg int) ([]graph.Port, error) {
+	r := coding.NewBitReaderAt(code, off, end)
+	if err := decodeRowInto(r, scratch, x, deg); err != nil {
+		return nil, err
+	}
+	if r.Pos() != end {
+		return nil, fmt.Errorf("code is %d bits, index says %d", r.Pos()-off, end-off)
+	}
+	if code[off>>3]>>(7-off&7)&1 == 0 { // flag bit: raw
+		return nil, nil
+	}
+	row := make([]graph.Port, len(scratch))
+	copy(row, scratch)
+	row[x] = graph.NoPort
+	return row, nil
+}
+
+// rawPort answers router x's raw row toward dst (dst != x) from its
+// code starting at bit off of code: the w-bit field at
+// off+1+(dst-[dst>x])*w, plus one. code must extend at least 8 bytes
+// past the field's first byte, which the stripe copy's pad guarantees.
+// w == 0 (degree 1) reads no bits and answers port 1.
+func rawPort(code []byte, off uint64, w uint, x, dst graph.NodeID) graph.Port {
+	d := uint64(dst)
+	if dst > x {
+		d-- // x has no field of its own
+	}
+	bit := off + 1 + d*uint64(w)
+	return graph.Port(binary.BigEndian.Uint64(code[bit>>3:])<<(bit&7)>>(64-w)) + 1
+}
+
+// stripe returns stripe si, proving it on first use with scratch (see
+// proveStripe).
+func (l *Lazy) stripe(si int, scratch []graph.Port) *stripeState {
 	st := &l.stripes[si]
 	st.once.Do(func() {
-		st.err = GuardFault(func() (err error) {
-			st.rows, err = l.decodeStripe(si)
-			return err
-		})
+		st.err = GuardFault(func() error { return l.proveStripe(st, si, scratch) })
 	})
 	return st
 }
 
-// row returns router x's decoded row, or nil when its stripe is
-// poisoned by a decode error.
-func (l *Lazy) row(x graph.NodeID) []graph.Port {
-	si := int(x) / lazyStripe
-	st := l.stripe(si)
-	if st.err != nil {
-		return nil
-	}
-	lo := si * lazyStripe
-	return st.rows[(int(x)-lo)*l.n : (int(x)-lo+1)*l.n]
-}
-
-// Preload decodes every stripe (and hence verifies the whole payload)
+// Preload proves every stripe (and hence verifies the whole payload)
 // on min(GOMAXPROCS, stripes) workers that claim stripes from a shared
-// counter. It returns the lowest-indexed stripe's error once every
-// stripe is done, so the report does not depend on the worker count.
-// Tests and eager callers use it; serving never needs to.
+// counter, each with its own scratch row. It returns the
+// lowest-indexed stripe's error once every stripe is done, so the
+// report does not depend on the worker count. Tests and eager callers
+// use it; serving never needs to.
 func (l *Lazy) Preload() error {
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -169,8 +225,9 @@ func (l *Lazy) Preload() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			scratch := make([]graph.Port, l.n)
 			for si := int(next.Add(1)) - 1; si < len(l.stripes); si = int(next.Add(1)) - 1 {
-				l.stripe(si)
+				l.stripe(si, scratch)
 			}
 		}()
 	}
@@ -191,17 +248,25 @@ func (l *Lazy) Name() string { return "routing-tables" }
 func (l *Lazy) Init(src, dst graph.NodeID) routing.Header { return &l.hdr[dst] }
 
 // Port implements routing.Function. A poisoned stripe answers NoPort,
-// turning payload corruption into per-route errors.
+// turning payload corruption into per-route errors. An RLE router
+// answers from its decoded row, a raw one from its field in the
+// stripe's code copy (rawPort).
 func (l *Lazy) Port(x graph.NodeID, h routing.Header) graph.Port {
 	dst := graph.NodeID(*h.(*header))
 	if x == dst {
 		return graph.NoPort
 	}
-	row := l.row(x)
-	if row == nil {
+	si := int(x) / lazyStripe
+	st := l.stripe(si, nil)
+	if st.err != nil {
 		return graph.NoPort
 	}
-	return row[dst]
+	i := int(x) - si*lazyStripe
+	w := uint(st.wid[i])
+	if w == rleWidth {
+		return st.rle[i][dst]
+	}
+	return rawPort(st.code, l.offs[x]-st.base, w, x, dst)
 }
 
 // Next implements routing.Function.

@@ -107,3 +107,133 @@ func TestLazyPreloadDeterministicError(t *testing.T) {
 		})
 	}
 }
+
+// lazyOver encodes s and wraps its payload in a Lazy over g, returning
+// the Lazy and the payload length in bytes.
+func lazyOver(t *testing.T, g *graph.Graph, s *Scheme) (*Lazy, int) {
+	t.Helper()
+	w := coding.NewBitWriter()
+	rb, start := s.EncodePayload(w)
+	offs := make([]uint64, g.Order()+1)
+	offs[0] = uint64(start)
+	for x := range rb {
+		offs[x+1] = offs[x] + uint64(rb[x])
+	}
+	blob := w.Bytes()
+	l, err := NewLazy(g, offs, func() ([]byte, error) { return blob, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, len(blob)
+}
+
+// TestLazyMatchesHeapScheme is the conformance test of the packed-code
+// lookup: for every family at n=64 and 300, and a random graph of five
+// stripes and a tail under both policies, Lazy.Port must equal the heap
+// scheme's Port on every (x, dst) pair, first touch included. The
+// cases must between them hold degree-1 routers (w = 0), RLE routers
+// and more than one stripe; every pair covers dst = x±1 and x on the
+// stripe edges.
+func TestLazyMatchesHeapScheme(t *testing.T) {
+	type tcase struct {
+		name string
+		g    *graph.Graph
+		pol  Policy
+	}
+	var cases []tcase
+	for _, fam := range gen.FamilyNames {
+		for _, n := range []int{64, 300} {
+			g, err := gen.ByName(fam, n, xrand.New(uint64(n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, tcase{fmt.Sprintf("%s/n=%d", fam, n), g, MinPort})
+		}
+	}
+	for _, pol := range []Policy{MinPort, RunGreedy} {
+		n := 5*lazyStripe + 17
+		cases = append(cases, tcase{fmt.Sprintf("random/n=%d/policy=%d", n, pol), gen.RandomConnected(n, 8.0/float64(n), xrand.New(3)), pol})
+	}
+	var narrow, rle, striped int
+	for _, tc := range cases {
+		s, err := New(tc.g, shortest.NewAPSPParallel(tc.g, 0), tc.pol)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		l, _ := lazyOver(t, tc.g, s)
+		n := tc.g.Order()
+		for x := 0; x < n; x++ {
+			for dst := 0; dst < n; dst++ {
+				xi, di := graph.NodeID(x), graph.NodeID(dst)
+				if got, want := l.Port(xi, l.Init(xi, di)), s.Port(xi, s.Init(xi, di)); got != want {
+					t.Fatalf("%s: Port(%d -> %d) = %d, heap scheme %d", tc.name, x, dst, got, want)
+				}
+			}
+		}
+		if err := l.Preload(); err != nil {
+			t.Fatalf("%s: Preload: %v", tc.name, err)
+		}
+		for si := range l.stripes {
+			for _, w := range l.stripes[si].wid {
+				switch w {
+				case 0:
+					narrow++
+				case rleWidth:
+					rle++
+				}
+			}
+		}
+		if len(l.stripes) > 1 {
+			striped++
+		}
+	}
+	if narrow == 0 || rle == 0 || striped == 0 {
+		t.Fatalf("cases hold %d degree-1 routers, %d RLE routers and %d multi-stripe graphs; each must be > 0", narrow, rle, striped)
+	}
+}
+
+// TestLazyRetainsCodeBytes pins what a proven Lazy keeps: after
+// Preload its stripes hold at most the payload bytes, one n-port row
+// per RLE router and O(n) bytes more (field widths, row slots, 8 pad
+// bytes and a shared boundary byte per stripe), and Preload allocates
+// no more than that plus one n-port scratch row per worker and 64 KiB
+// of allocator rounding. A stripe arena of n-port rows would be about
+// eight times the payload.
+func TestLazyRetainsCodeBytes(t *testing.T) {
+	n := 5*lazyStripe + 17
+	g := gen.RandomConnected(n, 8.0/float64(n), xrand.New(3))
+	s, err := New(g, shortest.NewAPSPParallel(g, 0), MinPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, payload := lazyOver(t, g, s)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := l.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	retained, rleRows := 0, 0
+	for si := range l.stripes {
+		st := &l.stripes[si]
+		retained += cap(st.code) + cap(st.wid) + 24*cap(st.rle)
+		for _, row := range st.rle {
+			if row != nil {
+				rleRows++
+				retained += 4 * cap(row)
+			}
+		}
+	}
+	if rleRows == 0 {
+		t.Fatal("no RLE router: the pin would not cover materialized rows")
+	}
+	bound := payload + 4*n*rleRows + 32*n
+	if retained > bound {
+		t.Fatalf("stripes retain %d bytes, bound %d (payload %d, %d RLE rows, n=%d)", retained, bound, payload, rleRows, n)
+	}
+	scratch := 4 * n * min(runtime.GOMAXPROCS(0), len(l.stripes))
+	if alloc := int(after.TotalAlloc - before.TotalAlloc); alloc > bound+scratch+64<<10 {
+		t.Fatalf("Preload allocated %d bytes, bound %d + scratch %d + 64 KiB", alloc, bound, scratch)
+	}
+}

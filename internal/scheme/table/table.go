@@ -128,8 +128,9 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 // first router whose row has a destination without a first arc. Each row
 // starts as the MinPort row of shortest.ArcRows; one in-order pass then
 // reports the first destination without a port, applies RunGreedy's
-// keep-previous-port rule and counts the runs encodedRowBits would
-// count, so the row is priced without a second scan.
+// keep-previous-port rule and counts the runs (and the runs of length
+// two or more) encodedRowBits would count, so most rows are priced
+// without a second scan.
 func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, lo, hi int) error {
 	n := len(s.ports)
 	var av shortest.ArcRows
@@ -139,7 +140,7 @@ func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, 
 		av.Load(apsp, arcs, xi, w)
 		row := make([]graph.Port, n)
 		av.MinPortRow(row)
-		runs, prev := 0, graph.NoPort
+		runs, r2, eq, prev := 0, 0, 0, graph.NoPort
 		for v, p := range row {
 			if v == x {
 				continue
@@ -155,13 +156,17 @@ func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, 
 				p = prev
 				row[v] = p
 			}
-			if p != prev {
-				runs++
+			was := eq
+			eq = 0
+			if p == prev {
+				eq = 1
 			}
+			runs += 1 - eq
+			r2 += eq &^ was
 			prev = p
 		}
 		s.ports[x] = row
-		s.bits[x] = pricedRowBits(row, xi, len(arcs), runs)
+		s.bits[x] = pricedRowBits(row, xi, len(arcs), runs, r2)
 	}
 	return nil
 }
@@ -215,25 +220,36 @@ func (s *Scheme) LocalBits(x graph.NodeID) int { return s.bits[x] }
 // whichever is shorter. Degree and n are not charged: they are part of the
 // router's wiring, known to the fixed decoder.
 func encodedRowBits(row []graph.Port, x graph.NodeID, deg int) int {
-	runs, prev := 0, graph.NoPort
+	runs, r2, eq, prev := 0, 0, 0, graph.NoPort
 	for v, p := range row {
-		if graph.NodeID(v) != x && p != prev {
-			runs++
-			prev = p
+		if graph.NodeID(v) == x {
+			continue
 		}
+		was := eq
+		eq = 0
+		if p == prev {
+			eq = 1
+		}
+		runs += 1 - eq
+		r2 += eq &^ was
+		prev = p
 	}
-	return pricedRowBits(row, x, deg, runs)
+	return pricedRowBits(row, x, deg, runs, r2)
 }
 
 // pricedRowBits is encodedRowBits for a row whose runs, merged across
-// the skipped x, are already counted. Every run costs at least a 1-bit
-// gamma plus its port, so a row with runs*(1+w) >= raw is raw without
-// pricing its runs; only the others are priced exactly.
-func pricedRowBits(row []graph.Port, x graph.NodeID, deg, runs int) int {
+// the skipped x, are already counted: runs of them, r2 of length two or
+// more (each counted where eq, "v extends the run before it", rises
+// from 0 to 1, so the counting loops stay branch-free). Every run
+// costs at least a 1-bit gamma plus its port, and a run of length two
+// or more at least a 3-bit gamma, so a row with runs*(1+w) + 2*r2 >=
+// raw is raw without pricing its runs; only the others are priced
+// exactly.
+func pricedRowBits(row []graph.Port, x graph.NodeID, deg, runs, r2 int) int {
 	w := coding.BitsFor(uint64(deg))
 	n := len(row)
 	raw := (n - 1) * w
-	if runs*(1+w) >= raw {
+	if runs*(1+w)+2*r2 >= raw {
 		return 1 + raw
 	}
 	rle := 0
@@ -298,8 +314,8 @@ func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bi
 }
 
 // decodeRowInto parses one row code into a caller-provided row of n
-// entries — the arena form the lazy mapped reader uses to decode a
-// whole stripe of routers into one contiguous block — and accepts it
+// entries — a fresh row for the heap decoder, one reused scratch row
+// per worker for the lazy mapped reader's stripe proof — and accepts it
 // only if it is the code writeRowCode emits for the row it decodes to:
 //
 //	raw (flag 0): every port below deg, and the row's RLE cost, with
@@ -310,9 +326,9 @@ func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bi
 //	strictly below the raw cost.
 //
 // Gamma codes and fixed-width fields are bijective, so these checks are
-// the re-encode gate's accept set, proven in the decoding pass. row
-// must arrive zeroed (NoPort everywhere); on success every entry except
-// row[x] is assigned.
+// the re-encode gate's accept set, proven in the decoding pass. row's
+// prior contents do not affect the verdict; on success every entry
+// except row[x] is assigned, and row[x] is left as it was.
 func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg int) error {
 	wbits := coding.BitsFor(uint64(deg))
 	n := len(row)
@@ -324,15 +340,15 @@ func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg in
 	}
 	if flag == 0 {
 		// The fields land in row as port-1 and are checked and shifted
-		// to ports here, counting the runs merged across x. row[x]
-		// stays NoPort.
+		// to ports here, counting the runs merged across x. row[x] is
+		// not touched.
 		if err := r.ReadFixedInto(row[:x], wbits); err != nil {
 			return err
 		}
 		if err := r.ReadFixedInto(row[x+1:], wbits); err != nil {
 			return err
 		}
-		runs, prev := 0, graph.NoPort
+		runs, r2, eq, prev := 0, 0, 0, graph.NoPort
 		for v, b := range row {
 			if graph.NodeID(v) == x {
 				continue
@@ -342,12 +358,16 @@ func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg in
 			}
 			p := b + 1
 			row[v] = p
-			if p != prev {
-				runs++
+			was := eq
+			eq = 0
+			if p == prev {
+				eq = 1
 			}
+			runs += 1 - eq
+			r2 += eq &^ was
 			prev = p
 		}
-		if bits := pricedRowBits(row, x, deg, runs); bits-1 < raw {
+		if bits := pricedRowBits(row, x, deg, runs, r2); bits-1 < raw {
 			return fmt.Errorf("table: raw row of %d bits where RLE takes %d", raw, bits-1)
 		}
 		return nil

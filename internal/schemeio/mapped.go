@@ -7,8 +7,9 @@ package schemeio
 // sections, and the scheme wire header — and defers the scheme payload
 // entirely: the section's checksum is verified and its routers decoded
 // only when the first query touches them. Against an mmap backing the
-// payload bytes are never copied at all; the lazy readers decode
-// straight out of the mapping (page cache), which is what turns scheme
+// payload bytes stay in the mapping (page cache) until then: a table
+// stripe is copied to the heap and proven there on first touch, other
+// kinds decode straight out of the mapping, which is what turns scheme
 // load from O(scheme) into O(index).
 
 import (
