@@ -68,7 +68,7 @@ var duplicateLedger = []duplicate{
 		candidate:   "table.Repair after faults.RefreshRows",
 		conformance: "TestFaultRepairTableBitIdentical",
 		bench:       &benchPair{"BENCH_faults.json", "BenchmarkFaultRepair/n=2048/kills=8", "BenchmarkFaultRebuild/n=2048/kills=8", "ns/op", 0},
-		keep: "repair is the slower arm (850 vs 135 ms recorded); it stays only because " +
+		keep: "repair is the slower arm (1039 vs 74 ms recorded); it stays only because " +
 			"cmd/routebench churnCycle calls it, and deleting it waits on ROADMAP items 1 and 3",
 	},
 	{
@@ -84,9 +84,10 @@ var duplicateLedger = []duplicate{
 		candidate:   "routing.RouteLen",
 		conformance: "TestRouteLenMatchesRouteVisit",
 		bench:       &benchPair{"BENCH_core.json", "BenchmarkRouteVisit/visit/n=4096", "BenchmarkRouteVisit/len/n=4096", "ns/op", 0},
-		keep: "at parity (visit/len 1.11 recorded); merging RouteLen onto RouteVisit puts a " +
-			"capturing closure in a //repolint:hotpath function on every serving query, which needs " +
-			"its own change measured with a routebench compare",
+		keep: "RouteLen is the faster arm (visit/len 3.19 recorded, both warmed; the five -benchtime 1x " +
+			"runs span 1.7-4.8 ms visit and 1.1-5.1 ms len on a noisy host); merging RouteLen onto " +
+			"RouteVisit puts a capturing closure in a //repolint:hotpath function on every serving query, " +
+			"which needs its own change measured with a routebench compare",
 	},
 	{
 		reference:   "serve.Server",

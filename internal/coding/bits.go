@@ -128,6 +128,55 @@ func (w *BitWriter) WriteFixedFrom(src []int32, bias int32, width int) {
 	w.buf = buf[:end]
 }
 
+// WriteBitsFrom appends bits [off, off+nbits) of src, most significant
+// bit of each byte first — the bulk copy of a bit string that another
+// writer produced, at any source and destination phase. The span must
+// lie inside src. The buffer grows once; each 64-bit store takes one
+// unaligned window of src (a word and the byte after it), and the
+// partial last byte of the writer goes into the first store.
+func (w *BitWriter) WriteBitsFrom(src []byte, off, nbits int) {
+	if off < 0 || nbits < 0 || nbits > len(src)*8-off {
+		panic("coding: source bits out of range")
+	}
+	if nbits == 0 {
+		return
+	}
+	out, used := len(w.buf), w.nbit&7
+	var head uint64 // the bits of the partial last byte, left-justified
+	if used != 0 {
+		out--
+		head = uint64(w.buf[out]) << 56
+	}
+	w.nbit += nbits
+	end := (w.nbit + 7) >> 3
+	buf := slices.Grow(w.buf, end+8-len(w.buf))[:end+8] // every store writes a whole word
+	binary.BigEndian.PutUint64(buf[out:], head|srcWindow(src, off)>>uint(used))
+	for o, s := out+8, off+64-used; o < end; o, s = o+8, s+64 {
+		binary.BigEndian.PutUint64(buf[o:], srcWindow(src, s))
+	}
+	if tail := w.nbit & 7; tail != 0 {
+		buf[end-1] &^= 0xff >> uint(tail) // source bits past the span
+	}
+	w.buf = buf[:end]
+}
+
+// srcWindow returns the 64 bits of src from bit s on, zero past its
+// end.
+func srcWindow(src []byte, s int) uint64 {
+	i, sh := s>>3, uint(s&7)
+	if i+9 <= len(src) {
+		return binary.BigEndian.Uint64(src[i:])<<sh | uint64(src[i+8])>>(8-sh)
+	}
+	var v uint64
+	for j := i; j < i+8; j++ {
+		v <<= 8
+		if j < len(src) {
+			v |= uint64(src[j])
+		}
+	}
+	return v << sh // src ends before byte i+8
+}
+
 // Grow makes room for nbits more bits, so a writer whose final length
 // is known up front fills one buffer instead of growing it step by step.
 func (w *BitWriter) Grow(nbits int) {
@@ -173,6 +222,10 @@ func (r *BitReader) Reset(buf []byte, nbit int) {
 	}
 	r.buf, r.pos, r.nbit = buf, 0, nbit
 }
+
+// Bytes returns the buffer the reader reads from, so a span already
+// read can be copied out whole (BitWriter.WriteBitsFrom).
+func (r *BitReader) Bytes() []byte { return r.buf }
 
 // Pos returns the number of bits consumed so far.
 func (r *BitReader) Pos() int { return r.pos }

@@ -48,6 +48,15 @@ func (w *refBitWriter) WriteFixedFrom(src []int32, bias int32, width int) {
 	}
 }
 
+func (w *refBitWriter) WriteBitsFrom(src []byte, off, nbits int) {
+	if off < 0 || nbits < 0 || nbits > len(src)*8-off {
+		panic("coding: source bits out of range")
+	}
+	for i := off; i < off+nbits; i++ {
+		w.WriteBit(uint(src[i/8]>>(7-uint(i%8))) & 1)
+	}
+}
+
 func (w *refBitWriter) WriteUnary(v uint64) {
 	for i := uint64(0); i < v; i++ {
 		w.WriteBit(1)
@@ -157,7 +166,9 @@ func panics(f func()) (msg string) {
 
 // checkBitOps runs the program in prog against both kernels: a write
 // phase (bits, words of every width with junk above width, unary runs,
-// Grow plus WriteFixedFrom runs of any bias, resets, bad widths), then a read phase over the written bytes with
+// Grow plus WriteFixedFrom runs of any bias, Grow plus WriteBitsFrom
+// spans of any phase, in range or not, resets, bad widths), then a read
+// phase over the written bytes with
 // junk past nbit, a chosen nbit and start offset, and reads of every
 // width, in and out of range, including ones that run past nbit, one
 // field at a time or as a ReadFixedInto run.
@@ -166,7 +177,7 @@ func checkBitOps(t *testing.T, prog []byte) {
 	s := &opStream{b: prog}
 	w, rw := NewBitWriter(), &refBitWriter{}
 	for steps := 0; !s.done() && steps < 256; steps++ {
-		op := s.next() % 9
+		op := s.next() % 10
 		if op == 8 {
 			break
 		}
@@ -204,6 +215,22 @@ func checkBitOps(t *testing.T, prog []byte) {
 			want := panics(func() { rw.WriteFixedFrom(src, bias, width) })
 			if got != want {
 				t.Fatalf("WriteFixedFrom(%d x %d bits) panic %q, reference %q", len(src), width, got, want)
+			}
+		case 9:
+			src := make([]byte, s.next()%40)
+			for i := range src {
+				src[i] = s.next()
+			}
+			off, nbits := int(s.next())-4, int(s.next())-4
+			if s.next()%4 != 0 { // mostly a span inside src
+				off = min(max(off, 0), 8*len(src))
+				nbits = min(max(nbits, 0), 8*len(src)-off)
+			}
+			w.Grow(int(s.next()))
+			got := panics(func() { w.WriteBitsFrom(src, off, nbits) })
+			want := panics(func() { rw.WriteBitsFrom(src, off, nbits) })
+			if got != want {
+				t.Fatalf("WriteBitsFrom(%d bytes, %d, %d) panic %q, reference %q", len(src), off, nbits, got, want)
 			}
 		}
 		if w.Len() != rw.nbit || !bytes.Equal(w.Bytes(), rw.buf) {
@@ -391,6 +418,45 @@ func TestWriteFixedFromMatchesReferenceSweep(t *testing.T) {
 				if w.Len() != rw.nbit || !bytes.Equal(w.Bytes(), rw.buf) {
 					t.Fatalf("phase %d width %d count %d: len %d bytes %x, reference len %d bytes %x",
 						phase, width, count, w.Len(), w.Bytes(), rw.nbit, rw.buf)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteBitsFromMatchesReferenceSweep copies spans of every length
+// 0..130 from every source bit phase 0..7 into a writer at every
+// destination phase 0..7, then writes one more field, through a writer
+// whose reused buffer holds stale ones past its length; the source is
+// junk around the span and ends right after it or 1..9 bytes later, so
+// both the whole-word windows and the zero-filled tail window run.
+func TestWriteBitsFromMatchesReferenceSweep(t *testing.T) {
+	rng := xrand.New(64)
+	junk := make([]byte, 40)
+	for i := range junk {
+		junk[i] = byte(rng.Uint64())
+	}
+	w, rw := NewBitWriter(), &refBitWriter{}
+	for i := 0; i < 64; i++ {
+		w.WriteBits(^uint64(0), 64)
+	}
+	for soff := 0; soff < 8; soff++ {
+		for phase := 0; phase < 8; phase++ {
+			for nbits := 0; nbits <= 130; nbits++ {
+				for _, slack := range []int{0, 1, 9} {
+					src := junk[:min(len(junk), (soff+nbits+7)/8+slack)]
+					w.Reset()
+					rw.Reset()
+					w.WriteBits(0x55, phase)
+					rw.WriteBits(0x55, phase)
+					w.WriteBitsFrom(src, soff, nbits)
+					rw.WriteBitsFrom(src, soff, nbits)
+					w.WriteBits(0x2d, 6)
+					rw.WriteBits(0x2d, 6)
+					if w.Len() != rw.nbit || !bytes.Equal(w.Bytes(), rw.buf) {
+						t.Fatalf("source phase %d, phase %d, %d bits, %d bytes: len %d bytes %x, reference len %d bytes %x",
+							soff, phase, nbits, len(src), w.Len(), w.Bytes(), rw.nbit, rw.buf)
+					}
 				}
 			}
 		}

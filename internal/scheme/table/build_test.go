@@ -78,10 +78,10 @@ func TestNewMatchesFirstArcsReference(t *testing.T) {
 			}
 			for x := 0; x < g.Order(); x++ {
 				want := referenceRow(g, apsp, graph.NodeID(x), pol)
-				if !reflect.DeepEqual(s.ports[x], want) {
-					t.Fatalf("%s/%d: row %d = %v, want %v", name, pol, x, s.ports[x], want)
+				if got := s.RowCopy(graph.NodeID(x)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%d: row %d = %v, want %v", name, pol, x, got, want)
 				}
-				if s.bits[x] != encodedRowBits(want, graph.NodeID(x), g.Degree(graph.NodeID(x))) {
+				if s.LocalBits(graph.NodeID(x)) != encodedRowBits(want, graph.NodeID(x), g.Degree(graph.NodeID(x))) {
 					t.Fatalf("%s/%d: bits of row %d disagree with its code", name, pol, x)
 				}
 			}
@@ -112,7 +112,7 @@ func TestNewWeightedMatchesFirstArcsReference(t *testing.T) {
 					continue
 				}
 				arcs := shortest.WeightedFirstArcs(g, apsp, w, graph.NodeID(x), graph.NodeID(v))
-				if got := s.ports[x][v]; got != arcs[0] {
+				if got := entry(s, graph.NodeID(x), graph.NodeID(v)); got != arcs[0] {
 					t.Fatalf("%s: entry (%d,%d) = %d, want lowest of %v", fam, x, v, got, arcs)
 				}
 			}
@@ -127,8 +127,8 @@ func withProcs(procs int, f func()) {
 }
 
 // TestNewWorkerCountInvariant pins the fan-out: the scheme built on one
-// worker and on four is the same, row for row and bit count for bit
-// count, for both policies on an intact and a faulted graph.
+// worker and on four is the same, row code for row code, for both
+// policies on an intact and a faulted graph.
 func TestNewWorkerCountInvariant(t *testing.T) {
 	g, err := gen.ByName("random", 300, xrand.New(5))
 	if err != nil {
@@ -152,7 +152,7 @@ func TestNewWorkerCountInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(one.ports, four.ports) || !reflect.DeepEqual(one.bits, four.bits) {
+			if !reflect.DeepEqual(one.rows, four.rows) {
 				t.Fatalf("%s/%d: GOMAXPROCS 1 and 4 built different schemes", name, pol)
 			}
 		}
@@ -331,12 +331,22 @@ func oraclePayload(g *graph.Graph, ports [][]graph.Port, bits []int) *coding.Bit
 // connected, as the root package's killPlan does.
 func killFraction(t *testing.T, g *graph.Graph, frac float64, seed uint64) *graph.Graph {
 	t.Helper()
+	plan := killPlan(g, frac, seed)
+	if plan == nil {
+		return nil
+	}
+	h := g.Clone()
+	plan.Apply(h)
+	return h
+}
+
+// killPlan draws the connectivity-preserving plan killFraction applies,
+// or nil when every edge is a bridge.
+func killPlan(g *graph.Graph, frac float64, seed uint64) *faults.Plan {
 	for k := max(1, int(frac*float64(g.Size()))); k >= 1; k-- {
 		plan, err := faults.NewPlan(g, faults.Options{Mode: faults.KillEdges, Count: k, Seed: seed, KeepConnected: true})
 		if err == nil {
-			h := g.Clone()
-			plan.Apply(h)
-			return h
+			return plan
 		}
 	}
 	return nil // a tree has no removable edge
@@ -365,11 +375,11 @@ func TestRowKernelMatchesPickOracle(t *testing.T) {
 			}
 			return
 		}
-		if !reflect.DeepEqual(s.ports, wantPorts) {
+		if !reflect.DeepEqual(portRows(s), wantPorts) {
 			t.Fatalf("%s/%d: ports differ from the oracle", name, pol)
 		}
-		if !slices.Equal(s.bits, wantBits) {
-			t.Fatalf("%s/%d: bits %v, oracle %v", name, pol, s.bits, wantBits)
+		if bits := rowBits(s); !slices.Equal(bits, wantBits) {
+			t.Fatalf("%s/%d: bits %v, oracle %v", name, pol, bits, wantBits)
 		}
 		got := coding.NewBitWriter()
 		s.EncodePayload(got)
@@ -523,5 +533,136 @@ func TestRawRowBoundAtTies(t *testing.T) {
 		if b, rle := bound(row, x, deg); b > rle {
 			t.Fatalf("row %v x=%d deg=%d: bound %d exceeds the RLE cost %d", row, x, deg, b, rle)
 		}
+	}
+}
+
+// TestSchemeMatchesPortOracle is the conformance test of the code-backed
+// heap scheme: every (x, dst) that Port answers must equal the port-row
+// oracle (pickOracle's rows) for the scheme from New and NewWeighted,
+// from DecodePayload of its payload, from WithRows patching every other
+// router of the other policy's scheme, and, on the hop metric, from
+// Repair of the intact graph's scheme after the faults — over every
+// family at n=64 and 300, both policies, plain and faulted. The cases
+// must between them hold degree-1 routers (w = 0) and RLE routers.
+func TestSchemeMatchesPortOracle(t *testing.T) {
+	var narrow, rle int
+	check := func(name string, s *Scheme, want [][]graph.Port) {
+		t.Helper()
+		for x := range want {
+			for dst := range want {
+				if got := entry(s, graph.NodeID(x), graph.NodeID(dst)); got != want[x][dst] {
+					t.Fatalf("%s: Port(%d -> %d) = %d, oracle %d", name, x, dst, got, want[x][dst])
+				}
+			}
+			switch s.rows[x].wid {
+			case 0:
+				narrow++
+			case rleWidth:
+				rle++
+			}
+		}
+	}
+	pols := []Policy{MinPort, RunGreedy}
+	for _, n := range []int{64, 300} {
+		for i, fam := range gen.FamilyNames {
+			g, err := gen.ByName(fam, n, xrand.New(uint64(300+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := killPlan(g, 0.08, uint64(0x5eed+i))
+			graphs := map[string]*graph.Graph{fmt.Sprintf("%s/%d", fam, n): g}
+			if plan != nil {
+				h := g.Clone()
+				plan.Apply(h)
+				graphs[fmt.Sprintf("%s/%d/faulted", fam, n)] = h
+			}
+			for name, gr := range graphs {
+				apsp := shortest.NewAPSPParallel(gr, 0)
+				w := shortest.RandomWeights(gr, 9, xrand.New(uint64(400+i)))
+				wapsp, err := shortest.NewWeightedAPSPParallel(gr, w, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, weighted := range []bool{false, true} {
+					oracle := map[Policy][][]graph.Port{}
+					built := map[Policy]*Scheme{}
+					for _, pol := range pols {
+						var s *Scheme
+						if weighted {
+							oracle[pol], _, err = pickOracle(gr, wapsp, w, pol)
+							if err == nil {
+								s, err = NewWeighted(gr, w, wapsp, pol)
+							}
+						} else {
+							oracle[pol], _, err = pickOracle(gr, apsp, nil, pol)
+							if err == nil {
+								s, err = New(gr, apsp, pol)
+							}
+						}
+						if err != nil {
+							t.Fatalf("%s/%d: %v", name, pol, err)
+						}
+						built[pol] = s
+					}
+					for _, pol := range pols {
+						tag := fmt.Sprintf("%s/weighted=%v/%d", name, weighted, pol)
+						s, want := built[pol], oracle[pol]
+						check(tag+"/New", s, want)
+						bw := coding.NewBitWriter()
+						s.EncodePayload(bw)
+						d, err := DecodePayload(coding.NewBitReader(bw.Bytes(), bw.Len()), gr)
+						if err != nil {
+							t.Fatalf("%s: DecodePayload: %v", tag, err)
+						}
+						check(tag+"/DecodePayload", d, want)
+						// Patch every other router of the other policy's scheme.
+						other := built[1-pol]
+						mixed := slices.Clone(oracle[1-pol])
+						var routers []graph.NodeID
+						var rows [][]graph.Port
+						for x := 0; x < gr.Order(); x += 2 {
+							routers = append(routers, graph.NodeID(x))
+							rows = append(rows, slices.Clone(want[x]))
+							mixed[x] = want[x]
+						}
+						p, err := other.WithRows(gr, routers, rows)
+						if err != nil {
+							t.Fatalf("%s: WithRows: %v", tag, err)
+						}
+						check(tag+"/WithRows", p, mixed)
+						check(tag+"/WithRows-base", other, oracle[1-pol])
+					}
+				}
+			}
+			if plan == nil {
+				continue
+			}
+			// Repair: built on the intact graph, then faulted in place.
+			for _, pol := range pols {
+				work := g.Clone()
+				apsp := shortest.NewAPSPParallel(work, 0)
+				s, err := New(work, apsp, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range plan.Edges {
+					work.RemoveEdge(e[0], e[1])
+				}
+				work.Freeze()
+				dirty := faults.DirtyRoots(apsp, plan.Edges)
+				apsp.RefreshRows(work, dirty)
+				if _, err := s.Repair(apsp, dirty, pol); err != nil {
+					t.Fatalf("%s/%d/%d: Repair: %v", fam, n, pol, err)
+				}
+				want, _, err := pickOracle(work, apsp, nil, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%s/%d/%d/Repair", fam, n, pol), s, want)
+			}
+		}
+	}
+	if narrow == 0 || rle == 0 {
+		t.Fatalf("cases hold %d degree-1 and %d RLE routers; each must be > 0", narrow, rle)
 	}
 }

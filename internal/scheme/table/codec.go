@@ -18,19 +18,20 @@ import (
 // header and returns the per-router payload bits (here: exactly
 // LocalBits(x) for every router) plus the absolute bit offset where
 // router 0's span begins — rows are contiguous in router order, so the
-// pair (routerStart, rb) locates every row for random access.
+// pair (routerStart, rb) locates every row for random access. The
+// scheme stores each router's canonical code, so the payload is their
+// bit-aligned concatenation (BitWriter.WriteBitsFrom).
 func (s *Scheme) EncodePayload(w *coding.BitWriter) (rb []int, routerStart int) {
 	routerStart = w.Len()
-	rb = make([]int, len(s.ports))
+	rb = make([]int, len(s.rows))
 	total := 0
-	for _, b := range s.bits {
-		total += b
+	for x := range s.rows {
+		rb[x] = int(s.rows[x].bits)
+		total += rb[x]
 	}
 	w.Grow(total)
-	for x, row := range s.ports {
-		start := w.Len()
-		writeRowCode(w, row, graph.NodeID(x), s.g.Degree(graph.NodeID(x)), s.bits[x])
-		rb[x] = w.Len() - start
+	for x := range s.rows {
+		w.WriteBitsFrom(s.rows[x].code, 0, rb[x])
 	}
 	return rb, routerStart
 }
@@ -56,23 +57,27 @@ func DecodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph
 
 // DecodePayload parses a payload written by EncodePayload against the
 // graph the scheme was built on, returning a scheme that routes
-// bit-identically to the encoded one. Malformed bytes (out-of-range
-// ports, overrunning runs, non-canonical row codes, truncation) error,
-// never panic; every allocation is sized by g, not by
-// attacker-controlled counts.
+// bit-identically to the encoded one. Each router's span is proven
+// canonical (proveRow) into one scratch row and kept as its code bytes.
+// Malformed bytes (out-of-range ports, overrunning runs, non-canonical
+// row codes, truncation) error, never panic; every allocation is sized
+// by g or by the bits already proven, not by attacker-controlled counts.
 func DecodePayload(r *coding.BitReader, g *graph.Graph) (*Scheme, error) {
 	n := g.Order()
 	s := newScheme(g, n)
+	scratch := make([]graph.Port, n)
+	w := coding.NewBitWriter()
 	for x := 0; x < n; x++ {
 		xi := graph.NodeID(x)
 		deg := g.Degree(xi)
 		start := r.Pos()
-		row, err := DecodeRowFrom(r, n, xi, deg)
+		rle, err := proveRow(r, scratch, xi, deg)
 		if err != nil {
 			return nil, err
 		}
-		s.ports[x] = row
-		s.bits[x] = r.Pos() - start // a canonical row code is exactly LocalBits long
+		w.Reset()
+		w.WriteBitsFrom(r.Bytes(), start, r.Pos()-start)
+		s.rows[x] = newRowCode(w, rle, deg)
 	}
 	return s, nil
 }

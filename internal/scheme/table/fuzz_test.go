@@ -117,7 +117,7 @@ func checkDecodeRow(t *testing.T, data []byte, n int, x graph.NodeID, deg int) {
 	}
 }
 
-// checkProveRow runs proveRow, the per-router stripe proof, on data
+// checkProveRow runs proveSpan, the per-router stripe proof, on data
 // padded as a stripe copy is, into a scratch row full of stale ports.
 // Bounded at all of data it must accept exactly when DecodeRowFrom
 // accepted and consumed all of data; bounded at the span DecodeRowFrom
@@ -132,24 +132,24 @@ func checkProveRow(t *testing.T, data []byte, n int, x graph.NodeID, deg int, ro
 		scratch[v] = graph.Port(7*v + 3)
 	}
 	whole := len(data) * 8
-	if _, err := proveRow(code, 0, whole, scratch, x, deg); (err == nil) != (row != nil && span == whole) {
-		t.Fatalf("n=%d x=%d deg=%d data %x: proveRow over %d bits err %v, DecodeRowFrom row %v over %d bits", n, x, deg, data, whole, err, row, span)
+	if _, err := proveSpan(code, 0, whole, scratch, x, deg); (err == nil) != (row != nil && span == whole) {
+		t.Fatalf("n=%d x=%d deg=%d data %x: proveSpan over %d bits err %v, DecodeRowFrom row %v over %d bits", n, x, deg, data, whole, err, row, span)
 	}
 	if row == nil {
 		return
 	}
-	got, err := proveRow(code, 0, span, scratch, x, deg)
+	got, err := proveSpan(code, 0, span, scratch, x, deg)
 	if err != nil {
-		t.Fatalf("n=%d x=%d deg=%d data %x: proveRow rejects the %d-bit span DecodeRowFrom accepts: %v", n, x, deg, data, span, err)
+		t.Fatalf("n=%d x=%d deg=%d data %x: proveSpan rejects the %d-bit span DecodeRowFrom accepts: %v", n, x, deg, data, span, err)
 	}
 	if data[0]>>7 == 1 {
 		if !slices.Equal(got, row) {
-			t.Fatalf("n=%d x=%d deg=%d data %x: proveRow RLE row %v, DecodeRowFrom %v", n, x, deg, data, got, row)
+			t.Fatalf("n=%d x=%d deg=%d data %x: proveSpan RLE row %v, DecodeRowFrom %v", n, x, deg, data, got, row)
 		}
 		return
 	}
 	if got != nil {
-		t.Fatalf("n=%d x=%d deg=%d data %x: proveRow kept a row for a raw code", n, x, deg, data)
+		t.Fatalf("n=%d x=%d deg=%d data %x: proveSpan kept a row for a raw code", n, x, deg, data)
 	}
 	w := uint(coding.BitsFor(uint64(deg)))
 	for dst := range row {

@@ -34,7 +34,6 @@ package table
 // ErrBackingFault.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -50,11 +49,6 @@ import (
 // keeping the worst-case wasted proof (touch one router, prove 256)
 // far below the O(n) rows a heap load pays per router.
 const lazyStripe = 256
-
-// rleWidth marks, in stripeState.wid, a router whose code is run-length
-// compressed and whose row is therefore served from stripeState.rle.
-// A field width BitsFor(deg) never exceeds 64.
-const rleWidth = 0xff
 
 // Lazy routes from a table payload resolved on demand. It implements
 // routing.Scheme and routing.HeaderSizer and is safe for concurrent
@@ -150,7 +144,7 @@ func (l *Lazy) proveStripe(st *stripeState, si int, scratch []graph.Port) error 
 	for x := lo; x < hi; x++ {
 		xi := graph.NodeID(x)
 		deg := l.g.Degree(xi)
-		row, err := proveRow(code, int(l.offs[x]-base), int(l.offs[x+1]-base), scratch, xi, deg)
+		row, err := proveSpan(code, int(l.offs[x]-base), int(l.offs[x+1]-base), scratch, xi, deg)
 		if err != nil {
 			return fmt.Errorf("table: router %d: %w", x, err)
 		}
@@ -166,40 +160,18 @@ func (l *Lazy) proveStripe(st *stripeState, si int, scratch []graph.Port) error 
 	return nil
 }
 
-// proveRow is the stripe proof of one router: the code at bits
-// [off, end) of code must be canonical (decodeRowInto, decoding into
-// scratch, whose prior contents do not matter) and exactly end-off bits
-// long. It returns a fresh copy of the row when the code is RLE and nil
-// when it is raw, where rawPort answers from the code itself.
-func proveRow(code []byte, off, end int, scratch []graph.Port, x graph.NodeID, deg int) ([]graph.Port, error) {
+// proveSpan is the stripe proof of one router: proveRow over the code
+// at bits [off, end) of code, which must be exactly end-off bits long.
+func proveSpan(code []byte, off, end int, scratch []graph.Port, x graph.NodeID, deg int) ([]graph.Port, error) {
 	r := coding.NewBitReaderAt(code, off, end)
-	if err := decodeRowInto(r, scratch, x, deg); err != nil {
+	row, err := proveRow(r, scratch, x, deg)
+	if err != nil {
 		return nil, err
 	}
 	if r.Pos() != end {
 		return nil, fmt.Errorf("code is %d bits, index says %d", r.Pos()-off, end-off)
 	}
-	if code[off>>3]>>(7-off&7)&1 == 0 { // flag bit: raw
-		return nil, nil
-	}
-	row := make([]graph.Port, len(scratch))
-	copy(row, scratch)
-	row[x] = graph.NoPort
 	return row, nil
-}
-
-// rawPort answers router x's raw row toward dst (dst != x) from its
-// code starting at bit off of code: the w-bit field at
-// off+1+(dst-[dst>x])*w, plus one. code must extend at least 8 bytes
-// past the field's first byte, which the stripe copy's pad guarantees.
-// w == 0 (degree 1) reads no bits and answers port 1.
-func rawPort(code []byte, off uint64, w uint, x, dst graph.NodeID) graph.Port {
-	d := uint64(dst)
-	if dst > x {
-		d-- // x has no field of its own
-	}
-	bit := off + 1 + d*uint64(w)
-	return graph.Port(binary.BigEndian.Uint64(code[bit>>3:])<<(bit&7)>>(64-w)) + 1
 }
 
 // stripe returns stripe si, proving it on first use with scratch (see

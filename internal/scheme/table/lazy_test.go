@@ -133,7 +133,9 @@ func lazyOver(t *testing.T, g *graph.Graph, s *Scheme) (*Lazy, int) {
 // scheme's Port on every (x, dst) pair, first touch included. The
 // cases must between them hold degree-1 routers (w = 0), RLE routers
 // and more than one stripe; every pair covers dst = x±1 and x on the
-// stripe edges.
+// stripe edges. The heap scheme answers from the same rawPort, and
+// TestSchemeMatchesPortOracle pins it to port rows of an independent
+// build.
 func TestLazyMatchesHeapScheme(t *testing.T) {
 	type tcase struct {
 		name string

@@ -2,8 +2,10 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/coding"
 	"repro/internal/graph"
 	"repro/internal/shortest"
 )
@@ -32,6 +34,10 @@ import (
 // rebuild. Vertex removals are not repairable (a removed vertex
 // disconnects the pair space and New on the post-fault graph errors);
 // Repair returns an error when any destination became unreachable.
+//
+// Each visited router's row is decoded from its stored code into one
+// scratch row and walked there; only a row with a changed entry is
+// re-priced and re-encoded, so every other router keeps its code.
 func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) ([]graph.NodeID, error) {
 	g := s.g
 	g.Freeze()
@@ -51,6 +57,7 @@ func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) (
 		}
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	scratch, bw := make([]graph.Port, n), coding.NewBitWriter()
 	var changed []graph.NodeID
 	for x := 0; x < n; x++ {
 		xi := graph.NodeID(x)
@@ -65,12 +72,12 @@ func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) (
 		if !hasHole && len(ds) == 0 {
 			continue
 		}
-		rowChanged, err := s.repairRow(apsp, xi, arcs, ds, inD, hasHole, pol)
+		rowChanged, err := s.repairRow(apsp, xi, arcs, ds, inD, hasHole, pol, scratch)
 		if err != nil {
 			return nil, err
 		}
 		if rowChanged {
-			s.bits[x] = encodedRowBits(s.ports[x], xi, len(arcs))
+			s.rows[x] = encodeRow(bw, scratch, xi, len(arcs), encodedRowBits(scratch, xi, len(arcs)))
 			changed = append(changed, xi)
 		}
 	}
@@ -81,9 +88,11 @@ func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) (
 // flags x as an endpoint of a removed edge: every entry must then be
 // checked for a dead stored port, so the walk is dense; otherwise only
 // the dirty destinations ds are visited (plus, under RunGreedy, the
-// cascade tail after a change).
-func (s *Scheme) repairRow(apsp *shortest.APSP, x graph.NodeID, arcs []graph.NodeID, ds []graph.NodeID, inD []bool, hasHole bool, pol Policy) (bool, error) {
-	row := s.ports[x]
+// cascade tail after a change). The row is decoded into row, the
+// caller's scratch, and a changed row is left there for Repair to
+// re-encode.
+func (s *Scheme) repairRow(apsp *shortest.APSP, x graph.NodeID, arcs []graph.NodeID, ds []graph.NodeID, inD []bool, hasHole bool, pol Policy, row []graph.Port) (bool, error) {
+	s.rowInto(x, row)
 	n := len(row)
 	rowChanged := false
 	cascade := false
@@ -166,24 +175,24 @@ func prevEntry(row []graph.Port, x graph.NodeID, v int) graph.Port {
 }
 
 // WithRows returns a copy-on-write patch of s bound to g: routers[i]'s
-// row is replaced by rows[i] (which the new scheme takes ownership of),
-// every other row is shared with s. This is how a serving shard applies
-// a schemeio fault delta — O(changed) new state instead of an O(n²)
-// rebuild. Routers must be ascending and unique; every patched port must
-// be a live port of g (a delta that steers into a dead slot is
+// row becomes rows[i], priced and encoded into its canonical code here
+// (rows are not retained), and every other router's code is shared with
+// s. This is how a serving shard applies a schemeio fault delta —
+// O(changed) new rows plus one copy of the per-router entries instead of
+// an O(n²) rebuild. Routers must be ascending and unique; every patched
+// port must be a live port of g (a delta that steers into a dead slot is
 // corrupt).
 func (s *Scheme) WithRows(g *graph.Graph, routers []graph.NodeID, rows [][]graph.Port) (*Scheme, error) {
 	g.Freeze()
 	n := g.Order()
-	if n != len(s.ports) {
-		return nil, fmt.Errorf("table: patch order mismatch: graph %d, scheme %d", n, len(s.ports))
+	if n != len(s.rows) {
+		return nil, fmt.Errorf("table: patch order mismatch: graph %d, scheme %d", n, len(s.rows))
 	}
 	if len(routers) != len(rows) {
 		return nil, fmt.Errorf("table: %d routers but %d rows", len(routers), len(rows))
 	}
-	c := &Scheme{g: g, ports: make([][]graph.Port, n), bits: make([]int, n), hdr: s.hdr}
-	copy(c.ports, s.ports)
-	copy(c.bits, s.bits)
+	c := &Scheme{g: g, rows: slices.Clone(s.rows), hdr: s.hdr}
+	bw := coding.NewBitWriter()
 	last := graph.NodeID(-1)
 	for i, x := range routers {
 		if x <= last || int(x) >= n {
@@ -209,8 +218,7 @@ func (s *Scheme) WithRows(g *graph.Graph, routers []graph.NodeID, rows [][]graph
 				return nil, fmt.Errorf("table: patched row of %d routes %d into dead port %d", x, v, p)
 			}
 		}
-		c.ports[x] = row
-		c.bits[x] = encodedRowBits(row, x, len(arcs))
+		c.rows[x] = encodeRow(bw, row, x, len(arcs), encodedRowBits(row, x, len(arcs)))
 	}
 	return c, nil
 }

@@ -12,8 +12,10 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/coding"
@@ -37,20 +39,112 @@ const (
 	RunGreedy
 )
 
-// Scheme is a routing-table scheme instance bound to one graph.
+// Scheme is a routing-table scheme instance bound to one graph. It
+// stores each router's table as the canonical row code LocalBits
+// meters, not as ports (see rowCode): a raw router answers a lookup
+// from its packed field, as a proven Lazy stripe does, so a scheme
+// holds about the bits of its wire payload instead of 32 bits per
+// (router, destination).
 type Scheme struct {
-	g     *graph.Graph
-	ports [][]graph.Port // ports[x][v] = output port at x toward v; NoPort at v==x
-	bits  []int          // memoized LocalBits
-	hdr   []header       // hdr[v] = header(v); Init hands out pointers, so no per-route boxing
+	g    *graph.Graph
+	rows []rowCode // rows[x] = router x's stored table
+	hdr  []header  // hdr[v] = header(v); Init hands out pointers, so no per-route boxing
 }
 
-// newScheme allocates the shared shell of New and NewWeighted, freezing
-// the graph to its CSR layout so construction scans and later route
-// simulations iterate flat arcs.
+// rowCode is one router's stored table: its canonical row code, the
+// exact writeRowCode bits from bit 0 followed by codePad zero bytes for
+// rawPort's 64-bit load; the code's length in bits, which is its
+// LocalBits; the field width BitsFor(deg), or rleWidth when the code is
+// run-length compressed; and, for an RLE code only, the decoded row
+// (NoPort at x), which lookups read instead of walking runs. A rowCode
+// is immutable once stored, so patched schemes share them.
+type rowCode struct {
+	code []byte
+	rle  []graph.Port
+	bits int32
+	wid  uint8
+}
+
+// codePad is the number of zero bytes a stored code carries past its
+// last byte. rawPort loads 8 bytes from a field's first byte, which is
+// at most the code's last byte, so 7 cover every field (a stripe copy
+// of Lazy pads 8, once per 256 routers); with the 56-byte rowCode a
+// router costs its code bytes plus 63.
+const codePad = 7
+
+// newRowCode stores the row code w holds, padded for rawPort, with rle
+// the decoded row of an RLE code (nil for a raw one, see rleCopy) of a
+// router of degree deg.
+func newRowCode(w *coding.BitWriter, rle []graph.Port, deg int) rowCode {
+	code := make([]byte, len(w.Bytes())+codePad)
+	copy(code, w.Bytes())
+	rc := rowCode{code: code, rle: rle, bits: int32(w.Len()), wid: uint8(coding.BitsFor(uint64(deg)))}
+	if rle != nil {
+		rc.wid = rleWidth
+	}
+	return rc
+}
+
+// encodeRow writes router x's canonical code of row, which bits (its
+// encodedRowBits) priced, through the scratch writer w and stores it.
+func encodeRow(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bits int) rowCode {
+	w.Reset()
+	writeRowCode(w, row, x, deg, bits)
+	return newRowCode(w, rleCopy(row, x, deg, bits), deg)
+}
+
+// rleCopy returns a copy of row, with NoPort at x, when router x's
+// canonical code of bits bits is run-length compressed, and nil when it
+// is raw: a canonical RLE code is strictly shorter than the raw one.
+func rleCopy(row []graph.Port, x graph.NodeID, deg, bits int) []graph.Port {
+	if bits-1 >= (len(row)-1)*coding.BitsFor(uint64(deg)) {
+		return nil
+	}
+	c := slices.Clone(row)
+	c[x] = graph.NoPort
+	return c
+}
+
+// rleWidth marks, in a width byte (rowCode.wid, stripeState.wid), a
+// router whose code is run-length compressed and whose lookups read its
+// decoded row. A field width BitsFor(deg) never exceeds 64.
+const rleWidth = 0xff
+
+// proveRow is the payload proof of one router, shared by the heap
+// decoder (DecodePayload) and the mapped reader's stripes (proveSpan):
+// the code at r's position must be canonical (decodeRowInto, decoding
+// into scratch, whose prior contents do not matter). It returns a fresh
+// copy of the row when the code is RLE and nil when it is raw, where
+// rawPort answers from the code itself.
+func proveRow(r *coding.BitReader, scratch []graph.Port, x graph.NodeID, deg int) ([]graph.Port, error) {
+	start := r.Pos()
+	if err := decodeRowInto(r, scratch, x, deg); err != nil {
+		return nil, err
+	}
+	return rleCopy(scratch, x, deg, r.Pos()-start), nil
+}
+
+// rawPort answers router x's raw row toward dst (dst != x) from its
+// code starting at bit off of code: the w-bit field at
+// off+1+(dst-[dst>x])*w, plus one. code must extend at least 8 bytes
+// from the field's first byte, which the pad of a stored code (codePad)
+// and of a stripe copy guarantee. w == 0 (degree 1) reads no bits and
+// answers port 1.
+func rawPort(code []byte, off uint64, w uint, x, dst graph.NodeID) graph.Port {
+	d := uint64(dst)
+	if dst > x {
+		d-- // x has no field of its own
+	}
+	bit := off + 1 + d*uint64(w)
+	return graph.Port(binary.BigEndian.Uint64(code[bit>>3:])<<(bit&7)>>(64-w)) + 1
+}
+
+// newScheme allocates the shared shell of New, NewWeighted and
+// DecodePayload, freezing the graph to its CSR layout so construction
+// scans and later route simulations iterate flat arcs.
 func newScheme(g *graph.Graph, n int) *Scheme {
 	g.Freeze()
-	s := &Scheme{g: g, ports: make([][]graph.Port, n), bits: make([]int, n), hdr: make([]header, n)}
+	s := &Scheme{g: g, rows: make([]rowCode, n), hdr: make([]header, n)}
 	for v := range s.hdr {
 		s.hdr[v] = header(v)
 	}
@@ -93,7 +187,7 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 	claims := (n + buildClaim - 1) / buildClaim
 	workers := min(runtime.GOMAXPROCS(0), claims)
 	if workers <= 1 {
-		if err := s.buildRows(apsp, w, pol, 0, n); err != nil {
+		if err := s.buildRows(apsp, w, pol, 0, n, make([]graph.Port, n), coding.NewBitWriter()); err != nil {
 			return nil, err
 		}
 		return s, nil
@@ -105,9 +199,10 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			row, bw := make([]graph.Port, n), coding.NewBitWriter()
 			for c := range next {
 				lo := c * buildClaim
-				errs[c] = s.buildRows(apsp, w, pol, lo, min(lo+buildClaim, n))
+				errs[c] = s.buildRows(apsp, w, pol, lo, min(lo+buildClaim, n), row, bw)
 			}
 		}()
 	}
@@ -130,15 +225,15 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 // reports the first destination without a port, applies RunGreedy's
 // keep-previous-port rule and counts the runs (and the runs of length
 // two or more) encodedRowBits would count, so most rows are priced
-// without a second scan.
-func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, lo, hi int) error {
-	n := len(s.ports)
+// without a second scan. The row is derived in row, the worker's
+// scratch of n ports, and kept only as its code, written through bw.
+func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, lo, hi int, row []graph.Port, bw *coding.BitWriter) error {
 	var av shortest.ArcRows
 	for x := lo; x < hi; x++ {
 		xi := graph.NodeID(x)
 		arcs := s.g.Arcs(xi)
 		av.Load(apsp, arcs, xi, w)
-		row := make([]graph.Port, n)
+		clear(row)
 		av.MinPortRow(row)
 		runs, r2, eq, prev := 0, 0, 0, graph.NoPort
 		for v, p := range row {
@@ -165,8 +260,7 @@ func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, 
 			r2 += eq &^ was
 			prev = p
 		}
-		s.ports[x] = row
-		s.bits[x] = pricedRowBits(row, xi, len(arcs), runs, r2)
+		s.rows[x] = encodeRow(bw, row, xi, len(arcs), pricedRowBits(row, xi, len(arcs), runs, r2))
 	}
 	return nil
 }
@@ -183,33 +277,52 @@ type header graph.NodeID
 // Init implements routing.Function.
 func (s *Scheme) Init(src, dst graph.NodeID) routing.Header { return &s.hdr[dst] }
 
-// Port implements routing.Function.
+// Port implements routing.Function. An RLE router answers from its
+// decoded row, a raw one from its field in the code (rawPort).
 func (s *Scheme) Port(x graph.NodeID, h routing.Header) graph.Port {
 	dst := graph.NodeID(*h.(*header))
 	if x == dst {
 		return graph.NoPort
 	}
-	return s.ports[x][dst]
+	rc := &s.rows[x]
+	if rc.wid == rleWidth {
+		return rc.rle[dst]
+	}
+	return rawPort(rc.code, 0, uint(rc.wid), x, dst)
 }
 
 // Next implements routing.Function.
 func (s *Scheme) Next(x graph.NodeID, h routing.Header) routing.Header { return h }
 
-// PortEntry returns the stored port at x toward v (NoPort when x == v),
-// without simulating. The constraint-rebuild experiment reads tables
-// through this.
-func (s *Scheme) PortEntry(x, v graph.NodeID) graph.Port { return s.ports[x][v] }
-
 // RowCopy returns a copy of router x's full port row (NoPort at x) —
 // the shape WithRows and the schemeio delta codec consume.
 func (s *Scheme) RowCopy(x graph.NodeID) []graph.Port {
-	row := make([]graph.Port, len(s.ports[x]))
-	copy(row, s.ports[x])
+	row := make([]graph.Port, len(s.rows))
+	s.rowInto(x, row)
 	return row
 }
 
+// rowInto decodes router x's row into row (n entries), NoPort at x. A
+// stored code was proven or written canonical, so a raw one is unpacked
+// without a second proof: after the flag bit, one w-bit field of port-1
+// per destination but x.
+func (s *Scheme) rowInto(x graph.NodeID, row []graph.Port) {
+	rc := &s.rows[x]
+	if rc.wid == rleWidth {
+		copy(row, rc.rle)
+		return
+	}
+	r := coding.NewBitReaderAt(rc.code, 1, int(rc.bits))
+	_ = r.ReadFixedInto(row[:x], int(rc.wid)) // in bounds: the code is exactly these fields
+	_ = r.ReadFixedInto(row[x+1:], int(rc.wid))
+	for v := range row {
+		row[v]++
+	}
+	row[x] = graph.NoPort
+}
+
 // LocalBits implements routing.LocalCoder.
-func (s *Scheme) LocalBits(x graph.NodeID) int { return s.bits[x] }
+func (s *Scheme) LocalBits(x graph.NodeID) int { return int(s.rows[x].bits) }
 
 // encodedRowBits computes the exact bit cost of the fixed row coding:
 //
@@ -314,8 +427,8 @@ func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bi
 }
 
 // decodeRowInto parses one row code into a caller-provided row of n
-// entries — a fresh row for the heap decoder, one reused scratch row
-// per worker for the lazy mapped reader's stripe proof — and accepts it
+// entries — a fresh row for a delta row, one reused scratch row for the
+// payload proof of both readers (proveRow) — and accepts it
 // only if it is the code writeRowCode emits for the row it decodes to:
 //
 //	raw (flag 0): every port below deg, and the row's RLE cost, with
@@ -420,5 +533,5 @@ var _ routing.Scheme = (*Scheme)(nil)
 // HeaderBits implements routing.HeaderSizer: table headers carry only the
 // destination identifier.
 func (s *Scheme) HeaderBits(h routing.Header) int {
-	return coding.BitsFor(uint64(len(s.ports)))
+	return coding.BitsFor(uint64(len(s.rows)))
 }

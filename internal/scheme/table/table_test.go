@@ -42,20 +42,43 @@ func TestTablesRejectDisconnected(t *testing.T) {
 	}
 }
 
-func TestPortEntryMatchesRouting(t *testing.T) {
-	g := gen.RandomConnected(20, 0.2, xrand.New(3))
-	s, err := New(g, nil, MinPort)
-	if err != nil {
-		t.Fatal(err)
+// entry reads s's stored port at x toward v the way a router does,
+// through Init and Port (NoPort at v == x).
+func entry(s *Scheme, x, v graph.NodeID) graph.Port { return s.Port(x, s.Init(x, v)) }
+
+// portRows decodes every row of s (RowCopy), and rowBits returns every
+// router's LocalBits: the port-row view of a scheme the tests compare
+// against their oracles.
+func portRows(s *Scheme) [][]graph.Port {
+	rows := make([][]graph.Port, len(s.rows))
+	for x := range rows {
+		rows[x] = s.RowCopy(graph.NodeID(x))
 	}
-	for u := 0; u < 20; u++ {
-		for v := 0; v < 20; v++ {
-			if u == v {
-				continue
-			}
-			h := s.Init(graph.NodeID(u), graph.NodeID(v))
-			if s.Port(graph.NodeID(u), h) != s.PortEntry(graph.NodeID(u), graph.NodeID(v)) {
-				t.Fatalf("Port and PortEntry disagree at (%d,%d)", u, v)
+	return rows
+}
+
+func rowBits(s *Scheme) []int {
+	bits := make([]int, len(s.rows))
+	for x := range bits {
+		bits[x] = s.LocalBits(graph.NodeID(x))
+	}
+	return bits
+}
+
+// TestRowCopyMatchesPort checks that the decoded row RowCopy hands to
+// the delta codec agrees with Port on every pair, NoPort at x.
+func TestRowCopyMatchesPort(t *testing.T) {
+	for _, g := range []*graph.Graph{gen.RandomConnected(20, 0.2, xrand.New(3)), gen.Cycle(20)} {
+		s, err := New(g, nil, MinPort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < 20; u++ {
+			row := s.RowCopy(graph.NodeID(u))
+			for v := 0; v < 20; v++ {
+				if got := entry(s, graph.NodeID(u), graph.NodeID(v)); row[v] != got {
+					t.Fatalf("RowCopy(%d)[%d] = %d, Port %d", u, v, row[v], got)
+				}
 			}
 		}
 	}
@@ -177,7 +200,7 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 		}
 		w := coding.NewBitWriter()
 		for x := 0; x < n; x++ {
-			AppendPortRowCode(w, s.ports[x], graph.NodeID(x), g.Degree(graph.NodeID(x)))
+			AppendPortRowCode(w, s.RowCopy(graph.NodeID(x)), graph.NodeID(x), g.Degree(graph.NodeID(x)))
 		}
 		r := coding.NewBitReader(w.Bytes(), w.Len())
 		for x := 0; x < n; x++ {
@@ -186,7 +209,7 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 				return false
 			}
 			for v := 0; v < n; v++ {
-				if v != x && row[v] != s.PortEntry(graph.NodeID(x), graph.NodeID(v)) {
+				if v != x && row[v] != entry(s, graph.NodeID(x), graph.NodeID(v)) {
 					return false
 				}
 			}

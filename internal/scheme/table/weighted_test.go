@@ -83,7 +83,7 @@ func TestWeightedTablesUniformEqualsUnweighted(t *testing.T) {
 			if u == v {
 				continue
 			}
-			if a.PortEntry(graph.NodeID(u), graph.NodeID(v)) != b.PortEntry(graph.NodeID(u), graph.NodeID(v)) {
+			if entry(a, graph.NodeID(u), graph.NodeID(v)) != entry(b, graph.NodeID(u), graph.NodeID(v)) {
 				t.Fatalf("uniform weighted tables differ at (%d,%d)", u, v)
 			}
 		}
