@@ -239,9 +239,11 @@ func BenchmarkIntervalNew(b *testing.B) {
 }
 
 // BenchmarkRouteVisit measures the allocation-free route simulators on
-// shortest-path tables over a fixed pre-drawn set of 4096 pairs. One op
-// walks the whole set, so a -benchtime 1x run times 4096 routes, not
-// one cold walk; each arm walks the set once more before its timer
+// shortest-path tables over a fixed pre-drawn set of 65536 pairs. One op
+// walks the whole set, so a -benchtime 1x run times 65536 routes, not
+// one cold walk: that is long enough (tens of ms) for the arms' ratio to
+// rise above the host's scheduling noise, which swamped a 4096-pair op
+// of about 1 ms. Each arm walks the set once more before its timer
 // starts, so that run times the steady state, not the first pass over
 // tables just built. The visit arm streams every hop to a callback
 // (RouteVisit); the len arm only counts them (RouteLen, the walk the
@@ -269,7 +271,7 @@ func BenchmarkRouteVisit(b *testing.B) {
 	if err := m.Verify(); err != nil {
 		b.Fatal(err)
 	}
-	pairs := benchPairs(n, 4096, 3)
+	pairs := benchPairs(n, 1<<16, 3)
 	// run times b.N walks of the pair set by route, after a collection
 	// and one untimed walk; route returns the route's hop count.
 	run := func(b *testing.B, route func(src, dst graph.NodeID) (int, error)) {

@@ -84,8 +84,9 @@ var duplicateLedger = []duplicate{
 		candidate:   "routing.RouteLen",
 		conformance: "TestRouteLenMatchesRouteVisit",
 		bench:       &benchPair{"BENCH_core.json", "BenchmarkRouteVisit/visit/n=4096", "BenchmarkRouteVisit/len/n=4096", "ns/op", 0},
-		keep: "RouteLen is the faster arm (visit/len 3.19 recorded, both warmed; the five -benchtime 1x " +
-			"runs span 1.7-4.8 ms visit and 1.1-5.1 ms len on a noisy host); merging RouteLen onto " +
+		keep: "RouteLen is the faster arm by a margin inside the noise (visit/len 1.06 recorded at 65536 " +
+			"pairs per op, both warmed; the five -benchtime 1x runs span 31.8-57.5 ms visit and " +
+			"40.6-57.6 ms len on a noisy host); merging RouteLen onto " +
 			"RouteVisit puts a capturing closure in a //repolint:hotpath function on every serving query, " +
 			"which needs its own change measured with a routebench compare",
 	},
@@ -94,12 +95,6 @@ var duplicateLedger = []duplicate{
 		candidate:   "serve.HotServer",
 		conformance: "TestHotSwapDrain",
 		keep:        "composition, not a second implementation: HotServer swaps generations of Server",
-	},
-	{
-		reference:   "evaluate.Stretch",
-		candidate:   "faults.Measure",
-		conformance: "TestFaultMeasureUnrepaired",
-		keep:        "faults.Measure classifies every failed pair by reason, while evaluate aborts at the first one",
 	},
 	{
 		reference:   "an eagerly built shortest.DistanceSource",
@@ -117,6 +112,12 @@ var duplicateLedger = []duplicate{
 		reference:   "serialStretch and serialMemory",
 		candidate:   "evaluate.Stretch and evaluate.Memory",
 		conformance: "TestExhaustiveBitIdenticalToSerial",
+		keep:        testOracle,
+	},
+	{
+		reference:   "serialDelivery",
+		candidate:   "evaluate.Delivery",
+		conformance: "TestDeliveryBitIdenticalToSerial",
 		keep:        testOracle,
 	},
 	{

@@ -136,8 +136,8 @@ func TestFaultRepairTableBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultMeasureUnrepaired pins the measurement harness itself: an
-// UNREPAIRED table scheme on a faulted graph must fail exactly at the
+// TestFaultMeasureUnrepaired pins the delivery sweep (evaluate.Delivery)
+// on faulted graphs: an UNREPAIRED table scheme must fail exactly at the
 // walks that cross removed edges, classified as dead-port, and must
 // detect every disconnection when kills are free to split the graph.
 func TestFaultMeasureUnrepaired(t *testing.T) {
@@ -148,7 +148,7 @@ func TestFaultMeasureUnrepaired(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", f.name, err)
 		}
-		pre, err := faults.Measure(base, sch, apsp, 0)
+		pre, err := evaluate.Delivery(base, sch, apsp, evaluate.Options{})
 		if err != nil {
 			t.Fatalf("%s: pre measure: %v", f.name, err)
 		}
@@ -163,11 +163,8 @@ func TestFaultMeasureUnrepaired(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: plan: %v", f.name, err)
 		}
-		for _, e := range plan.Edges {
-			base.RemoveEdge(e[0], e[1])
-		}
-		base.Freeze()
-		post, err := faults.Measure(base, sch, shortest.NewAPSPParallel(base, 0), 0)
+		plan.Apply(base)
+		post, err := evaluate.Delivery(base, sch, nil, evaluate.Options{})
 		if err != nil {
 			t.Fatalf("%s: post measure: %v", f.name, err)
 		}

@@ -21,13 +21,12 @@
 //     fixed no matter how rows were interleaved at runtime.
 //
 // The result is bit-identical for every worker count. This package is
-// the only code that measures stretch and memory over the pair space:
-// internal/routing keeps the model and the single-pair simulator, and
-// the serial reference loops the tests compare against live in the root
-// package's tests. One other sweep exists: faults.Measure also walks
-// every pair, because it classifies each failed pair by reason where
-// this engine stops at the first failure (its entry in the duplicate
-// ledger, duplicates_test.go, records why it stays).
+// the only code that sweeps the pair space: Stretch and WeightedStretch
+// stop at the first failing pair, and Delivery classifies every pair of
+// a possibly faulted graph on the same pool and merge. internal/routing
+// keeps the model and the single-pair simulator, and the serial
+// reference loops the tests compare against live in the root package's
+// tests.
 //
 // A deterministic sampling mode (Options.Sample, seeded through
 // internal/xrand) evaluates a uniform subset of the ordered pairs so that
@@ -43,6 +42,7 @@
 package evaluate
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -298,55 +298,61 @@ func Pairs(n int, f PairFunc, opt Options) (*Report, error) {
 // still claimed per source and folded in fixed order, and every
 // per-worker PairFunc must compute identical values for identical pairs.
 func pairsFrom(n int, newF func() PairFunc, opt Options) (*Report, error) {
-	rep := &Report{}
-	if n <= 1 {
-		return rep, nil
-	}
-	sampled, err := samplePlan(n, opt)
-	if err != nil {
-		return nil, err
-	}
-	rep.Sampled = sampled != nil
-
 	rows := make([]rowAcc, n)
+	sampled := sweep(n, opt, newF, func(f PairFunc, u, v graph.NodeID) bool {
+		evalPair(&rows[u], u, v, f)
+		return rows[u].err == nil
+	})
+	return mergeRows(rows, sampled)
+}
+
+// sweep is the engine's one worker pool over the ordered pair space of
+// an n-vertex instance, exhaustive or sampled per opt. Workers claim
+// source rows; each builds its own state once with newWorker (a
+// distance reader with its BFS scratch, say) and passes every
+// destination of a claimed row, in increasing order, to visit. visit
+// files the pair into row u's accumulator and returns false when the
+// pair failed, which ends the row. sweep reports whether a sample plan
+// was in effect.
+func sweep[W any](n int, opt Options, newWorker func() W, visit func(w W, u, v graph.NodeID) bool) (sampled bool) {
+	plan := samplePlan(n, opt)
+	all := make([]graph.NodeID, n) // exhaustive mode: row u visits all but u
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
 	workers := opt.workers(n)
 	src := make(chan int, workers)
 	// Early abort: once some row fails, rows after the lowest failed row
-	// can never contribute (the merge below stops at that row's error),
-	// so workers skip them. Rows before it must still run — they might
-	// hold an even earlier error — which keeps the reported first error
-	// deterministic.
-	failedRow := int64(n)
+	// can never contribute (the row-order merge stops at that row's
+	// error), so workers skip them. Rows before it must still run — they
+	// might hold an even earlier error — which keeps the reported first
+	// error deterministic.
+	failedRow := n
 	var failedMu sync.Mutex
-	loadFailed := func() int64 {
-		failedMu.Lock()
-		defer failedMu.Unlock()
-		return failedRow
-	}
-	storeFailed := func(u int64) {
-		failedMu.Lock()
-		if u < failedRow {
-			failedRow = u
-		}
-		failedMu.Unlock()
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f := newF()
+			state := newWorker()
 			for u := range src {
-				if int64(u) > loadFailed() {
+				failedMu.Lock()
+				skip := u > failedRow
+				failedMu.Unlock()
+				if skip {
 					continue
 				}
-				if sampled != nil {
-					evalRow(&rows[u], graph.NodeID(u), sampled[u], f)
-				} else {
-					evalRowAll(&rows[u], graph.NodeID(u), n, f)
+				dsts := all
+				if plan != nil {
+					dsts = plan[u]
 				}
-				if rows[u].err != nil {
-					storeFailed(int64(u))
+				for _, v := range dsts {
+					if v != graph.NodeID(u) && !visit(state, graph.NodeID(u), v) {
+						failedMu.Lock()
+						failedRow = min(failedRow, u)
+						failedMu.Unlock()
+						break
+					}
 				}
 			}
 		}()
@@ -356,8 +362,13 @@ func pairsFrom(n int, newF func() PairFunc, opt Options) (*Report, error) {
 	}
 	close(src)
 	wg.Wait()
+	return plan != nil
+}
 
-	// Deterministic merge in increasing row order.
+// mergeRows folds stretch accumulators in increasing row order; the
+// first row error aborts with a nil report.
+func mergeRows(rows []rowAcc, sampled bool) (*Report, error) {
+	rep := &Report{Sampled: sampled}
 	var numByDen []int64
 	var bigDens map[int32]int64
 	for u := range rows {
@@ -413,9 +424,9 @@ func pairsFrom(n int, newF func() PairFunc, opt Options) (*Report, error) {
 // denominator and folding them in a fixed order makes the mean
 // independent of pair evaluation order, which is what lets the engine
 // shard pairs across workers and still report bit-identically at every
-// worker count. Every mean over per-pair ratios (faults.Measure too)
-// MUST use this one fold: the exact float evaluation order is the
-// contract.
+// worker count. Every mean over per-pair ratios (the serial test
+// oracles too) MUST use this one fold: the exact float evaluation order
+// is the contract.
 func MeanFromSums(numByDen map[int32]int64, pairs int) float64 {
 	if pairs == 0 {
 		return 0
@@ -432,27 +443,6 @@ func MeanFromSums(numByDen map[int32]int64, pairs int) float64 {
 	return sum / float64(pairs)
 }
 
-func evalRowAll(acc *rowAcc, u graph.NodeID, n int, f PairFunc) {
-	for v := 0; v < n; v++ {
-		if graph.NodeID(v) == u {
-			continue
-		}
-		evalPair(acc, u, graph.NodeID(v), f)
-		if acc.err != nil {
-			return
-		}
-	}
-}
-
-func evalRow(acc *rowAcc, u graph.NodeID, dsts []graph.NodeID, f PairFunc) {
-	for _, v := range dsts {
-		evalPair(acc, u, v, f)
-		if acc.err != nil {
-			return
-		}
-	}
-}
-
 func evalPair(acc *rowAcc, u, v graph.NodeID, f PairFunc) {
 	num, den, hops, err := f(u, v)
 	if err != nil {
@@ -463,6 +453,12 @@ func evalPair(acc *rowAcc, u, v graph.NodeID, f PairFunc) {
 		acc.err = fmt.Errorf("evaluate: non-positive denominator %d for pair %d->%d", den, u, v)
 		return
 	}
+	acc.add(v, num, den, hops)
+}
+
+// add files one measured pair of the row: destination v, ratio num/den,
+// hops walked.
+func (acc *rowAcc) add(v graph.NodeID, num, den int32, hops int) {
 	s := float64(num) / float64(den)
 	acc.pairs++
 	acc.totalHops += int64(hops)
@@ -483,13 +479,13 @@ func evalPair(acc *rowAcc, u, v graph.NodeID, f PairFunc) {
 // includes a sample budget covering every pair, so one harness-wide
 // -sample value evaluates small graphs exhaustively instead of failing
 // on them. The plan depends only on (n, opt.Seed, opt.Sample).
-func samplePlan(n int, opt Options) ([][]graph.NodeID, error) {
+func samplePlan(n int, opt Options) [][]graph.NodeID {
 	if opt.Sample <= 0 {
-		return nil, nil
+		return nil
 	}
 	total := n * (n - 1)
 	if opt.Sample >= total {
-		return nil, nil
+		return nil
 	}
 	r := xrand.New(opt.Seed)
 	idxs := r.Sample(total, opt.Sample)
@@ -519,7 +515,7 @@ func samplePlan(n int, opt Options) ([][]graph.NodeID, error) {
 	for u := range plan {
 		slices.Sort(plan[u])
 	}
-	return plan, nil
+	return plan
 }
 
 // Stretch measures the stretch factor s(R, G) of routing function r on g
@@ -610,6 +606,148 @@ func stretchPairs(g *graph.Graph, r routing.Function, src shortest.DistanceSourc
 		}
 	}
 	return pairsFrom(g.Order(), newF, opt)
+}
+
+// Outcome classifies one Delivery sweep: every measured ordered pair of
+// distinct live vertices, by whether it is connected and by the typed
+// routing.Reason of its route's failure — never by error text.
+type Outcome struct {
+	Pairs        int // ordered live pairs swept
+	Connected    int // pairs with a finite distance
+	Disconnected int // pairs the fault separated
+	Delivered    int // connected pairs the scheme delivered
+
+	// DetectedDisconnect counts disconnected pairs whose route failed —
+	// the correct behaviour, whatever the typed reason. FalseDeliver
+	// counts disconnected pairs the scheme claimed to deliver, which is
+	// impossible on a correctly simulated graph and pins the simulator's
+	// honesty.
+	DetectedDisconnect int
+	FalseDeliver       int
+
+	// Failures counts every failed route, connected or not, by its typed
+	// reason.
+	Failures [routing.NumReasons]int
+
+	// MeanStretch is the exact fixed-fold mean of routedLen/dist over
+	// delivered connected pairs (MeanFromSums), and MaxStretch the worst
+	// such ratio.
+	MeanStretch float64
+	MaxStretch  float64
+}
+
+// DeliveryRate returns Delivered / Connected (1 for an empty sweep).
+func (o Outcome) DeliveryRate() float64 {
+	if o.Connected == 0 {
+		return 1
+	}
+	return float64(o.Delivered) / float64(o.Connected)
+}
+
+// DetectionRate returns DetectedDisconnect / Disconnected (1 when the
+// fault disconnected nothing).
+func (o Outcome) DetectionRate() float64 {
+	if o.Disconnected == 0 {
+		return 1
+	}
+	return float64(o.DetectedDisconnect) / float64(o.Disconnected)
+}
+
+// Inflation returns the stretch-inflation ratio of a post-fault sweep
+// against its pre-fault baseline: MeanStretch(post) / MeanStretch(pre).
+// 1.0 means the surviving pairs route as tightly as before the fault.
+func Inflation(pre, post Outcome) float64 {
+	if pre.MeanStretch == 0 {
+		return 0
+	}
+	return post.MeanStretch / pre.MeanStretch
+}
+
+// Delivery routes every ordered pair of distinct live vertices of g with
+// r, exhaustively or over Options.Sample, and classifies each outcome
+// against the distances of g's current topology — post-fault distances
+// for a post-fault sweep. It takes Stretch's arguments, resolves its
+// distance backend the same way and runs on the same pool and row-order
+// merge, so every backend and worker count yields the same outcome.
+// Removed vertices are outside the pair space: no operator queries a
+// decommissioned router. A failed route is counted under its typed
+// reason; a failure without one aborts, with the error of the first
+// such pair in row-major order.
+func Delivery(g *graph.Graph, r routing.Function, apsp *shortest.APSP, opt Options) (Outcome, error) {
+	g.Freeze() // serial point: workers only read the CSR arcs after this
+	src, err := opt.Source(g, apsp)
+	if err != nil {
+		return Outcome{}, err
+	}
+	n := g.Order()
+	counts := make([]Outcome, n)
+	delivered := make([]rowAcc, n) // stretch of the delivered pairs, and the row's abort
+	sweep(n, opt, src.NewReader, func(rd shortest.RowReader, u, v graph.NodeID) bool {
+		if g.Removed(u) || g.Removed(v) {
+			return true
+		}
+		l, err := routing.RouteLen(g, r, u, v, opt.MaxHops)
+		d := rd.Row(u)[v]
+		ok, err := counts[u].file(u, v, d, err)
+		if ok {
+			delivered[u].add(v, int32(l), d, l)
+		}
+		delivered[u].err = err
+		return err == nil
+	})
+	rep, err := mergeRows(delivered, false)
+	if err != nil {
+		return Outcome{}, err
+	}
+	var o Outcome
+	for _, c := range counts {
+		o.Pairs += c.Pairs
+		o.Connected += c.Connected
+		o.Disconnected += c.Disconnected
+		o.Delivered += c.Delivered
+		o.DetectedDisconnect += c.DetectedDisconnect
+		o.FalseDeliver += c.FalseDeliver
+		for reason, k := range c.Failures {
+			o.Failures[reason] += k
+		}
+	}
+	o.MeanStretch, o.MaxStretch = rep.Mean, rep.Max
+	return o, nil
+}
+
+// file counts one routed pair (u, v) at distance d whose route failed
+// with routeErr, or delivered when routeErr is nil; ok reports a
+// delivered connected pair. A failure without a known typed reason
+// cannot be counted, whether or not the pair is connected: it is
+// returned as an error.
+func (o *Outcome) file(u, v graph.NodeID, d int32, routeErr error) (ok bool, err error) {
+	var reason routing.Reason
+	if routeErr != nil {
+		var re *routing.RouteError // scoped here: errors.As moves it to the heap
+		if errors.As(routeErr, &re) {
+			reason = re.Reason
+		}
+		if reason == 0 || reason >= routing.NumReasons {
+			return false, fmt.Errorf("evaluate: untyped routing failure %d->%d: %w", u, v, routeErr)
+		}
+	}
+	o.Pairs++
+	if d == shortest.Unreachable {
+		o.Disconnected++
+		if routeErr == nil {
+			o.FalseDeliver++
+			return false, nil
+		}
+		o.DetectedDisconnect++
+	} else {
+		o.Connected++
+		if routeErr == nil {
+			o.Delivered++
+			return true, nil
+		}
+	}
+	o.Failures[reason]++
+	return false, nil
 }
 
 // MemoryReport summarizes the router-resident state of a scheme under the

@@ -1,6 +1,7 @@
 package evaluate
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -328,6 +329,48 @@ func TestStretchStreamDisconnected(t *testing.T) {
 		_, errM := Stretch(g, loop, nil, Options{DistMode: mode, Workers: 2})
 		if errM == nil {
 			t.Fatalf("%v: disconnected pair did not error", mode)
+		}
+	}
+}
+
+// TestDeliveryClassifiesDisconnection: where Stretch aborts at the
+// first cross-component pair, Delivery counts every pair — delivered
+// within a component, detected and classified by reason across — with
+// the same outcome on every backend and worker count.
+func TestDeliveryClassifiesDisconnection(t *testing.T) {
+	g := graph.New(4)
+	g.AddEdge(0, 1)
+	g.AddEdge(2, 3)
+	want := Outcome{Pairs: 12, Connected: 4, Disconnected: 8, Delivered: 4, DetectedDisconnect: 8, MeanStretch: 1, MaxStretch: 1}
+	want.Failures[routing.ReasonLoop] = 8 // funcScheme bounces inside its component
+	for _, mode := range []DistMode{DistDense, DistStream} {
+		for _, workers := range []int{1, 3} {
+			got, err := Delivery(g, funcScheme{}, nil, Options{DistMode: mode, Workers: workers})
+			if err != nil || got != want {
+				t.Fatalf("%v workers=%d: outcome %+v err %v, want %+v", mode, workers, got, err, want)
+			}
+		}
+	}
+}
+
+// TestDeliveryUntypedFailureAborts: a failure without a typed reason
+// cannot be classified, so Delivery's classifier rejects it on a
+// disconnected pair of a path graph just as on a connected one, instead
+// of filing it as a detected disconnection under no reason. The
+// simulator types every failure a routing.Function can cause, so the
+// classifier is driven directly.
+func TestDeliveryUntypedFailureAborts(t *testing.T) {
+	g := gen.Path(3)
+	g.RemoveEdge(1, 2)
+	g.Freeze()
+	row := shortest.BFS(g, 0)
+	plain := errors.New("plain failure")
+	for _, v := range []graph.NodeID{1, 2} { // connected, then disconnected
+		for _, fail := range []error{plain, &routing.RouteError{}} {
+			var o Outcome
+			if _, err := o.file(0, v, row[v], fail); !errors.Is(err, fail) {
+				t.Fatalf("0->%d (distance %d): failure %v filed, error %v", v, row[v], fail, err)
+			}
 		}
 	}
 }

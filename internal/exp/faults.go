@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/evaluate"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -91,7 +92,7 @@ func runE23() ([]*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("E23a %s/%s: %w", w.name, sc.name, err)
 				}
-				pre, err := faults.Measure(g, s, apsp, 0)
+				pre, err := evaluate.Delivery(g, s, apsp, evalOpt)
 				if err != nil {
 					return nil, fmt.Errorf("E23a %s/%s pre: %w", w.name, sc.name, err)
 				}
@@ -101,11 +102,8 @@ func runE23() ([]*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("E23a %s/%s plan: %w", w.name, sc.name, err)
 				}
-				for _, e := range plan.Edges {
-					g.RemoveEdge(e[0], e[1])
-				}
-				g.Freeze()
-				post, err := faults.Measure(g, s, shortest.NewAPSPParallel(g, evalOpt.Workers), 0)
+				plan.Apply(g)
+				post, err := evaluate.Delivery(g, s, nil, evalOpt)
 				if err != nil {
 					return nil, fmt.Errorf("E23a %s/%s post: %w", w.name, sc.name, err)
 				}
@@ -114,7 +112,7 @@ func runE23() ([]*Table, error) {
 				}
 				other := 0
 				for r, c := range post.Failures {
-					if r != routing.ReasonDeadPort {
+					if routing.Reason(r) != routing.ReasonDeadPort {
 						other += c
 					}
 				}
@@ -122,7 +120,7 @@ func runE23() ([]*Table, error) {
 					w.name, sc.name, fmt.Sprintf("%d", len(plan.Edges)),
 					fmt.Sprintf("%d", post.Pairs), fmt.Sprintf("%d", post.Disconnected),
 					fmt.Sprintf("%.4f", post.DeliveryRate()), fmt.Sprintf("%.2f", post.DetectionRate()),
-					fmt.Sprintf("%.4f", faults.Inflation(pre, post)),
+					fmt.Sprintf("%.4f", evaluate.Inflation(pre, post)),
 					fmt.Sprintf("%d", post.Failures[routing.ReasonDeadPort]), fmt.Sprintf("%d", other),
 				)
 			}
@@ -145,10 +143,7 @@ func runE23() ([]*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("E23b %s/%s plan: %w", w.name, sc.name, err)
 				}
-				for _, e := range plan.Edges {
-					work.RemoveEdge(e[0], e[1])
-				}
-				work.Freeze()
+				plan.Apply(work)
 				dirty := faults.DirtyRoots(apsp, plan.Edges)
 				apsp.RefreshRows(work, dirty)
 
@@ -201,7 +196,7 @@ func runE23() ([]*Table, error) {
 						identical = "NO"
 					}
 				}
-				post, err := faults.Measure(work, s, apsp, 0)
+				post, err := evaluate.Delivery(work, s, apsp, evalOpt)
 				if err != nil {
 					return nil, fmt.Errorf("E23b %s/%s post: %w", w.name, sc.name, err)
 				}

@@ -1,17 +1,14 @@
 // Package faults injects seeded topology faults into port-labeled
-// graphs and measures how routing schemes degrade and recover — the
-// dynamic-topology harness of ROADMAP item 4.
+// graphs, for experiment E23 and the routeserve -kill flag.
 //
 // A Plan is a deterministic victim list (edges or vertices, sampled
 // uniformly or degree-weighted from a seeded xrand stream) that Apply
 // executes through the graph package's port-stable removal API: the
 // surviving ports keep their labels, so a scheme built before the fault
 // still addresses the same wiring after it. DirtyRoots then bounds which
-// distance rows the fault can have touched — the input to the
-// incremental repair paths in internal/scheme/table and
-// internal/scheme/landmark — and Measure sweeps the ordered pair space
-// classifying every outcome by the typed routing.Reason constants
-// instead of matching error strings.
+// distance rows the fault can have touched — the input to
+// shortest.(*APSP).RefreshRows and table.(*Scheme).Repair. The faulted
+// graph's pair sweep is evaluate.Delivery.
 package faults
 
 import (

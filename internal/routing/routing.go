@@ -61,9 +61,9 @@ type Hop struct {
 	Port graph.Port // port taken at Node (NoPort on the final hop)
 }
 
-// Reason classifies a routing failure structurally. The fault-injection
-// harness (internal/faults) and tests branch on these constants instead
-// of matching Error() strings, which stay free to carry per-failure
+// Reason classifies a routing failure structurally. The delivery sweep
+// (evaluate.Delivery) and tests branch on these constants instead of
+// matching Error() strings, which stay free to carry per-failure
 // detail.
 type Reason uint8
 
@@ -87,6 +87,10 @@ const (
 	// fault. This is how disconnection and not-yet-repaired state
 	// surface during fault injection.
 	ReasonDeadPort
+
+	// NumReasons is one past the last reason, so an array indexed by
+	// Reason has NumReasons entries (entry 0 stays unused).
+	NumReasons
 )
 
 // String names the reason as the fault harness reports spell it.

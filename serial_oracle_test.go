@@ -8,15 +8,18 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/evaluate"
+	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/scheme/kcomplete"
+	"repro/internal/scheme/landmark"
 	"repro/internal/scheme/table"
 	"repro/internal/shortest"
 	"repro/internal/xrand"
@@ -90,6 +93,71 @@ func serialMemory(g *graph.Graph, s routing.LocalCoder) evaluate.MemoryReport {
 		rep.MeanBits = float64(rep.GlobalBits) / float64(len(rep.PerNode))
 	}
 	return rep
+}
+
+// serialDelivery is the reference for evaluate.Delivery: one Route per
+// ordered pair of distinct live vertices in row-major order — only the
+// pairs keep admits, when keep is non-nil — distances from one scalar
+// BFS per row, and every outcome classified by its typed reason. A
+// failure without one is an error, connected pair or not.
+func serialDelivery(g *graph.Graph, r routing.Function, keep func(u, v int) bool) (evaluate.Outcome, error) {
+	dist := bfsRows(g)
+	var o evaluate.Outcome
+	lenByDist := map[int32]int64{}
+	for u := range g.Order() {
+		for v := range g.Order() {
+			if u == v || g.Removed(graph.NodeID(u)) || g.Removed(graph.NodeID(v)) || (keep != nil && !keep(u, v)) {
+				continue
+			}
+			hops, err := routing.Route(g, r, graph.NodeID(u), graph.NodeID(v), 0)
+			var re *routing.RouteError
+			if err != nil && !errors.As(err, &re) {
+				return o, fmt.Errorf("pair %d->%d: untyped failure: %w", u, v, err)
+			}
+			o.Pairs++
+			d := dist[u][v]
+			if d == shortest.Unreachable {
+				o.Disconnected++
+				if err != nil {
+					o.DetectedDisconnect++
+					o.Failures[re.Reason]++
+				} else {
+					o.FalseDeliver++
+				}
+				continue
+			}
+			o.Connected++
+			if err != nil {
+				o.Failures[re.Reason]++
+				continue
+			}
+			l := routing.PathLen(hops)
+			o.Delivered++
+			lenByDist[d] += int64(l)
+			o.MaxStretch = max(o.MaxStretch, float64(l)/float64(d))
+		}
+	}
+	o.MeanStretch = evaluate.MeanFromSums(lenByDist, o.Delivered)
+	return o, nil
+}
+
+// samplePairs is the pair set of evaluate's sample plan for (n, k,
+// seed): the k indices xrand draws from the n(n-1) off-diagonal ordered
+// pairs in row-major order. It returns nil (every pair) when k is 0 or
+// covers them all, as the engine does.
+func samplePairs(n, k int, seed uint64) func(u, v int) bool {
+	if k <= 0 || k >= n*(n-1) {
+		return nil
+	}
+	set := map[[2]int]bool{}
+	for _, idx := range xrand.New(seed).Sample(n*(n-1), k) {
+		u, v := idx/(n-1), idx%(n-1)
+		if v >= u {
+			v++
+		}
+		set[[2]int{u, v}] = true
+	}
+	return func(u, v int) bool { return set[[2]int{u, v}] }
 }
 
 // dijkstraRows is the serial weighted reference table: one Dijkstra per
@@ -232,6 +300,65 @@ func TestWeightedLargeCosts(t *testing.T) {
 		}
 		if *rep != want {
 			t.Fatalf("workers=%d: report %+v, serial %+v", workers, *rep, want)
+		}
+	}
+}
+
+// TestDeliveryBitIdenticalToSerial pins evaluate.Delivery against
+// serialDelivery whole-report on faulted graphs: every conformance
+// family under 3 unconstrained edge kills and under 3 vertex kills,
+// table and landmark schemes built before the fault, the dense and
+// the streaming backend at workers 1, 3 and 8, exhaustive and sampled.
+// Vertex kills pin the pair space to the live vertices; the tree family,
+// where every edge is a bridge, pins the disconnected branch.
+func TestDeliveryBitIdenticalToSerial(t *testing.T) {
+	const sample, seed = 300, 7
+	for _, f := range confFamilies() {
+		for _, mode := range []faults.Mode{faults.KillEdges, faults.KillVertices} {
+			g := f.g.Clone()
+			apsp := shortest.NewAPSPParallel(g, 0)
+			tb, err := table.New(g, apsp, table.MinPort)
+			if err != nil {
+				t.Fatalf("%s: tables: %v", f.name, err)
+			}
+			lm, err := landmark.NewStreamed(g, landmark.Options{Seed: 5}, 0)
+			if err != nil {
+				t.Fatalf("%s: landmark: %v", f.name, err)
+			}
+			plan, err := faults.NewPlan(g, faults.Options{Mode: mode, Count: 3, Seed: 0xdead})
+			if err != nil {
+				t.Fatalf("%s: %s plan: %v", f.name, mode, err)
+			}
+			plan.Apply(g)
+			live := g.LiveOrder()
+			for _, s := range []routing.Scheme{tb, lm} {
+				name := fmt.Sprintf("%s/%s/%s", f.name, mode, s.Name())
+				for _, base := range []evaluate.Options{{}, {Sample: sample, Seed: seed}} {
+					want, err := serialDelivery(g, s, samplePairs(g.Order(), base.Sample, base.Seed))
+					if err != nil {
+						t.Fatalf("%s: serial: %v", name, err)
+					}
+					if base.Sample == 0 && want.Pairs != live*(live-1) {
+						t.Fatalf("%s: %d pairs swept, want %d live ordered pairs", name, want.Pairs, live*(live-1))
+					}
+					if f.isTree && mode == faults.KillEdges && want.Disconnected == 0 {
+						t.Fatalf("%s: edge kills on a tree disconnected nothing", name)
+					}
+					for _, dm := range []evaluate.DistMode{evaluate.DistDense, evaluate.DistStream} {
+						for _, workers := range []int{1, 3, 8} {
+							o := base
+							o.DistMode, o.Workers = dm, workers
+							got, err := evaluate.Delivery(g, s, nil, o)
+							if err != nil {
+								t.Fatalf("%s: %s workers=%d sample=%d: %v", name, dm, workers, o.Sample, err)
+							}
+							if got != want {
+								t.Fatalf("%s: %s workers=%d sample=%d: outcome %+v, serial %+v", name, dm, workers, o.Sample, got, want)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
