@@ -222,7 +222,8 @@ func BenchmarkTableNew(b *testing.B) {
 // BenchmarkIntervalNew measures the interval-routing build from a
 // finished all-pairs table, with DFS labels and RunGreedy (the options
 // the experiments and routeserve build it with). The APSP and the labels
-// are computed outside the timer; the build is serial.
+// are computed outside the timer; the build fans routers out over
+// GOMAXPROCS, so the figure depends on the core count.
 func BenchmarkIntervalNew(b *testing.B) {
 	const n = 2048
 	g := benchGraph(n)

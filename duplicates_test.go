@@ -69,7 +69,7 @@ var duplicateLedger = []duplicate{
 		conformance: "TestFaultRepairTableBitIdentical",
 		bench:       &benchPair{"BENCH_faults.json", "BenchmarkFaultRepair/n=2048/kills=8", "BenchmarkFaultRebuild/n=2048/kills=8", "ns/op", 0},
 		keep: "repair is the slower arm (1039 vs 74 ms recorded); it stays only because " +
-			"cmd/routebench churnCycle calls it, and deleting it waits on ROADMAP items 1 and 3",
+			"cmd/routebench churnCycle calls it, and deleting it waits on ROADMAP items 1 and 2",
 	},
 	{
 		reference:   "dense evaluation (NewAPSPParallel table)",

@@ -45,11 +45,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/routing"
 	"repro/internal/shortest"
 	"repro/internal/xrand"
@@ -97,7 +96,8 @@ func ParseDistMode(s string) (DistMode, error) {
 
 // Options configures one evaluation run.
 type Options struct {
-	// Workers is the size of the worker pool; <= 0 selects GOMAXPROCS.
+	// Workers is the size of the worker pool; <= 0 selects GOMAXPROCS
+	// (par.Workers).
 	Workers int
 	// Sample, when positive, evaluates that many ordered pairs drawn
 	// uniformly (without replacement) from the n(n-1) ordered pairs using
@@ -164,20 +164,6 @@ func (o Options) SourceFor(g *graph.Graph, w shortest.Weights, apsp *shortest.AP
 		metric = "weighted"
 	}
 	return nil, fmt.Errorf("evaluate: distance mode %d cannot serve the %s metric", int(o.DistMode), metric)
-}
-
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // HistBuckets is the number of stretch histogram buckets: 12 quarter-wide
@@ -259,7 +245,11 @@ type rowAcc struct {
 	hist      Histogram
 	numByDen  []int64         // numByDen[den] = Σ num over pairs with that den; 0 = absent
 	bigDens   map[int32]int64 // denominators >= denseDenLimit (weighted costs)
-	err       error           // first error within the row, in destination order
+	// _ pads the accumulator to 192 bytes, three cache lines: workers
+	// on adjacent rows write it per pair, and a line shared between two
+	// rows cost BenchmarkEvaluate about 30% at 4 and 8 workers on
+	// 2 vCPUs.
+	_ [16]byte
 }
 
 // addNum accumulates one pair's numerator under its denominator, growing
@@ -299,83 +289,56 @@ func Pairs(n int, f PairFunc, opt Options) (*Report, error) {
 // per-worker PairFunc must compute identical values for identical pairs.
 func pairsFrom(n int, newF func() PairFunc, opt Options) (*Report, error) {
 	rows := make([]rowAcc, n)
-	sampled := sweep(n, opt, newF, func(f PairFunc, u, v graph.NodeID) bool {
-		evalPair(&rows[u], u, v, f)
-		return rows[u].err == nil
+	sampled, err := sweep(n, opt, newF, func(f PairFunc, u, v graph.NodeID) error {
+		return evalPair(&rows[u], u, v, f)
 	})
-	return mergeRows(rows, sampled)
+	if err != nil {
+		return nil, err
+	}
+	return mergeRows(rows, sampled), nil
 }
 
-// sweep is the engine's one worker pool over the ordered pair space of
-// an n-vertex instance, exhaustive or sampled per opt. Workers claim
-// source rows; each builds its own state once with newWorker (a
-// distance reader with its BFS scratch, say) and passes every
-// destination of a claimed row, in increasing order, to visit. visit
-// files the pair into row u's accumulator and returns false when the
-// pair failed, which ends the row. sweep reports whether a sample plan
-// was in effect.
-func sweep[W any](n int, opt Options, newWorker func() W, visit func(w W, u, v graph.NodeID) bool) (sampled bool) {
+// sweep is the engine's one pass over the ordered pair space of an
+// n-vertex instance, exhaustive or sampled per opt, on a par.For pool
+// that claims source rows. Each worker builds its own state once with
+// newWorker (a distance reader with its BFS scratch, say) and passes
+// every destination of a claimed row, in increasing order, to visit.
+// visit files the pair into row u's accumulator; an error ends the
+// row, and rows after the lowest failed row may be skipped (the
+// row-order merge never reaches them). sweep returns the error of the
+// lowest failed row, at its first failed destination, and whether a
+// sample plan was in effect.
+func sweep[W any](n int, opt Options, newWorker func() W, visit func(w W, u, v graph.NodeID) error) (sampled bool, err error) {
 	plan := samplePlan(n, opt)
 	all := make([]graph.NodeID, n) // exhaustive mode: row u visits all but u
 	for v := range all {
 		all[v] = graph.NodeID(v)
 	}
-	workers := opt.workers(n)
-	src := make(chan int, workers)
-	// Early abort: once some row fails, rows after the lowest failed row
-	// can never contribute (the row-order merge stops at that row's
-	// error), so workers skip them. Rows before it must still run — they
-	// might hold an even earlier error — which keeps the reported first
-	// error deterministic.
-	failedRow := n
-	var failedMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			state := newWorker()
-			for u := range src {
-				failedMu.Lock()
-				skip := u > failedRow
-				failedMu.Unlock()
-				if skip {
-					continue
-				}
-				dsts := all
-				if plan != nil {
-					dsts = plan[u]
-				}
-				for _, v := range dsts {
-					if v != graph.NodeID(u) && !visit(state, graph.NodeID(u), v) {
-						failedMu.Lock()
-						failedRow = min(failedRow, u)
-						failedMu.Unlock()
-						break
-					}
-				}
+	err = par.For(opt.Workers, n, newWorker, func(w W, u int) error {
+		dsts := all
+		if plan != nil {
+			dsts = plan[u]
+		}
+		for _, v := range dsts {
+			if v == graph.NodeID(u) {
+				continue
 			}
-		}()
-	}
-	for u := 0; u < n; u++ {
-		src <- u
-	}
-	close(src)
-	wg.Wait()
-	return plan != nil
+			if err := visit(w, graph.NodeID(u), v); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return plan != nil, err
 }
 
-// mergeRows folds stretch accumulators in increasing row order; the
-// first row error aborts with a nil report.
-func mergeRows(rows []rowAcc, sampled bool) (*Report, error) {
+// mergeRows folds stretch accumulators in increasing row order.
+func mergeRows(rows []rowAcc, sampled bool) *Report {
 	rep := &Report{Sampled: sampled}
 	var numByDen []int64
 	var bigDens map[int32]int64
 	for u := range rows {
 		r := &rows[u]
-		if r.err != nil {
-			return nil, r.err
-		}
 		rep.Pairs += r.pairs
 		rep.TotalHops += r.totalHops
 		if r.maxHops > rep.MaxHops {
@@ -416,7 +379,7 @@ func mergeRows(rows []rowAcc, sampled bool) (*Report, error) {
 		}
 	}
 	rep.Mean = MeanFromSums(sums, rep.Pairs)
-	return rep, nil
+	return rep
 }
 
 // MeanFromSums evaluates Σ_d num(d)/d in increasing denominator order and
@@ -443,17 +406,16 @@ func MeanFromSums(numByDen map[int32]int64, pairs int) float64 {
 	return sum / float64(pairs)
 }
 
-func evalPair(acc *rowAcc, u, v graph.NodeID, f PairFunc) {
+func evalPair(acc *rowAcc, u, v graph.NodeID, f PairFunc) error {
 	num, den, hops, err := f(u, v)
 	if err != nil {
-		acc.err = err
-		return
+		return err
 	}
 	if den <= 0 {
-		acc.err = fmt.Errorf("evaluate: non-positive denominator %d for pair %d->%d", den, u, v)
-		return
+		return fmt.Errorf("evaluate: non-positive denominator %d for pair %d->%d", den, u, v)
 	}
 	acc.add(v, num, den, hops)
+	return nil
 }
 
 // add files one measured pair of the row: destination v, ratio num/den,
@@ -681,10 +643,10 @@ func Delivery(g *graph.Graph, r routing.Function, apsp *shortest.APSP, opt Optio
 	}
 	n := g.Order()
 	counts := make([]Outcome, n)
-	delivered := make([]rowAcc, n) // stretch of the delivered pairs, and the row's abort
-	sweep(n, opt, src.NewReader, func(rd shortest.RowReader, u, v graph.NodeID) bool {
+	delivered := make([]rowAcc, n) // stretch of the delivered pairs
+	_, err = sweep(n, opt, src.NewReader, func(rd shortest.RowReader, u, v graph.NodeID) error {
 		if g.Removed(u) || g.Removed(v) {
-			return true
+			return nil
 		}
 		l, err := routing.RouteLen(g, r, u, v, opt.MaxHops)
 		d := rd.Row(u)[v]
@@ -692,13 +654,12 @@ func Delivery(g *graph.Graph, r routing.Function, apsp *shortest.APSP, opt Optio
 		if ok {
 			delivered[u].add(v, int32(l), d, l)
 		}
-		delivered[u].err = err
-		return err == nil
+		return err
 	})
-	rep, err := mergeRows(delivered, false)
 	if err != nil {
 		return Outcome{}, err
 	}
+	rep := mergeRows(delivered, false)
 	var o Outcome
 	for _, c := range counts {
 		o.Pairs += c.Pairs
@@ -760,6 +721,11 @@ type MemoryReport struct {
 	PerNode    []int
 }
 
+// memoryClaim is the number of consecutive routers a Memory worker
+// claims at a time: most schemes answer LocalBits from a precomputed
+// slice, so a claim per router would cost more than the lookup.
+const memoryClaim = 64
+
 // Memory meters LocalBits for every router with a worker pool. The
 // report does not depend on the worker count: the per-router values are
 // integers and the fold runs serially in router order. Sampling does not
@@ -770,18 +736,12 @@ func Memory(g *graph.Graph, s routing.LocalCoder, opt Options) MemoryReport {
 	if n == 0 {
 		return rep
 	}
-	workers := opt.workers(n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for x := w; x < n; x += workers {
-				rep.PerNode[x] = s.LocalBits(graph.NodeID(x))
-			}
-		}(w)
-	}
-	wg.Wait()
+	_ = par.For(opt.Workers, (n+memoryClaim-1)/memoryClaim, func() struct{} { return struct{}{} }, func(_ struct{}, c int) error {
+		for x := c * memoryClaim; x < min((c+1)*memoryClaim, n); x++ {
+			rep.PerNode[x] = s.LocalBits(graph.NodeID(x))
+		}
+		return nil // LocalBits cannot fail
+	})
 	for x, b := range rep.PerNode {
 		rep.GlobalBits += b
 		if b > rep.LocalBits {

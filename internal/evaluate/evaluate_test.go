@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -398,3 +399,11 @@ func (loopScheme) Next(x graph.NodeID, h routing.Header) routing.Header { return
 type constBits int
 
 func (c constBits) LocalBits(graph.NodeID) int { return int(c) }
+
+// TestRowAccFillsCacheLines pins rowAcc to whole cache lines, so
+// workers filling adjacent rows never write to one line.
+func TestRowAccFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(rowAcc{}); size%64 != 0 {
+		t.Fatalf("rowAcc is %d bytes, not a multiple of 64", size)
+	}
+}

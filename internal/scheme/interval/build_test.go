@@ -3,6 +3,7 @@ package interval
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -156,6 +157,84 @@ func TestNewMatchesSelectionOracle(t *testing.T) {
 	for _, pol := range []Policy{MinPort, RunGreedy} {
 		check("tampered/dfs", g, wrong, DFSLabels(g), pol)
 	}
+}
+
+// withProcs runs f with GOMAXPROCS set to procs.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestNewWorkerCountInvariant pins the fan-out: the scheme built on one
+// worker and on four is the same — assignment, interval counts and bits
+// — for both policies and both labelings on an intact and a faulted
+// graph, and the table of another graph fails with the oracle's error.
+func TestNewWorkerCountInvariant(t *testing.T) {
+	g, err := gen.ByName("random", 300, xrand.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Clone()
+	plan, err := faults.NewPlan(h, faults.Options{Mode: faults.KillEdges, Count: 6, Seed: 11, KeepConnected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Apply(h)
+	for name, gr := range map[string]*graph.Graph{"intact": g, "faulted": h} {
+		apsp := shortest.NewAPSPParallel(gr, 0)
+		for _, labels := range [][]int32{nil, DFSLabels(gr)} {
+			for _, pol := range []Policy{MinPort, RunGreedy} {
+				opt := Options{Labels: labels, Policy: pol}
+				var one, four *Scheme
+				withProcs(1, func() { one, err = New(gr, apsp, opt) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				withProcs(4, func() { four, err = New(gr, apsp, opt) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(one.assign, four.assign) || !reflect.DeepEqual(one.ivals, four.ivals) || !slices.Equal(one.bits, four.bits) {
+					t.Fatalf("%s/dfs=%v/%d: GOMAXPROCS 1 and 4 built different schemes", name, labels != nil, pol)
+				}
+			}
+		}
+	}
+	// Routers below half agree with the other graph's table on every
+	// first arc, so the lowest failing router sits past the first claims.
+	const half = 2 * buildClaim
+	bg := bridged(half, 1, 2)
+	wrong := shortest.NewAPSPParallel(bridged(half, 1, 3), 0)
+	_, want := selectionOracle(bg, wrong, DFSLabels(bg), RunGreedy)
+	var x, v int
+	if want == nil {
+		t.Fatal("fixture too weak: the wrong table admits a first arc everywhere")
+	}
+	if _, err := fmt.Sscanf(want.Error(), "interval: no shortest first arc %d->%d", &x, &v); err != nil || x < half {
+		t.Fatalf("fixture too weak: oracle error %v", want)
+	}
+	for _, procs := range []int{1, 4} {
+		withProcs(procs, func() { _, err = New(bg, wrong, Options{Labels: DFSLabels(bg), Policy: RunGreedy}) })
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("GOMAXPROCS %d: wrong table: error %v, oracle %v", procs, err, want)
+		}
+	}
+}
+
+// bridged joins two seeded random graphs on [0,half) and [half,2half)
+// by the single edge {0, half}. Two such graphs that share the first
+// half agree on every first arc of a router in it, so a table of one
+// used for the other fails only at routers of the second half.
+func bridged(half int, seedA, seedB uint64) *graph.Graph {
+	g := graph.New(2 * half)
+	for k, seed := range []uint64{seedA, seedB} {
+		part := gen.RandomConnected(half, 0.05, xrand.New(seed))
+		for _, e := range part.Edges() {
+			g.AddEdge(e[0]+graph.NodeID(k*half), e[1]+graph.NodeID(k*half))
+		}
+	}
+	g.AddEdge(0, graph.NodeID(half))
+	return g
 }
 
 // TestCountIntervalsMatchesOracle compares countIntervals with the

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/coding"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/routing"
 	"repro/internal/shortest"
 )
@@ -97,45 +98,73 @@ func New(g *graph.Graph, apsp *shortest.APSP, opt Options) (*Scheme, error) {
 			s.invlab[v] = graph.NodeID(v)
 		}
 	}
-	// Each router's MinPort row comes from the shared first-arc kernel,
-	// by vertex; one pass in cyclic label order, starting just after x's
-	// own label so RunGreedy merges across the natural wrap point, then
-	// applies the keep-previous-port rule and fills the row by label.
-	var av shortest.ArcRows
-	byVertex := make([]graph.Port, n)
-	for x := 0; x < n; x++ {
-		xi := graph.NodeID(x)
-		arcs := g.Arcs(xi)
-		av.Load(apsp, arcs, xi, nil)
-		clear(byVertex)
-		av.MinPortRow(byVertex)
-		row := make([]graph.Port, n) // indexed by label
-		prev := graph.NoPort
-		start := int(s.label[x]) + 1
-		for t := 0; t < n; t++ {
-			lab := start + t
-			if lab >= n {
-				lab -= n
+	// Routers are independent, so they are built on a par.For pool in
+	// claims of buildClaim; a claim stops at its first failing router,
+	// so the error reported is the lowest failing router's whatever the
+	// worker count.
+	newScratch := func() *rowScratch { return &rowScratch{byVertex: make([]graph.Port, n)} }
+	err := par.For(0, (n+buildClaim-1)/buildClaim, newScratch, func(sc *rowScratch, c int) error {
+		for x := c * buildClaim; x < min((c+1)*buildClaim, n); x++ {
+			if err := s.buildRow(apsp, graph.NodeID(x), opt.Policy, sc); err != nil {
+				return err
 			}
-			v := s.invlab[lab]
-			if v == xi {
-				continue
-			}
-			p := byVertex[v]
-			if p == graph.NoPort {
-				return nil, fmt.Errorf("interval: no shortest first arc %d->%d", x, v)
-			}
-			if opt.Policy == RunGreedy && prev != graph.NoPort && p != prev && av.Keeps(prev, int(v)) {
-				p = prev
-			}
-			row[lab] = p
-			prev = p
 		}
-		s.assign[x] = row
-		s.ivals[x] = countIntervals(row, s.label[x], len(arcs))
-		s.bits[x] = s.localBits(x)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// buildClaim is the number of consecutive routers a New worker claims
+// at a time, the granularity of table.New's build.
+const buildClaim = 64
+
+// rowScratch is one New worker's scratch: the first-arc view and the
+// MinPort row of the router in hand, indexed by vertex.
+type rowScratch struct {
+	av       shortest.ArcRows
+	byVertex []graph.Port
+}
+
+// buildRow derives router x's row, interval counts and bits. The MinPort
+// row comes from the shared first-arc kernel, by vertex; one pass in
+// cyclic label order, starting just after x's own label so RunGreedy
+// merges across the natural wrap point, then applies the
+// keep-previous-port rule and fills the row by label.
+func (s *Scheme) buildRow(apsp *shortest.APSP, x graph.NodeID, pol Policy, sc *rowScratch) error {
+	n := len(s.label)
+	arcs := s.g.Arcs(x)
+	sc.av.Load(apsp, arcs, x, nil)
+	clear(sc.byVertex)
+	sc.av.MinPortRow(sc.byVertex)
+	row := make([]graph.Port, n) // indexed by label
+	prev := graph.NoPort
+	start := int(s.label[x]) + 1
+	for t := 0; t < n; t++ {
+		lab := start + t
+		if lab >= n {
+			lab -= n
+		}
+		v := s.invlab[lab]
+		if v == x {
+			continue
+		}
+		p := sc.byVertex[v]
+		if p == graph.NoPort {
+			return fmt.Errorf("interval: no shortest first arc %d->%d", x, v)
+		}
+		if pol == RunGreedy && prev != graph.NoPort && p != prev && sc.av.Keeps(prev, int(v)) {
+			p = prev
+		}
+		row[lab] = p
+		prev = p
+	}
+	s.assign[x] = row
+	s.ivals[x] = countIntervals(row, s.label[x], len(arcs))
+	s.bits[x] = s.localBits(int(x))
+	return nil
 }
 
 // localBits computes the metered local code size of router x from its

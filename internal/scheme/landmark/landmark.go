@@ -113,7 +113,7 @@ func (s *Scheme) fillBits() {
 
 // firstArc returns the lowest port of u whose endpoint is one step closer
 // to the root of the distance row rowV (the d(·,v) column, which equals
-// v's row by symmetry) — the canonical tie-break of shortest.FirstArcs.
+// v's row by symmetry) — the tie-break of shortest.ArcRows.MinPortRow.
 // It is the one port rule of the build: landmark ports read a landmark
 // row, cluster and address-path ports read a ball labelling. u must be
 // reachable and not the root (rowV[u] > 0); otherwise it panics.

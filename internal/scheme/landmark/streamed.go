@@ -1,10 +1,8 @@
 package landmark
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/shortest"
 )
 
@@ -37,17 +35,12 @@ import (
 // exact distance row or ball labelling, so the tables depend only on
 // the graph and Options, never on workers or traversal order.
 //
-// workers <= 0 selects GOMAXPROCS.
+// Each pass runs on a par.For pool; workers <= 0 selects GOMAXPROCS
+// (par.Workers).
 func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 	n := g.Order()
 	if n == 0 {
 		return nil, graph.ErrNotConnected
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
 	}
 	s := newShell(g, opt) // freezes g: workers below only read the CSR arcs
 	k := len(s.landmarks)
@@ -56,12 +49,12 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 	// MS-BFS pass per block of MSBFSWidth landmarks, each worker reusing
 	// its own scratch across the blocks it claims.
 	rows := make([]int32, k*n)
-	scratch := make([]*shortest.MSBFSScratch, workers)
 	blocks := (k + shortest.MSBFSWidth - 1) / shortest.MSBFSWidth
-	parallelFor(workers, blocks, func(w int, b int) {
-		lo := b * shortest.MSBFSWidth
-		hi := min(lo+shortest.MSBFSWidth, k)
-		_, scratch[w] = shortest.MSBFSInto(g, s.landmarks[lo:hi], rows[lo*n:hi*n:hi*n], scratch[w])
+	newScratch := func() *shortest.MSBFSScratch { return &shortest.MSBFSScratch{} }
+	_ = par.For(workers, blocks, newScratch, func(scr *shortest.MSBFSScratch, b int) error {
+		lo, hi := b*shortest.MSBFSWidth, min((b+1)*shortest.MSBFSWidth, k)
+		shortest.MSBFSInto(g, s.landmarks[lo:hi], rows[lo*n:hi*n:hi*n], scr)
+		return nil // a BFS cannot fail
 	})
 	distToLm := make([][]int32, k)
 	for i := range distToLm {
@@ -96,13 +89,14 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 	for x := range s.lmPort {
 		s.lmPort[x] = ports[x*k : (x+1)*k : (x+1)*k]
 	}
-	parallelFor(workers, k, func(_ int, i int) {
+	_ = par.For(workers, k, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 		row := distToLm[i]
 		for x, d := range row {
 			if d != 0 {
 				s.lmPort[x][i] = firstArc(g, row, graph.NodeID(x))
 			}
 		}
+		return nil // past the connectivity gate firstArc always answers
 	})
 
 	// Per-destination sweep: the ball around v answers every d(·,v) column
@@ -116,9 +110,7 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 		p graph.Port
 	}
 	contrib := make([][]member, n)
-	balls := make([]ball, workers)
-	parallelFor(workers, n, func(w int, v int) {
-		b := &balls[w]
+	_ = par.For(workers, n, func() *ball { return &ball{} }, func(b *ball, v int) error {
 		vi := graph.NodeID(v)
 		l := s.nearest[v]
 		b.grow(g, vi, l, distToLm[s.lmIndex[l]][v])
@@ -139,6 +131,7 @@ func NewStreamed(g *graph.Graph, opt Options, workers int) (*Scheme, error) {
 		}
 		s.pathPorts[v] = pp
 		b.clear()
+		return nil
 	})
 	for x := 0; x < n; x++ {
 		s.cluster[x] = make(map[graph.NodeID]graph.Port)
@@ -212,26 +205,4 @@ func (b *ball) clear() {
 	for _, x := range b.q {
 		b.label[x] = 0
 	}
-}
-
-// parallelFor runs body(worker, i) for i in [0, n) over a pool, giving
-// each worker a stable index so bodies can address per-call, per-worker
-// scratch without synchronization.
-func parallelFor(workers, n int, body func(worker, i int)) {
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				body(w, i)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -39,8 +39,38 @@ func referenceGraphs(t *testing.T, n int) map[string]*graph.Graph {
 	return out
 }
 
+// firstArcs returns the ports p of u that begin some shortest path from
+// u to v, read off the d(·,v) row: Neighbor(u,p) is one step closer to v.
+// It is the independent reference the row kernel is checked against.
+func firstArcs(g *graph.Graph, a *shortest.APSP, u, v graph.NodeID) []graph.Port {
+	var out []graph.Port
+	rowV := a.Row(v)
+	for i, w := range g.Arcs(u) {
+		if w >= 0 && rowV[w]+1 == rowV[u] {
+			out = append(out, graph.Port(i+1))
+		}
+	}
+	return out
+}
+
+// weightedFirstArcs is firstArcs under arc weights w: the ports of u
+// that begin some minimum-cost path toward v, tested in int64 so costs
+// near MaxInt32 cannot wrap.
+func weightedFirstArcs(g *graph.Graph, a *shortest.APSP, w shortest.Weights, u, v graph.NodeID) []graph.Port {
+	var out []graph.Port
+	duv := int64(a.Dist(u, v))
+	for i, x := range g.Arcs(u) {
+		if x >= 0 {
+			if dx := a.Dist(x, v); dx != shortest.Unreachable && int64(dx)+int64(w[u][i]) == duv {
+				out = append(out, graph.Port(i+1))
+			}
+		}
+	}
+	return out
+}
+
 // referenceRow derives router x's row from the first-arc sets alone:
-// MinPort takes the lowest port of FirstArcs, RunGreedy keeps the
+// MinPort takes the lowest port of firstArcs, RunGreedy keeps the
 // previous destination's port while it stays in the set.
 func referenceRow(g *graph.Graph, apsp *shortest.APSP, x graph.NodeID, pol Policy) []graph.Port {
 	row := make([]graph.Port, g.Order())
@@ -49,7 +79,7 @@ func referenceRow(g *graph.Graph, apsp *shortest.APSP, x graph.NodeID, pol Polic
 		if graph.NodeID(v) == x {
 			continue
 		}
-		arcs := shortest.FirstArcs(g, apsp, x, graph.NodeID(v))
+		arcs := firstArcs(g, apsp, x, graph.NodeID(v))
 		low := arcs[0]
 		keep := false
 		for _, p := range arcs {
@@ -66,7 +96,7 @@ func referenceRow(g *graph.Graph, apsp *shortest.APSP, x graph.NodeID, pol Polic
 }
 
 // TestNewMatchesFirstArcsReference pins the row-major build to an
-// independent derivation from shortest.FirstArcs over every family,
+// independent derivation from firstArcs over every family,
 // both policies, intact and faulted.
 func TestNewMatchesFirstArcsReference(t *testing.T) {
 	for name, g := range referenceGraphs(t, 100) {
@@ -90,7 +120,7 @@ func TestNewMatchesFirstArcsReference(t *testing.T) {
 }
 
 // TestNewWeightedMatchesFirstArcsReference is the weighted analogue:
-// MinPort entry (x,v) is the lowest port of WeightedFirstArcs.
+// MinPort entry (x,v) is the lowest port of weightedFirstArcs.
 func TestNewWeightedMatchesFirstArcsReference(t *testing.T) {
 	for i, fam := range gen.FamilyNames {
 		g, err := gen.ByName(fam, 40, xrand.New(uint64(60+i)))
@@ -111,7 +141,7 @@ func TestNewWeightedMatchesFirstArcsReference(t *testing.T) {
 				if x == v {
 					continue
 				}
-				arcs := shortest.WeightedFirstArcs(g, apsp, w, graph.NodeID(x), graph.NodeID(v))
+				arcs := weightedFirstArcs(g, apsp, w, graph.NodeID(x), graph.NodeID(v))
 				if got := entry(s, graph.NodeID(x), graph.NodeID(v)); got != arcs[0] {
 					t.Fatalf("%s: entry (%d,%d) = %d, want lowest of %v", fam, x, v, got, arcs)
 				}
@@ -179,7 +209,7 @@ func bridged(half int, seedA, seedB uint64) *graph.Graph {
 // TestNewInconsistentAPSPLowestRouterError feeds New the table of a
 // different graph of the same order. Several claims fail; whatever the
 // worker count, the error names the lowest failing router, at its
-// lowest failing destination — the pair an independent FirstArcs scan
+// lowest failing destination — the pair an independent firstArcs scan
 // finds first.
 func TestNewInconsistentAPSPLowestRouterError(t *testing.T) {
 	const half = 2 * buildClaim
@@ -189,7 +219,7 @@ func TestNewInconsistentAPSPLowestRouterError(t *testing.T) {
 	lowest, failing := -1, 0
 	for x := 0; x < g.Order(); x++ {
 		for v := 0; v < g.Order(); v++ {
-			if x != v && len(shortest.FirstArcs(g, wrong, graph.NodeID(x), graph.NodeID(v))) == 0 {
+			if x != v && len(firstArcs(g, wrong, graph.NodeID(x), graph.NodeID(v))) == 0 {
 				if want == "" {
 					want = fmt.Sprintf("table: no shortest first arc %d->%d", x, v)
 					lowest = x

@@ -35,12 +35,11 @@ package table
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/coding"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/routing"
 )
 
@@ -185,25 +184,17 @@ func (l *Lazy) stripe(si int, scratch []graph.Port) *stripeState {
 }
 
 // Preload proves every stripe (and hence verifies the whole payload)
-// on min(GOMAXPROCS, stripes) workers that claim stripes from a shared
-// counter, each with its own scratch row. It returns the
-// lowest-indexed stripe's error once every stripe is done, so the
-// report does not depend on the worker count. Tests and eager callers
-// use it; serving never needs to.
+// on a par.For pool of GOMAXPROCS workers, each with its own scratch
+// row. A stripe's error is sticky, so the pool runs every stripe and
+// Preload then returns the lowest-indexed stripe's error, which does
+// not depend on the worker count. Tests and eager callers use it;
+// serving never needs to.
 func (l *Lazy) Preload() error {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(l.stripes)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := make([]graph.Port, l.n)
-			for si := int(next.Add(1)) - 1; si < len(l.stripes); si = int(next.Add(1)) - 1 {
-				l.stripe(si, scratch)
-			}
-		}()
-	}
-	wg.Wait()
+	newScratch := func() []graph.Port { return make([]graph.Port, l.n) }
+	_ = par.For(0, len(l.stripes), newScratch, func(scratch []graph.Port, si int) error {
+		l.stripe(si, scratch)
+		return nil // the stripe keeps its error; every stripe must be proved
+	})
 	for si := range l.stripes {
 		if err := l.stripes[si].err; err != nil {
 			return err

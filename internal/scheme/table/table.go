@@ -14,12 +14,11 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/coding"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/routing"
 	"repro/internal/shortest"
 )
@@ -168,13 +167,15 @@ func New(g *graph.Graph, apsp *shortest.APSP, pol Policy) (*Scheme, error) {
 const buildClaim = 64
 
 // build is the shared body of New (w == nil, hop metric) and
-// NewWeighted: it checks the table and fans the routers out over
-// GOMAXPROCS workers in claims of buildClaim. Rows are independent —
-// RunGreedy's chain state never leaves its row — so the finished scheme
-// is the same for every worker count. A table that admits no first arc
-// for some pair fails the build with the error of the lowest such
-// router, which is also what a serial build reports, so the error text
-// does not depend on the worker count either.
+// NewWeighted: it checks the table and fans the routers out over a
+// par.For pool of GOMAXPROCS workers in claims of buildClaim. Rows are
+// independent — RunGreedy's chain state never leaves its row — so the
+// finished scheme is the same for every worker count. A table that
+// admits no first arc for some pair fails the build with the error of
+// the lowest such router (par.For reports the lowest failed claim, and
+// a claim stops at its first failing router), which is also what a
+// serial build reports, so the error text does not depend on the
+// worker count either.
 func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) (*Scheme, error) {
 	n := g.Order()
 	if apsp.Order() != n {
@@ -184,39 +185,23 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 		return nil, graph.ErrNotConnected
 	}
 	s := newScheme(g, n)
-	claims := (n + buildClaim - 1) / buildClaim
-	workers := min(runtime.GOMAXPROCS(0), claims)
-	if workers <= 1 {
-		if err := s.buildRows(apsp, w, pol, 0, n, make([]graph.Port, n), coding.NewBitWriter()); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	errs := make([]error, claims)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			row, bw := make([]graph.Port, n), coding.NewBitWriter()
-			for c := range next {
-				lo := c * buildClaim
-				errs[c] = s.buildRows(apsp, w, pol, lo, min(lo+buildClaim, n), row, bw)
-			}
-		}()
-	}
-	for c := range claims {
-		next <- c
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	newScratch := func() *rowScratch { return &rowScratch{row: make([]graph.Port, n), bw: coding.NewBitWriter()} }
+	err := par.For(0, (n+buildClaim-1)/buildClaim, newScratch, func(sc *rowScratch, c int) error {
+		lo := c * buildClaim
+		return s.buildRows(apsp, w, pol, lo, min(lo+buildClaim, n), sc)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// rowScratch is one build worker's scratch: the first-arc view, a row
+// of n ports and the writer of the row codes.
+type rowScratch struct {
+	av  shortest.ArcRows
+	row []graph.Port
+	bw  *coding.BitWriter
 }
 
 // buildRows derives the rows of routers [lo, hi) into s, stopping at the
@@ -225,10 +210,10 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 // reports the first destination without a port, applies RunGreedy's
 // keep-previous-port rule and counts the runs (and the runs of length
 // two or more) encodedRowBits would count, so most rows are priced
-// without a second scan. The row is derived in row, the worker's
-// scratch of n ports, and kept only as its code, written through bw.
-func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, lo, hi int, row []graph.Port, bw *coding.BitWriter) error {
-	var av shortest.ArcRows
+// without a second scan. The row is derived in the worker's scratch
+// and kept only as its code.
+func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, lo, hi int, sc *rowScratch) error {
+	av, row, bw := &sc.av, sc.row, sc.bw
 	for x := lo; x < hi; x++ {
 		xi := graph.NodeID(x)
 		arcs := s.g.Arcs(xi)

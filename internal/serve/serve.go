@@ -20,10 +20,10 @@ package serve
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/routing"
 	"repro/internal/shortest"
 )
@@ -88,7 +88,8 @@ type Result struct {
 
 // Options configure a Server.
 type Options struct {
-	// Workers is the per-batch pool size; <= 0 selects GOMAXPROCS.
+	// Workers is the per-batch pool size; <= 0 selects GOMAXPROCS
+	// (par.Workers).
 	Workers int
 	// MaxHops bounds each simulated route; 0 selects the routing default.
 	MaxHops int
@@ -218,17 +219,7 @@ func New(g *graph.Graph, fn routing.Function, src shortest.DistanceSource, opt O
 
 // Workers returns the worker count a batch of the given size runs with.
 func (sv *Server) Workers(batch int) int {
-	w := sv.opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if chunks := (batch + batchChunk - 1) / batchChunk; w > chunks {
-		w = chunks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return par.Workers(sv.opt.Workers, (batch+batchChunk-1)/batchChunk)
 }
 
 // ServeBatch answers every query in qs, positionally. It blocks until
@@ -260,28 +251,14 @@ func (sv *Server) ServeBatchInto(qs []Query, out []Result) []Result {
 		sv.serveChunk(qs, out, sv.newReader())
 		return out
 	}
-	next := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//repolint:alloc-ok one worker goroutine per batch fan-out, amortized over the chunk loop
-		go func() {
-			defer wg.Done()
-			rd := sv.newReader()
-			for start := range next {
-				end := start + batchChunk
-				if end > len(qs) {
-					end = len(qs)
-				}
-				sv.serveChunk(qs[start:end], out[start:end], rd)
-			}
-		}()
-	}
-	for start := 0; start < len(qs); start += batchChunk {
-		next <- start
-	}
-	close(next)
-	wg.Wait()
+	chunks := (len(qs) + batchChunk - 1) / batchChunk
+	//repolint:alloc-ok one pool per batch fan-out, amortized over the chunk loop
+	_ = par.For(workers, chunks, sv.newReader, func(rd shortest.RowReader, c int) error {
+		start := c * batchChunk
+		end := min(start+batchChunk, len(qs))
+		sv.serveChunk(qs[start:end], out[start:end], rd)
+		return nil // per-query failures live in their Result
+	})
 	return out
 }
 

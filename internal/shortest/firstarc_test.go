@@ -119,6 +119,51 @@ func TestConnectedMatchesFullScan(t *testing.T) {
 	}
 }
 
+// FirstArcs returns the ports p of u that begin some shortest path from u
+// to v: Neighbor(u,p) is one step closer to v. For u == v it returns nil.
+// The scan reads the destination row a.Row(v) — equal to the d(·,v)
+// column by symmetry — so neighbor lookups stay within one contiguous
+// row.
+func FirstArcs(g *graph.Graph, a *APSP, u, v graph.NodeID) []graph.Port {
+	if u == v {
+		return nil
+	}
+	var out []graph.Port
+	rowV := a.Row(v)
+	duv := rowV[u]
+	for i, w := range g.Arcs(u) {
+		if w < 0 {
+			continue
+		}
+		if rowV[w]+1 == duv {
+			out = append(out, graph.Port(i+1))
+		}
+	}
+	return out
+}
+
+// WeightedFirstArcs returns the ports of u that begin some minimum-cost
+// path toward v under w — the weighted analogue of FirstArcs. The
+// membership test runs in int64 so near-MaxInt32 costs cannot wrap the
+// d(x,v) + w(u,x) sum negative and admit (or hide) arcs.
+func WeightedFirstArcs(g *graph.Graph, a *APSP, w Weights, u, v graph.NodeID) []graph.Port {
+	if u == v {
+		return nil
+	}
+	var out []graph.Port
+	duv := int64(a.Dist(u, v))
+	wu := w[u]
+	for i, x := range g.Arcs(u) {
+		if x < 0 {
+			continue
+		}
+		if dx := a.Dist(x, v); dx != Unreachable && int64(dx)+int64(wu[i]) == duv {
+			out = append(out, graph.Port(i+1))
+		}
+	}
+	return out
+}
+
 // firstArcs is FirstArcs or, under weights, WeightedFirstArcs.
 func firstArcs(g *graph.Graph, a *APSP, w Weights, x, v graph.NodeID) []graph.Port {
 	if w != nil {

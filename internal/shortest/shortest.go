@@ -6,8 +6,8 @@
 // constraints exists exactly when, for each (a_i, b_j), a single outgoing
 // arc of a_i is compatible with every route of length <= s*d_G(a_i, b_j).
 // This package provides BFS, all-pairs tables, shortest-path DAGs, path
-// counting, and the FirstArcs/ForcedPort primitives that the constraint
-// machinery in internal/core builds on.
+// counting, and the FeasibleFirstArcs/ForcedPort primitives that the
+// constraint machinery in internal/core builds on.
 package shortest
 
 import (
@@ -199,29 +199,6 @@ func (a *APSP) Diameter() int32 {
 		}
 	}
 	return diam
-}
-
-// FirstArcs returns the ports p of u that begin some shortest path from u
-// to v: Neighbor(u,p) is one step closer to v. For u == v it returns nil.
-// The scan reads the destination row a.Row(v) — equal to the d(·,v)
-// column by symmetry — so neighbor lookups stay within one contiguous
-// row.
-func FirstArcs(g *graph.Graph, a *APSP, u, v graph.NodeID) []graph.Port {
-	if u == v {
-		return nil
-	}
-	var out []graph.Port
-	rowV := a.Row(v)
-	duv := rowV[u]
-	for i, w := range g.Arcs(u) {
-		if w < 0 {
-			continue
-		}
-		if rowV[w]+1 == duv {
-			out = append(out, graph.Port(i+1))
-		}
-	}
-	return out
 }
 
 // FeasibleFirstArcs returns the ports of u through which SOME routing path

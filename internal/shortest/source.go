@@ -1,9 +1,8 @@
 package shortest
 
 import (
-	"runtime"
-
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // DistanceSource abstracts WHERE exact distance rows come from — a dense
@@ -27,7 +26,7 @@ type DistanceSource interface {
 	// ResidentRows is the bulk memory hint: an upper bound on how many
 	// n-entry int32 rows the source keeps resident when read by the
 	// given number of concurrent readers (workers <= 0 selects
-	// GOMAXPROCS). Dense tables answer n regardless of workers;
+	// GOMAXPROCS, par.Workers). Dense tables answer n regardless of workers;
 	// streaming answers one row per worker.
 	ResidentRows(workers int) int
 }
@@ -65,16 +64,6 @@ type RowBatcher interface {
 // Weighted streaming readers are row-only.
 type PairReader interface {
 	Dist(u, v graph.NodeID) int32
-}
-
-func normWorkers(workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }
 
 // --- dense backend: the precomputed APSP table ---
@@ -188,7 +177,7 @@ func (s *StreamSource) NewReader() RowReader {
 // ResidentRows implements DistanceSource: each reader keeps one row
 // resident, so the bound is one row per worker, capped at n.
 func (s *StreamSource) ResidentRows(workers int) int {
-	return min(normWorkers(workers), s.n)
+	return par.Workers(workers, s.n)
 }
 
 type streamReader struct {

@@ -3,9 +3,9 @@ package shortest
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/xrand"
 )
 
@@ -166,63 +166,21 @@ func DijkstraInto(g *graph.Graph, w Weights, src graph.NodeID, dist []int32, pq 
 // each row is a deterministic function of (graph, weights, source), so
 // every row equals Dijkstra from its source at every worker count.
 // Rows are carved out of one contiguous n×n block and each worker
-// reuses its heap scratch. workers <= 0 selects GOMAXPROCS.
+// reuses its heap scratch. workers <= 0 selects GOMAXPROCS
+// (par.Workers).
 func NewWeightedAPSPParallel(g *graph.Graph, w Weights, workers int) (*APSP, error) {
 	if err := w.Validate(g); err != nil {
 		return nil, err
 	}
 	g.Freeze()
 	n := g.Order()
-	workers = normWorkers(workers)
-	if workers > n {
-		workers = n
-	}
 	a := &APSP{n: n, dist: make([][]int32, n)}
-	if n == 0 {
-		return a, nil
-	}
 	block := make([]int32, n*n)
-	src := make(chan int, workers)
-	var wg sync.WaitGroup
-	for x := 0; x < workers; x++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var pq DijkstraHeap
-			for u := range src {
-				row := block[u*n : (u+1)*n : (u+1)*n]
-				a.dist[u], pq = DijkstraInto(g, w, graph.NodeID(u), row, pq)
-			}
-		}()
-	}
-	for u := 0; u < n; u++ {
-		src <- u
-	}
-	close(src)
-	wg.Wait()
+	_ = par.For(workers, n, func() *DijkstraHeap { return new(DijkstraHeap) }, func(pq *DijkstraHeap, u int) error {
+		a.dist[u], *pq = DijkstraInto(g, w, graph.NodeID(u), block[u*n:(u+1)*n:(u+1)*n], *pq)
+		return nil // w was validated above
+	})
 	return a, nil
-}
-
-// WeightedFirstArcs returns the ports of u that begin some minimum-cost
-// path toward v under w — the weighted analogue of FirstArcs. The
-// membership test runs in int64 so near-MaxInt32 costs cannot wrap the
-// d(x,v) + w(u,x) sum negative and admit (or hide) arcs.
-func WeightedFirstArcs(g *graph.Graph, a *APSP, w Weights, u, v graph.NodeID) []graph.Port {
-	if u == v {
-		return nil
-	}
-	var out []graph.Port
-	duv := int64(a.Dist(u, v))
-	wu := w[u]
-	for i, x := range g.Arcs(u) {
-		if x < 0 {
-			continue
-		}
-		if dx := a.Dist(x, v); dx != Unreachable && int64(dx)+int64(wu[i]) == duv {
-			out = append(out, graph.Port(i+1))
-		}
-	}
-	return out
 }
 
 // heapItem is one entry of the index-based binary heap DijkstraInto
