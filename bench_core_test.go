@@ -251,9 +251,9 @@ func BenchmarkIntervalNew(b *testing.B) {
 // all-pairs evaluator and the serving path run per pair). Both read the
 // heap scheme table.New built, whose raw routers answer from a packed
 // field of their row code. The mapped-len arm is the len arm over the
-// same tables opened from an in-memory container (table.Lazy, every
-// stripe proven outside the timer), whose stripes serve from the same
-// packed fields.
+// same tables opened from an in-memory container (table.NewLazy: the
+// same table.Scheme store, every stripe proven outside the timer), whose
+// stripes serve from the same packed fields.
 func BenchmarkRouteVisit(b *testing.B) {
 	const n = 4096
 	g := benchGraph(n)

@@ -383,7 +383,9 @@ func BenchmarkTableRowEncode(b *testing.B) {
 	}
 	rows := make([][]graph.Port, n)
 	for x := range rows {
-		rows[x] = s.RowCopy(graph.NodeID(x))
+		if rows[x], err = s.RowCopy(graph.NodeID(x)); err != nil {
+			b.Fatal(err)
+		}
 	}
 	w := coding.NewBitWriter()
 	b.ReportAllocs()

@@ -232,6 +232,10 @@ func TestCLIFaultFlags(t *testing.T) {
 		if diff := firstDiff(repaired, patched); diff != "" {
 			t.Fatalf("-load + -applydelta answers differ from the repaired build: %s", diff)
 		}
+		mapped := serve(t, "-load", base, "-mmap", "-applydelta", patch)
+		if diff := firstDiff(repaired, mapped); diff != "" {
+			t.Fatalf("-load -mmap + -applydelta answers differ from the repaired build: %s", diff)
+		}
 	})
 
 	t.Run("landmark-deltaout", func(t *testing.T) {

@@ -36,9 +36,10 @@
 // other combination, and any fault that disconnects the graph (where
 // -deltaout exits 2), serves the pre-fault scheme unrepaired, where
 // broken routes answer with typed errors. -applydelta closes the loop
-// on the serving side: load the generation-g container, decode + apply
-// the patch (copy-on-write), and serve generation g+1 — no rebuild, no
-// full re-transfer.
+// on the serving side: load the generation-g container (-mmap too),
+// decode + apply the patch (copy-on-write: only the stripes of patched
+// routers are proven and rewritten), and serve generation g+1 — no
+// rebuild, no full re-transfer.
 //
 // -listen serves the internal/netserve wire protocol over TCP: framed
 // binary query batches with per-connection read/write deadlines
@@ -148,9 +149,6 @@ func main() {
 	if *applyDelta != "" && *kill > 0 {
 		fail(2, fmt.Errorf("-applydelta and -kill are mutually exclusive (a patch already names its removed edges)"))
 	}
-	if *applyDelta != "" && *mmap {
-		fail(2, fmt.Errorf("-applydelta patches a decoded table scheme; -mmap decodes lazily (load without -mmap)"))
-	}
 	if (*kill > 0 || *applyDelta != "") && *save != "" {
 		// The graph serializer rejects dead ports by design: a faulted
 		// topology persists as base container + generation patch.
@@ -158,9 +156,9 @@ func main() {
 	}
 	if *mmap && *save != "" {
 		// A mappable container is already canonical v2 byte for byte, so
-		// "re-save" would be a file copy; and the lazily-decoded scheme
-		// deliberately has no encoder (encoding would force the full
-		// decode -mmap exists to avoid).
+		// "re-save" would be a file copy, and encoding the mapped scheme
+		// would prove every stripe, the full decode -mmap exists to
+		// avoid.
 		fail(2, fmt.Errorf("-mmap and -save are mutually exclusive (a mapped container is already canonical v2; to re-encode, -load without -mmap)"))
 	}
 

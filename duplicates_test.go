@@ -59,7 +59,7 @@ var duplicateLedger = []duplicate{
 	},
 	{
 		reference:   "schemeio.ReadFile decoding to table.Scheme",
-		candidate:   "schemeio.OpenMapped with table.Lazy stripes verified and copied on first touch",
+		candidate:   "schemeio.OpenMapped with the same table.Scheme store, stripes proven on first touch",
 		conformance: "TestMappedReaderConformanceMatrix",
 		bench:       &benchPair{"BENCH_startup.json", "BenchmarkLoadContainer/v2-full/n=2048", "BenchmarkLoadContainer/v2-mapped/n=2048", "ns/op", 5},
 	},
@@ -84,11 +84,11 @@ var duplicateLedger = []duplicate{
 		candidate:   "routing.RouteLen",
 		conformance: "TestRouteLenMatchesRouteVisit",
 		bench:       &benchPair{"BENCH_core.json", "BenchmarkRouteVisit/visit/n=4096", "BenchmarkRouteVisit/len/n=4096", "ns/op", 0},
-		keep: "RouteLen is the faster arm by a margin inside the noise (visit/len 1.06 recorded at 65536 " +
-			"pairs per op, both warmed; the five -benchtime 1x runs span 31.8-57.5 ms visit and " +
-			"40.6-57.6 ms len on a noisy host); merging RouteLen onto " +
-			"RouteVisit puts a capturing closure in a //repolint:hotpath function on every serving query, " +
-			"which needs its own change measured with a routebench compare",
+		keep: "one nil-guarded walk behind both was measured and lost: at -benchtime 20x, 5 interleaved " +
+			"pairs, len read 26.8 [24.5, 28.4] ms with this twin over per-router row codes and 31.5 " +
+			"[31.5, 34.5] ms with one walk over the stripe store, slower by more than the twin's " +
+			"interquartile range; on the stripe store alone, twin 45.8 [44.8, 46.5] against one walk " +
+			"50.3 [44.9, 50.4] ms; so RouteLen stays a copy until a merge reads no slower",
 	},
 	{
 		reference:   "serve.Server",

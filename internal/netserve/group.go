@@ -82,9 +82,6 @@ func ListenGroupInto(k int, handler func(shard int) BatchHandlerInto, opt Option
 // Addrs returns the shard listen addresses, indexed by shard.
 func (g *Group) Addrs() []string { return append([]string(nil), g.addrs...) }
 
-// Server returns shard i's server (tests use it to close one shard).
-func (g *Group) Server(i int) *Server { return g.servers[i] }
-
 // Close gracefully drains every shard, returning the first error.
 func (g *Group) Close() error {
 	var first error

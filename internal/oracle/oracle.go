@@ -134,9 +134,6 @@ func New(g *graph.Graph, apsp *shortest.APSP, opt Options) (*Oracle, error) {
 	return o, nil
 }
 
-// K returns the level count.
-func (o *Oracle) K() int { return o.k }
-
 // Query returns an estimate of d(u, v) within stretch 2K-1, by the
 // classical pivot-swapping walk: raise the level until the current pivot
 // lands in the other endpoint's bunch.

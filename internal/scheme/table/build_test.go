@@ -108,7 +108,7 @@ func TestNewMatchesFirstArcsReference(t *testing.T) {
 			}
 			for x := 0; x < g.Order(); x++ {
 				want := referenceRow(g, apsp, graph.NodeID(x), pol)
-				if got := s.RowCopy(graph.NodeID(x)); !reflect.DeepEqual(got, want) {
+				if got := rowOf(s, graph.NodeID(x)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/%d: row %d = %v, want %v", name, pol, x, got, want)
 				}
 				if s.LocalBits(graph.NodeID(x)) != encodedRowBits(want, graph.NodeID(x), g.Degree(graph.NodeID(x))) {
@@ -182,7 +182,7 @@ func TestNewWorkerCountInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(one.rows, four.rows) {
+			if !reflect.DeepEqual(one.stripes, four.stripes) {
 				t.Fatalf("%s/%d: GOMAXPROCS 1 and 4 built different schemes", name, pol)
 			}
 		}
@@ -212,7 +212,7 @@ func bridged(half int, seedA, seedB uint64) *graph.Graph {
 // lowest failing destination — the pair an independent firstArcs scan
 // finds first.
 func TestNewInconsistentAPSPLowestRouterError(t *testing.T) {
-	const half = 2 * buildClaim
+	const half = 2 * lazyStripe
 	g := bridged(half, 1, 2)
 	wrong := shortest.NewAPSPParallel(bridged(half, 1, 3), 0)
 	want := ""
@@ -229,7 +229,7 @@ func TestNewInconsistentAPSPLowestRouterError(t *testing.T) {
 			}
 		}
 	}
-	if lowest < buildClaim || failing < 2 {
+	if lowest < lazyStripe || failing < 2 {
 		t.Fatalf("fixture too weak: lowest failing router %d, %d failing routers", lowest, failing)
 	}
 	for _, pol := range []Policy{MinPort, RunGreedy} {
@@ -444,7 +444,7 @@ func TestRowKernelMatchesPickOracle(t *testing.T) {
 		}
 	}
 	// Tables of other graphs (or other weights) of the same order.
-	const half = 2 * buildClaim
+	const half = 128
 	g := bridged(half, 1, 2)
 	wrong := shortest.NewAPSPParallel(bridged(half, 1, 3), 0)
 	w := shortest.RandomWeights(g, 9, xrand.New(9))
@@ -584,7 +584,7 @@ func TestSchemeMatchesPortOracle(t *testing.T) {
 					t.Fatalf("%s: Port(%d -> %d) = %d, oracle %d", name, x, dst, got, want[x][dst])
 				}
 			}
-			switch s.rows[x].wid {
+			switch s.stripes[x/lazyStripe].wid[x%lazyStripe] {
 			case 0:
 				narrow++
 			case rleWidth:

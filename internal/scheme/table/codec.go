@@ -19,19 +19,22 @@ import (
 // LocalBits(x) for every router) plus the absolute bit offset where
 // router 0's span begins — rows are contiguous in router order, so the
 // pair (routerStart, rb) locates every row for random access. The
-// scheme stores each router's canonical code, so the payload is their
-// bit-aligned concatenation (BitWriter.WriteBitsFrom).
+// scheme stores each router's canonical code, a stripe's codes
+// contiguously, so the payload is one bit-aligned append per stripe
+// (BitWriter.WriteBitsFrom). A lazily opened scheme must be proven
+// first (Preload, which schemeio.Encode runs): an unproven or poisoned
+// stripe has no code to write.
 func (s *Scheme) EncodePayload(w *coding.BitWriter) (rb []int, routerStart int) {
 	routerStart = w.Len()
-	rb = make([]int, len(s.rows))
+	rb = make([]int, len(s.hdr))
 	total := 0
-	for x := range s.rows {
-		rb[x] = int(s.rows[x].bits)
+	for x := range rb {
+		rb[x] = s.LocalBits(graph.NodeID(x))
 		total += rb[x]
 	}
 	w.Grow(total)
-	for x := range s.rows {
-		w.WriteBitsFrom(s.rows[x].code, 0, rb[x])
+	for _, st := range s.stripes {
+		w.WriteBitsFrom(st.code, int(st.bit(0)), int(st.offs[len(st.offs)-1]-st.offs[0]))
 	}
 	return rb, routerStart
 }
@@ -58,26 +61,28 @@ func DecodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph
 // DecodePayload parses a payload written by EncodePayload against the
 // graph the scheme was built on, returning a scheme that routes
 // bit-identically to the encoded one. Each router's span is proven
-// canonical (proveRow) into one scratch row and kept as its code bytes.
-// Malformed bytes (out-of-range ports, overrunning runs, non-canonical
-// row codes, truncation) error, never panic; every allocation is sized
-// by g or by the bits already proven, not by attacker-controlled counts.
+// canonical (proveRow) into one scratch row, in sequence, and its
+// code is copied into its stripe. Malformed bytes
+// (out-of-range ports, overrunning runs, non-canonical row codes,
+// truncation) error, never panic; every allocation is sized by g or by
+// the bits already proven, not by attacker-controlled counts.
 func DecodePayload(r *coding.BitReader, g *graph.Graph) (*Scheme, error) {
-	n := g.Order()
-	s := newScheme(g, n)
-	scratch := make([]graph.Port, n)
-	w := coding.NewBitWriter()
-	for x := 0; x < n; x++ {
-		xi := graph.NodeID(x)
-		deg := g.Degree(xi)
-		start := r.Pos()
-		rle, err := proveRow(r, scratch, xi, deg)
-		if err != nil {
-			return nil, err
+	s := newScheme(g)
+	scratch := make([]graph.Port, len(s.hdr))
+	var sb stripeBuf
+	for si := range s.stripes {
+		lo, hi := s.span(si)
+		sb.start(s, si)
+		for x := lo; x < hi; x++ {
+			xi := graph.NodeID(x)
+			start := r.Pos()
+			row, err := proveRow(r, scratch, xi, g.Degree(xi))
+			if err != nil {
+				return nil, err
+			}
+			sb.add(r.Bytes(), start, r.Pos()-start, g.Degree(xi), row)
 		}
-		w.Reset()
-		w.WriteBitsFrom(r.Bytes(), start, r.Pos()-start)
-		s.rows[x] = newRowCode(w, rle, deg)
+		s.stripes[si] = sb.finish()
 	}
 	return s, nil
 }

@@ -2,17 +2,20 @@ package table
 
 import "unsafe"
 
-// Retained returns the bytes s's stored rows hold — code buffers, RLE
-// rows and the per-router entries — and its number of RLE routers, so
-// the external retention test can weigh a scheme schemeio.ReadFile
-// decoded.
+// Retained returns the bytes s's stripes hold — stripe entries, code
+// buffers, offsets, field widths and RLE rows — and its number of RLE
+// routers, so the external retention test can weigh a scheme from any
+// producer. Offsets a stripe shares with its neighbour or with a
+// container index are counted as its own.
 func Retained(s *Scheme) (bytes, rleRows int) {
-	bytes = len(s.rows) * int(unsafe.Sizeof(rowCode{}))
-	for x := range s.rows {
-		rc := &s.rows[x]
-		bytes += cap(rc.code) + 4*cap(rc.rle)
-		if rc.rle != nil {
-			rleRows++
+	bytes = 8 * len(s.stripes)
+	for _, st := range s.stripes {
+		bytes += int(unsafe.Sizeof(*st)) + cap(st.code) + 8*len(st.offs) + cap(st.wid) + 24*cap(st.rle)
+		for _, row := range st.rle {
+			if row != nil {
+				rleRows++
+				bytes += 4 * cap(row)
+			}
 		}
 	}
 	return bytes, rleRows

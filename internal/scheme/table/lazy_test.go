@@ -54,10 +54,7 @@ func TestLazyPreloadDeterministicError(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			l, err := NewLazy(g, offs, func() ([]byte, error) { return blob, nil })
-			if err != nil {
-				t.Fatal(err)
-			}
+			l := NewLazy(g, offs, func() ([]byte, error) { return blob, nil })
 			check := func(x, dst int) {
 				got := l.Port(graph.NodeID(x), l.Init(graph.NodeID(x), graph.NodeID(dst)))
 				want := s.Port(graph.NodeID(x), s.Init(graph.NodeID(x), graph.NodeID(dst)))
@@ -108,9 +105,9 @@ func TestLazyPreloadDeterministicError(t *testing.T) {
 	}
 }
 
-// lazyOver encodes s and wraps its payload in a Lazy over g, returning
-// the Lazy and the payload length in bytes.
-func lazyOver(t *testing.T, g *graph.Graph, s *Scheme) (*Lazy, int) {
+// lazyOver encodes s and wraps its payload in a lazy scheme over g
+// (NewLazy), returning it and the payload length in bytes.
+func lazyOver(t *testing.T, g *graph.Graph, s *Scheme) (*Scheme, int) {
 	t.Helper()
 	w := coding.NewBitWriter()
 	rb, start := s.EncodePayload(w)
@@ -120,20 +117,17 @@ func lazyOver(t *testing.T, g *graph.Graph, s *Scheme) (*Lazy, int) {
 		offs[x+1] = offs[x] + uint64(rb[x])
 	}
 	blob := w.Bytes()
-	l, err := NewLazy(g, offs, func() ([]byte, error) { return blob, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l, len(blob)
+	return NewLazy(g, offs, func() ([]byte, error) { return blob, nil }), len(blob)
 }
 
 // TestLazyMatchesHeapScheme is the conformance test of the packed-code
 // lookup: for every family at n=64 and 300, and a random graph of five
-// stripes and a tail under both policies, Lazy.Port must equal the heap
-// scheme's Port on every (x, dst) pair, first touch included. The
+// stripes and a tail under both policies, the lazy scheme's Port must
+// equal the built scheme's Port on every (x, dst) pair, first touch
+// included. The
 // cases must between them hold degree-1 routers (w = 0), RLE routers
 // and more than one stripe; every pair covers dst = x±1 and x on the
-// stripe edges. The heap scheme answers from the same rawPort, and
+// stripe edges. The built scheme answers from the same store, and
 // TestSchemeMatchesPortOracle pins it to port rows of an independent
 // build.
 func TestLazyMatchesHeapScheme(t *testing.T) {
@@ -168,7 +162,7 @@ func TestLazyMatchesHeapScheme(t *testing.T) {
 			for dst := 0; dst < n; dst++ {
 				xi, di := graph.NodeID(x), graph.NodeID(dst)
 				if got, want := l.Port(xi, l.Init(xi, di)), s.Port(xi, s.Init(xi, di)); got != want {
-					t.Fatalf("%s: Port(%d -> %d) = %d, heap scheme %d", tc.name, x, dst, got, want)
+					t.Fatalf("%s: Port(%d -> %d) = %d, built scheme %d", tc.name, x, dst, got, want)
 				}
 			}
 		}
@@ -191,51 +185,5 @@ func TestLazyMatchesHeapScheme(t *testing.T) {
 	}
 	if narrow == 0 || rle == 0 || striped == 0 {
 		t.Fatalf("cases hold %d degree-1 routers, %d RLE routers and %d multi-stripe graphs; each must be > 0", narrow, rle, striped)
-	}
-}
-
-// TestLazyRetainsCodeBytes pins what a proven Lazy keeps: after
-// Preload its stripes hold at most the payload bytes, one n-port row
-// per RLE router and O(n) bytes more (field widths, row slots, 8 pad
-// bytes and a shared boundary byte per stripe), and Preload allocates
-// no more than that plus one n-port scratch row per worker and 64 KiB
-// of allocator rounding. A stripe arena of n-port rows would be about
-// eight times the payload.
-func TestLazyRetainsCodeBytes(t *testing.T) {
-	n := 5*lazyStripe + 17
-	g := gen.RandomConnected(n, 8.0/float64(n), xrand.New(3))
-	s, err := New(g, shortest.NewAPSPParallel(g, 0), MinPort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, payload := lazyOver(t, g, s)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := l.Preload(); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-
-	retained, rleRows := 0, 0
-	for si := range l.stripes {
-		st := &l.stripes[si]
-		retained += cap(st.code) + cap(st.wid) + 24*cap(st.rle)
-		for _, row := range st.rle {
-			if row != nil {
-				rleRows++
-				retained += 4 * cap(row)
-			}
-		}
-	}
-	if rleRows == 0 {
-		t.Fatal("no RLE router: the pin would not cover materialized rows")
-	}
-	bound := payload + 4*n*rleRows + 32*n
-	if retained > bound {
-		t.Fatalf("stripes retain %d bytes, bound %d (payload %d, %d RLE rows, n=%d)", retained, bound, payload, rleRows, n)
-	}
-	scratch := 4 * n * min(runtime.GOMAXPROCS(0), len(l.stripes))
-	if alloc := int(after.TotalAlloc - before.TotalAlloc); alloc > bound+scratch+64<<10 {
-		t.Fatalf("Preload allocated %d bytes, bound %d + scratch %d + 64 KiB", alloc, bound, scratch)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/coding"
 	"repro/internal/graph"
 	"repro/internal/shortest"
 )
@@ -36,8 +35,10 @@ import (
 // Repair returns an error when any destination became unreachable.
 //
 // Each visited router's row is decoded from its stored code into one
-// scratch row and walked there; only a row with a changed entry is
-// re-priced and re-encoded, so every other router keeps its code.
+// scratch row and walked there; the changed rows are then patched in
+// with WithRows, so only the stripes holding one are rewritten. A lazy
+// stripe is proven before it is read, and a poisoned one fails the
+// repair with its error, leaving s unchanged.
 func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) ([]graph.NodeID, error) {
 	g := s.g
 	g.Freeze()
@@ -57,30 +58,33 @@ func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) (
 		}
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	scratch, bw := make([]graph.Port, n), coding.NewBitWriter()
+	scratch := make([]graph.Port, n)
 	var changed []graph.NodeID
+	var rows [][]graph.Port
 	for x := 0; x < n; x++ {
 		xi := graph.NodeID(x)
 		arcs := g.Arcs(xi)
-		hasHole := false
-		for _, w := range arcs {
-			if w == graph.DeadEnd {
-				hasHole = true
-				break
-			}
-		}
+		hasHole := slices.Contains(arcs, graph.DeadEnd)
 		if !hasHole && len(ds) == 0 {
 			continue
 		}
-		rowChanged, err := s.repairRow(apsp, xi, arcs, ds, inD, hasHole, pol, scratch)
+		if err := s.rowInto(xi, scratch, scratch); err != nil {
+			return nil, err
+		}
+		rowChanged, err := repairRow(apsp, xi, arcs, ds, inD, hasHole, pol, scratch)
 		if err != nil {
 			return nil, err
 		}
 		if rowChanged {
-			s.rows[x] = encodeRow(bw, scratch, xi, len(arcs), encodedRowBits(scratch, xi, len(arcs)))
 			changed = append(changed, xi)
+			rows = append(rows, slices.Clone(scratch))
 		}
 	}
+	c, err := s.WithRows(g, changed, rows)
+	if err != nil {
+		return nil, err
+	}
+	s.stripes = c.stripes
 	return changed, nil
 }
 
@@ -88,11 +92,10 @@ func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) (
 // flags x as an endpoint of a removed edge: every entry must then be
 // checked for a dead stored port, so the walk is dense; otherwise only
 // the dirty destinations ds are visited (plus, under RunGreedy, the
-// cascade tail after a change). The row is decoded into row, the
-// caller's scratch, and a changed row is left there for Repair to
-// re-encode.
-func (s *Scheme) repairRow(apsp *shortest.APSP, x graph.NodeID, arcs []graph.NodeID, ds []graph.NodeID, inD []bool, hasHole bool, pol Policy, row []graph.Port) (bool, error) {
-	s.rowInto(x, row)
+// cascade tail after a change). row holds x's stored row, decoded into
+// the caller's scratch, and a changed row is left there for Repair to
+// patch in.
+func repairRow(apsp *shortest.APSP, x graph.NodeID, arcs []graph.NodeID, ds []graph.NodeID, inD []bool, hasHole bool, pol Policy, row []graph.Port) (bool, error) {
 	n := len(row)
 	rowChanged := false
 	cascade := false
@@ -176,23 +179,23 @@ func prevEntry(row []graph.Port, x graph.NodeID, v int) graph.Port {
 
 // WithRows returns a copy-on-write patch of s bound to g: routers[i]'s
 // row becomes rows[i], priced and encoded into its canonical code here
-// (rows are not retained), and every other router's code is shared with
-// s. This is how a serving shard applies a schemeio fault delta —
-// O(changed) new rows plus one copy of the per-router entries instead of
-// an O(n²) rebuild. Routers must be ascending and unique; every patched
-// port must be a live port of g (a delta that steers into a dead slot is
-// corrupt).
+// (rows are not retained). Only the stripes holding a patched router
+// are rewritten, their other routers' codes copied bit for bit; every
+// other stripe is shared with s by pointer, proven or not. This is how
+// a serving shard applies a schemeio fault delta — O(changed) new rows
+// plus one pointer per stripe instead of an O(n²) rebuild. Routers must
+// be ascending and unique; every patched port must be a live port of g
+// (a delta that steers into a dead slot is corrupt). A lazy stripe that
+// is rewritten is proven first, and a poisoned one returns its error.
 func (s *Scheme) WithRows(g *graph.Graph, routers []graph.NodeID, rows [][]graph.Port) (*Scheme, error) {
 	g.Freeze()
 	n := g.Order()
-	if n != len(s.rows) {
-		return nil, fmt.Errorf("table: patch order mismatch: graph %d, scheme %d", n, len(s.rows))
+	if n != len(s.hdr) {
+		return nil, fmt.Errorf("table: patch order mismatch: graph %d, scheme %d", n, len(s.hdr))
 	}
 	if len(routers) != len(rows) {
 		return nil, fmt.Errorf("table: %d routers but %d rows", len(routers), len(rows))
 	}
-	c := &Scheme{g: g, rows: slices.Clone(s.rows), hdr: s.hdr}
-	bw := coding.NewBitWriter()
 	last := graph.NodeID(-1)
 	for i, x := range routers {
 		if x <= last || int(x) >= n {
@@ -218,7 +221,33 @@ func (s *Scheme) WithRows(g *graph.Graph, routers []graph.NodeID, rows [][]graph
 				return nil, fmt.Errorf("table: patched row of %d routes %d into dead port %d", x, v, p)
 			}
 		}
-		c.rows[x] = encodeRow(bw, row, x, len(arcs), encodedRowBits(row, x, len(arcs)))
+	}
+	c := &Scheme{g: g, hdr: s.hdr, stripes: slices.Clone(s.stripes), payload: s.payload}
+	var sb stripeBuf
+	for k := 0; k < len(routers); {
+		si := int(routers[k]) / lazyStripe
+		st := s.stripe(si, nil)
+		if st.err != nil {
+			return nil, st.err
+		}
+		lo, hi := s.span(si)
+		sb.start(s, si)
+		for x := lo; x < hi; x++ {
+			xi := graph.NodeID(x)
+			deg := g.Degree(xi)
+			if k < len(routers) && routers[k] == xi {
+				sb.write(rows[k], xi, deg, encodedRowBits(rows[k], xi, deg))
+				k++
+			} else {
+				i := x - lo
+				var rle []graph.Port
+				if st.wid[i] == rleWidth {
+					rle = st.rle[i]
+				}
+				sb.add(st.code, int(st.bit(i)), int(st.offs[i+1]-st.offs[i]), deg, rle)
+			}
+		}
+		c.stripes[si] = sb.finish()
 	}
 	return c, nil
 }

@@ -9,12 +9,24 @@
 // row (useful on graphs whose tables happen to be regular, e.g. cycles).
 // One flag bit records the choice, so the decoder is fixed in advance as
 // the coding-strategy definition requires.
+//
+// A Scheme holds exactly those codes, in stripes of lazyStripe routers:
+// each stripe keeps its routers' code bytes, one field width per router
+// and the decoded row of each run-length compressed router, and nothing
+// else. Every producer fills the same stripes. New and NewWeighted write
+// them, DecodePayload proves them in one pass over a payload, WithRows
+// and Repair rewrite only the stripes they patch, and NewLazy (the
+// mapped container reader, lazy.go) leaves them to be proven on first
+// touch. A raw router answers a lookup from its packed field, so a
+// scheme holds about the bits of its wire payload instead of 32 bits
+// per (router, destination).
 package table
 
 import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/coding"
 	"repro/internal/graph"
@@ -38,58 +50,113 @@ const (
 	RunGreedy
 )
 
-// Scheme is a routing-table scheme instance bound to one graph. It
-// stores each router's table as the canonical row code LocalBits
-// meters, not as ports (see rowCode): a raw router answers a lookup
-// from its packed field, as a proven Lazy stripe does, so a scheme
-// holds about the bits of its wire payload instead of 32 bits per
-// (router, destination).
+// Scheme is a routing-table scheme instance bound to one graph. It is
+// safe for concurrent readers: a stripe is proven at most once, under
+// its own sync.Once, and is read-only afterwards.
 type Scheme struct {
-	g    *graph.Graph
-	rows []rowCode // rows[x] = router x's stored table
-	hdr  []header  // hdr[v] = header(v); Init hands out pointers, so no per-route boxing
+	g       *graph.Graph
+	hdr     []header               // hdr[v] = header(v); Init hands out pointers, so no per-route boxing
+	stripes []*stripe              // stripes[si] holds routers [si*lazyStripe, min((si+1)*lazyStripe, n))
+	payload func() ([]byte, error) // the payload unproven stripes are cut from (NewLazy)
 }
 
-// rowCode is one router's stored table: its canonical row code, the
-// exact writeRowCode bits from bit 0 followed by codePad zero bytes for
-// rawPort's 64-bit load; the code's length in bits, which is its
-// LocalBits; the field width BitsFor(deg), or rleWidth when the code is
-// run-length compressed; and, for an RLE code only, the decoded row
-// (NoPort at x), which lookups read instead of walking runs. A rowCode
-// is immutable once stored, so patched schemes share them.
-type rowCode struct {
+// lazyStripe is the number of routers a stripe holds, and so the unit
+// of a build claim and of a proof on first touch. 256 rows amortize the
+// payload fetch and the fault guard while keeping the worst-case wasted
+// proof (touch one router, prove 256) far below the O(n) rows a heap
+// load pays per router.
+const lazyStripe = 256
+
+// stripe is the store of one stripe's routers. Router lo+i's canonical
+// row code is bits [offs[i], offs[i+1]) of the stripe's source (a
+// payload, or a build's own bit count), so its length is its LocalBits;
+// code holds those codes from source byte offs[0]/8 on (code[0] holds
+// source bit offs[0]&^7, see bit), followed by 8 zero bytes for
+// rawPort's 64-bit load. wid[i] is the field width BitsFor(deg), or
+// rleWidth when the code is run-length compressed; then rle[i] is its
+// decoded row (NoPort at the router), which lookups read instead of
+// walking runs. offs is set when the stripe is made; everything else is
+// written inside once, which a producer that wrote or proved the codes
+// itself leaves done. A stripe is immutable once proven, so patched
+// schemes share the stripes they did not touch.
+type stripe struct {
+	offs []uint64
+	once sync.Once
 	code []byte
-	rle  []graph.Port
-	bits int32
-	wid  uint8
+	wid  []uint8
+	rle  [][]graph.Port
+	err  error // the proof's error: a poisoned stripe answers NoPort
 }
 
-// codePad is the number of zero bytes a stored code carries past its
-// last byte. rawPort loads 8 bytes from a field's first byte, which is
-// at most the code's last byte, so 7 cover every field (a stripe copy
-// of Lazy pads 8, once per 256 routers); with the 56-byte rowCode a
-// router costs its code bytes plus 63.
-const codePad = 7
+// bit returns the bit of code at which router lo+i's code starts.
+func (st *stripe) bit(i int) uint64 { return st.offs[i] - st.offs[0]&^7 }
 
-// newRowCode stores the row code w holds, padded for rawPort, with rle
-// the decoded row of an RLE code (nil for a raw one, see rleCopy) of a
-// router of degree deg.
-func newRowCode(w *coding.BitWriter, rle []graph.Port, deg int) rowCode {
-	code := make([]byte, len(w.Bytes())+codePad)
-	copy(code, w.Bytes())
-	rc := rowCode{code: code, rle: rle, bits: int32(w.Len()), wid: uint8(coding.BitsFor(uint64(deg)))}
-	if rle != nil {
-		rc.wid = rleWidth
+// keep records router lo+i's field width for a router of degree deg
+// and, when row is non-nil (an RLE code, see rleCopy), its decoded row.
+func (st *stripe) keep(i, deg int, row []graph.Port) {
+	st.wid[i] = uint8(coding.BitsFor(uint64(deg)))
+	if row != nil {
+		if st.rle == nil {
+			st.rle = make([][]graph.Port, len(st.wid))
+		}
+		st.rle[i], st.wid[i] = row, rleWidth
 	}
-	return rc
 }
 
-// encodeRow writes router x's canonical code of row, which bits (its
-// encodedRowBits) priced, through the scratch writer w and stores it.
-func encodeRow(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bits int) rowCode {
-	w.Reset()
-	writeRowCode(w, row, x, deg, bits)
-	return newRowCode(w, rleCopy(row, x, deg, bits), deg)
+// cut copies the stripe's code bytes out of blob, the source its offs
+// index, and pads them for rawPort.
+func (st *stripe) cut(blob []byte) {
+	first, last := st.offs[0]/8, (st.offs[len(st.offs)-1]+7)/8
+	st.code = make([]byte, last-first+8)
+	copy(st.code, blob[first:last])
+}
+
+// stripeBuf writes one stripe's codes into one buffer: the build,
+// DecodePayload and WithRows fill a stripe router by router, from a
+// port row (write) or from a code already proven (add), and finish
+// seals it.
+type stripeBuf struct {
+	bw coding.BitWriter
+	st *stripe
+}
+
+// start begins stripe si of s, growing the buffer once to a bound on
+// the stripe's codes: a canonical code is at most the raw one,
+// 1 + (n-1)·BitsFor(deg) bits.
+func (b *stripeBuf) start(s *Scheme, si int) {
+	lo, hi := s.span(si)
+	bits := 0
+	for x := lo; x < hi; x++ {
+		bits += 1 + (len(s.hdr)-1)*coding.BitsFor(uint64(s.g.Degree(graph.NodeID(x))))
+	}
+	b.bw.Reset()
+	b.bw.Grow(bits)
+	b.st = &stripe{offs: make([]uint64, 1, hi-lo+1), wid: make([]uint8, hi-lo)}
+}
+
+// write appends router x's canonical code of row, which bits (its
+// encodedRowBits) priced, for a router of degree deg.
+func (b *stripeBuf) write(row []graph.Port, x graph.NodeID, deg, bits int) {
+	writeRowCode(&b.bw, row, x, deg, bits)
+	b.add(nil, 0, 0, deg, rleCopy(row, x, deg, bits))
+}
+
+// add appends the proven code at bits [off, off+nbits) of src, of a
+// router of degree deg, with row its decoded row if the code is RLE.
+func (b *stripeBuf) add(src []byte, off, nbits, deg int, row []graph.Port) {
+	b.bw.WriteBitsFrom(src, off, nbits)
+	st := b.st
+	st.offs = append(st.offs, uint64(b.bw.Len()))
+	st.keep(len(st.offs)-2, deg, row)
+}
+
+// finish seals the stripe: its codes are copied out, padded, and its
+// proof is marked done.
+func (b *stripeBuf) finish() *stripe {
+	st := b.st
+	st.cut(b.bw.Bytes())
+	st.once.Do(func() {})
+	return st
 }
 
 // rleCopy returns a copy of row, with NoPort at x, when router x's
@@ -104,17 +171,17 @@ func rleCopy(row []graph.Port, x graph.NodeID, deg, bits int) []graph.Port {
 	return c
 }
 
-// rleWidth marks, in a width byte (rowCode.wid, stripeState.wid), a
-// router whose code is run-length compressed and whose lookups read its
-// decoded row. A field width BitsFor(deg) never exceeds 64.
+// rleWidth marks, in a stripe's width byte, a router whose code is
+// run-length compressed and whose lookups read its decoded row. A field
+// width BitsFor(deg) never exceeds 64.
 const rleWidth = 0xff
 
-// proveRow is the payload proof of one router, shared by the heap
-// decoder (DecodePayload) and the mapped reader's stripes (proveSpan):
-// the code at r's position must be canonical (decodeRowInto, decoding
-// into scratch, whose prior contents do not matter). It returns a fresh
-// copy of the row when the code is RLE and nil when it is raw, where
-// rawPort answers from the code itself.
+// proveRow is the payload proof of one router, shared by DecodePayload
+// and the proof of a lazy stripe: the code at r's position must be
+// canonical (decodeRowInto, decoding into scratch, whose prior contents
+// do not matter). It returns a fresh copy of the row when the code is
+// RLE and nil when it is raw, where rawPort answers from the code
+// itself.
 func proveRow(r *coding.BitReader, scratch []graph.Port, x graph.NodeID, deg int) ([]graph.Port, error) {
 	start := r.Pos()
 	if err := decodeRowInto(r, scratch, x, deg); err != nil {
@@ -126,9 +193,8 @@ func proveRow(r *coding.BitReader, scratch []graph.Port, x graph.NodeID, deg int
 // rawPort answers router x's raw row toward dst (dst != x) from its
 // code starting at bit off of code: the w-bit field at
 // off+1+(dst-[dst>x])*w, plus one. code must extend at least 8 bytes
-// from the field's first byte, which the pad of a stored code (codePad)
-// and of a stripe copy guarantee. w == 0 (degree 1) reads no bits and
-// answers port 1.
+// from the field's first byte, which a stripe's pad guarantees. w == 0
+// (degree 1) reads no bits and answers port 1.
 func rawPort(code []byte, off uint64, w uint, x, dst graph.NodeID) graph.Port {
 	d := uint64(dst)
 	if dst > x {
@@ -138,16 +204,23 @@ func rawPort(code []byte, off uint64, w uint, x, dst graph.NodeID) graph.Port {
 	return graph.Port(binary.BigEndian.Uint64(code[bit>>3:])<<(bit&7)>>(64-w)) + 1
 }
 
-// newScheme allocates the shared shell of New, NewWeighted and
-// DecodePayload, freezing the graph to its CSR layout so construction
-// scans and later route simulations iterate flat arcs.
-func newScheme(g *graph.Graph, n int) *Scheme {
+// newScheme allocates the shared shell of every producer, freezing the
+// graph to its CSR layout so construction scans and later route
+// simulations iterate flat arcs.
+func newScheme(g *graph.Graph) *Scheme {
 	g.Freeze()
-	s := &Scheme{g: g, rows: make([]rowCode, n), hdr: make([]header, n)}
+	n := g.Order()
+	s := &Scheme{g: g, hdr: make([]header, n), stripes: make([]*stripe, (n+lazyStripe-1)/lazyStripe)}
 	for v := range s.hdr {
 		s.hdr[v] = header(v)
 	}
 	return s
+}
+
+// span returns the routers [lo, hi) of stripe si.
+func (s *Scheme) span(si int) (lo, hi int) {
+	lo = si * lazyStripe
+	return lo, min(lo+lazyStripe, len(s.hdr))
 }
 
 // New builds shortest-path routing tables for g under the given policy.
@@ -162,20 +235,16 @@ func New(g *graph.Graph, apsp *shortest.APSP, pol Policy) (*Scheme, error) {
 	return build(g, apsp, nil, pol)
 }
 
-// buildClaim is the number of consecutive routers a build worker claims
-// at a time, the same granularity as one MS-BFS batch of NewAPSPParallel.
-const buildClaim = 64
-
 // build is the shared body of New (w == nil, hop metric) and
-// NewWeighted: it checks the table and fans the routers out over a
-// par.For pool of GOMAXPROCS workers in claims of buildClaim. Rows are
-// independent — RunGreedy's chain state never leaves its row — so the
-// finished scheme is the same for every worker count. A table that
-// admits no first arc for some pair fails the build with the error of
-// the lowest such router (par.For reports the lowest failed claim, and
-// a claim stops at its first failing router), which is also what a
-// serial build reports, so the error text does not depend on the
-// worker count either.
+// NewWeighted: it checks the table and fans the stripes out over a
+// par.For pool of GOMAXPROCS workers, one stripe per claim, each
+// written into one buffer. Rows are independent — RunGreedy's chain
+// state never leaves its row — so the finished scheme is the same for
+// every worker count. A table that admits no first arc for some pair
+// fails the build with the error of the lowest such router (par.For
+// reports the lowest failed claim, and a claim stops at its first
+// failing router), which is also what a serial build reports, so the
+// error text does not depend on the worker count either.
 func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) (*Scheme, error) {
 	n := g.Order()
 	if apsp.Order() != n {
@@ -184,11 +253,10 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 	if !apsp.Connected() {
 		return nil, graph.ErrNotConnected
 	}
-	s := newScheme(g, n)
-	newScratch := func() *rowScratch { return &rowScratch{row: make([]graph.Port, n), bw: coding.NewBitWriter()} }
-	err := par.For(0, (n+buildClaim-1)/buildClaim, newScratch, func(sc *rowScratch, c int) error {
-		lo := c * buildClaim
-		return s.buildRows(apsp, w, pol, lo, min(lo+buildClaim, n), sc)
+	s := newScheme(g)
+	newScratch := func() *rowScratch { return &rowScratch{row: make([]graph.Port, n)} }
+	err := par.For(0, len(s.stripes), newScratch, func(sc *rowScratch, si int) error {
+		return s.buildStripe(apsp, w, pol, si, sc)
 	})
 	if err != nil {
 		return nil, err
@@ -197,14 +265,14 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 }
 
 // rowScratch is one build worker's scratch: the first-arc view, a row
-// of n ports and the writer of the row codes.
+// of n ports and the stripe buffer the codes go to.
 type rowScratch struct {
 	av  shortest.ArcRows
 	row []graph.Port
-	bw  *coding.BitWriter
+	sb  stripeBuf
 }
 
-// buildRows derives the rows of routers [lo, hi) into s, stopping at the
+// buildStripe derives the rows of stripe si into s, stopping at the
 // first router whose row has a destination without a first arc. Each row
 // starts as the MinPort row of shortest.ArcRows; one in-order pass then
 // reports the first destination without a port, applies RunGreedy's
@@ -212,8 +280,10 @@ type rowScratch struct {
 // two or more) encodedRowBits would count, so most rows are priced
 // without a second scan. The row is derived in the worker's scratch
 // and kept only as its code.
-func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, lo, hi int, sc *rowScratch) error {
-	av, row, bw := &sc.av, sc.row, sc.bw
+func (s *Scheme) buildStripe(apsp *shortest.APSP, w shortest.Weights, pol Policy, si int, sc *rowScratch) error {
+	av, row := &sc.av, sc.row
+	lo, hi := s.span(si)
+	sc.sb.start(s, si)
 	for x := lo; x < hi; x++ {
 		xi := graph.NodeID(x)
 		arcs := s.g.Arcs(xi)
@@ -245,8 +315,9 @@ func (s *Scheme) buildRows(apsp *shortest.APSP, w shortest.Weights, pol Policy, 
 			r2 += eq &^ was
 			prev = p
 		}
-		s.rows[x] = encodeRow(bw, row, xi, len(arcs), pricedRowBits(row, xi, len(arcs), runs, r2))
+		sc.sb.write(row, xi, len(arcs), pricedRowBits(row, xi, len(arcs), runs, r2))
 	}
+	s.stripes[si] = sc.sb.finish()
 	return nil
 }
 
@@ -262,52 +333,73 @@ type header graph.NodeID
 // Init implements routing.Function.
 func (s *Scheme) Init(src, dst graph.NodeID) routing.Header { return &s.hdr[dst] }
 
-// Port implements routing.Function. An RLE router answers from its
-// decoded row, a raw one from its field in the code (rawPort).
+// Port implements routing.Function. A poisoned stripe answers NoPort,
+// turning payload corruption into per-route errors. An RLE router
+// answers from its decoded row, a raw one from its field in the
+// stripe's code (rawPort).
 func (s *Scheme) Port(x graph.NodeID, h routing.Header) graph.Port {
 	dst := graph.NodeID(*h.(*header))
 	if x == dst {
 		return graph.NoPort
 	}
-	rc := &s.rows[x]
-	if rc.wid == rleWidth {
-		return rc.rle[dst]
+	si := int(x) / lazyStripe
+	st := s.stripe(si, nil)
+	if st.err != nil {
+		return graph.NoPort
 	}
-	return rawPort(rc.code, 0, uint(rc.wid), x, dst)
+	i := int(x) - si*lazyStripe
+	w := uint(st.wid[i])
+	if w == rleWidth {
+		return st.rle[i][dst]
+	}
+	return rawPort(st.code, st.bit(i), w, x, dst)
 }
 
 // Next implements routing.Function.
 func (s *Scheme) Next(x graph.NodeID, h routing.Header) routing.Header { return h }
 
 // RowCopy returns a copy of router x's full port row (NoPort at x) —
-// the shape WithRows and the schemeio delta codec consume.
-func (s *Scheme) RowCopy(x graph.NodeID) []graph.Port {
-	row := make([]graph.Port, len(s.rows))
-	s.rowInto(x, row)
-	return row
+// the shape WithRows and the schemeio delta codec consume. A lazy
+// stripe is proven first; a poisoned one returns its error.
+func (s *Scheme) RowCopy(x graph.NodeID) ([]graph.Port, error) {
+	row := make([]graph.Port, len(s.hdr))
+	if err := s.rowInto(x, row, nil); err != nil {
+		return nil, err
+	}
+	return row, nil
 }
 
-// rowInto decodes router x's row into row (n entries), NoPort at x. A
-// stored code was proven or written canonical, so a raw one is unpacked
-// without a second proof: after the flag bit, one w-bit field of port-1
-// per destination but x.
-func (s *Scheme) rowInto(x graph.NodeID, row []graph.Port) {
-	rc := &s.rows[x]
-	if rc.wid == rleWidth {
-		copy(row, rc.rle)
-		return
+// rowInto decodes router x's row into row (n entries), NoPort at x,
+// proving a lazy stripe with scratch first (see stripe). A stored code
+// was proven or written canonical, so a raw one is unpacked without a
+// second proof: after the flag bit, one w-bit field of port-1 per
+// destination but x.
+func (s *Scheme) rowInto(x graph.NodeID, row, scratch []graph.Port) error {
+	st, i := s.stripe(int(x)/lazyStripe, scratch), int(x)%lazyStripe
+	if st.err != nil {
+		return st.err
 	}
-	r := coding.NewBitReaderAt(rc.code, 1, int(rc.bits))
-	_ = r.ReadFixedInto(row[:x], int(rc.wid)) // in bounds: the code is exactly these fields
-	_ = r.ReadFixedInto(row[x+1:], int(rc.wid))
+	if st.wid[i] == rleWidth {
+		copy(row, st.rle[i])
+		return nil
+	}
+	r := coding.NewBitReaderAt(st.code, int(st.bit(i))+1, int(st.bit(i+1)))
+	_ = r.ReadFixedInto(row[:x], int(st.wid[i])) // in bounds: the code is exactly these fields
+	_ = r.ReadFixedInto(row[x+1:], int(st.wid[i]))
 	for v := range row {
 		row[v]++
 	}
 	row[x] = graph.NoPort
+	return nil
 }
 
-// LocalBits implements routing.LocalCoder.
-func (s *Scheme) LocalBits(x graph.NodeID) int { return int(s.rows[x].bits) }
+// LocalBits implements routing.LocalCoder straight off the stripe's
+// offsets: a router's code is exactly its LocalBits, so the memory
+// report needs no decoding at all, not even of a lazy stripe.
+func (s *Scheme) LocalBits(x graph.NodeID) int {
+	st, i := s.stripes[int(x)/lazyStripe], int(x)%lazyStripe
+	return int(st.offs[i+1] - st.offs[i])
+}
 
 // encodedRowBits computes the exact bit cost of the fixed row coding:
 //
@@ -412,9 +504,9 @@ func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bi
 }
 
 // decodeRowInto parses one row code into a caller-provided row of n
-// entries — a fresh row for a delta row, one reused scratch row for the
-// payload proof of both readers (proveRow) — and accepts it
-// only if it is the code writeRowCode emits for the row it decodes to:
+// entries — a fresh row for a delta row, one reused scratch row for a
+// payload proof (proveRow) — and accepts it only if it is the code
+// writeRowCode emits for the row it decodes to:
 //
 //	raw (flag 0): every port below deg, and the row's RLE cost, with
 //	runs merged across the skipped x as encodedRowBits merges them, at
@@ -518,5 +610,5 @@ var _ routing.Scheme = (*Scheme)(nil)
 // HeaderBits implements routing.HeaderSizer: table headers carry only the
 // destination identifier.
 func (s *Scheme) HeaderBits(h routing.Header) int {
-	return coding.BitsFor(uint64(len(s.rows)))
+	return coding.BitsFor(uint64(len(s.hdr)))
 }

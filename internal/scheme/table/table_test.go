@@ -50,15 +50,25 @@ func entry(s *Scheme, x, v graph.NodeID) graph.Port { return s.Port(x, s.Init(x,
 // router's LocalBits: the port-row view of a scheme the tests compare
 // against their oracles.
 func portRows(s *Scheme) [][]graph.Port {
-	rows := make([][]graph.Port, len(s.rows))
+	rows := make([][]graph.Port, len(s.hdr))
 	for x := range rows {
-		rows[x] = s.RowCopy(graph.NodeID(x))
+		rows[x] = rowOf(s, graph.NodeID(x))
 	}
 	return rows
 }
 
+// rowOf is RowCopy of a scheme whose stripes are all proven, which
+// cannot fail.
+func rowOf(s *Scheme, x graph.NodeID) []graph.Port {
+	row, err := s.RowCopy(x)
+	if err != nil {
+		panic(err)
+	}
+	return row
+}
+
 func rowBits(s *Scheme) []int {
-	bits := make([]int, len(s.rows))
+	bits := make([]int, len(s.hdr))
 	for x := range bits {
 		bits[x] = s.LocalBits(graph.NodeID(x))
 	}
@@ -74,7 +84,7 @@ func TestRowCopyMatchesPort(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 0; u < 20; u++ {
-			row := s.RowCopy(graph.NodeID(u))
+			row := rowOf(s, graph.NodeID(u))
 			for v := 0; v < 20; v++ {
 				if got := entry(s, graph.NodeID(u), graph.NodeID(v)); row[v] != got {
 					t.Fatalf("RowCopy(%d)[%d] = %d, Port %d", u, v, row[v], got)
@@ -200,7 +210,7 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 		}
 		w := coding.NewBitWriter()
 		for x := 0; x < n; x++ {
-			AppendPortRowCode(w, s.RowCopy(graph.NodeID(x)), graph.NodeID(x), g.Degree(graph.NodeID(x)))
+			AppendPortRowCode(w, rowOf(s, graph.NodeID(x)), graph.NodeID(x), g.Degree(graph.NodeID(x)))
 		}
 		r := coding.NewBitReader(w.Bytes(), w.Len())
 		for x := 0; x < n; x++ {

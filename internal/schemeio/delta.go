@@ -75,8 +75,12 @@ func NewDelta(baseGen uint64, removed [][2]graph.NodeID, repaired *table.Scheme,
 			return nil, fmt.Errorf("schemeio: delta routers not ascending at %d", x)
 		}
 		last = x
+		row, err := repaired.RowCopy(x)
+		if err != nil {
+			return nil, err
+		}
 		d.Routers = append(d.Routers, x)
-		d.Rows = append(d.Rows, repaired.RowCopy(x))
+		d.Rows = append(d.Rows, row)
 	}
 	return d, nil
 }
@@ -257,7 +261,7 @@ func DecodeDelta(data []byte, g *graph.Graph) (*Delta, error) {
 // ApplyDelta replays d on generation BaseGen's pair (g, sch): it clones
 // g, removes the delta's edges, and patches the repaired rows in
 // copy-on-write (table.Scheme.WithRows — O(changed) new state, shared
-// rows elsewhere). g and sch are untouched, so a serving shard keeps
+// stripes elsewhere). g and sch are untouched, so a serving shard keeps
 // answering on the old generation while the new one is assembled, then
 // hot-swaps (serve.HotServer.Swap).
 func ApplyDelta(g *graph.Graph, sch *table.Scheme, d *Delta) (*graph.Graph, *table.Scheme, error) {

@@ -2,6 +2,8 @@ package schemeio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -226,4 +228,78 @@ func FuzzDecodeDelta(f *testing.F) {
 			t.Fatal("accepted blob is not the canonical encoding of its delta")
 		}
 	})
+}
+
+// TestMappedPatchPoisonedStripe corrupts one stripe of a mapped table
+// container, with the checksums refreshed so only the row proof can
+// catch it. On a fresh mapping each time, so no earlier call has
+// proven the stripe, WithRows of a router in that stripe, RowCopy of
+// it, Repair, Encode and Verify must each return the stripe's proof
+// error instead of patching or encoding NoPorts. A patch of an intact
+// stripe succeeds and shares the poisoned one, which still answers
+// NoPort.
+func TestMappedPatchPoisonedStripe(t *testing.T) {
+	const n, bad = 600, 300 // three stripes; bad is in the second
+	g := gen.RandomConnected(n, 8.0/n, xrand.New(5))
+	apsp := shortest.NewAPSPParallel(g, 0)
+	sch, err := table.New(g, apsp, table.MinPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := Encode(g, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteFileV2Encoded(&buf, g, enc); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	bit := uint64(enc.RouterOffs[bad])
+	data[binary.LittleEndian.Uint64(data[8+24:])+bit/8] ^= 1 << (7 - bit%8) // the router's raw/RLE flag
+	refreshCRCs(data)
+	open := func() *table.Scheme {
+		t.Helper()
+		m, err := MapBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Scheme().(*table.Scheme)
+	}
+	rowOf := func(x graph.NodeID) []graph.Port {
+		t.Helper()
+		row, err := sch.RowCopy(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
+	}
+	want := fmt.Sprintf("table: router %d: ", bad)
+	for name, fn := range map[string]func(s *table.Scheme) error{
+		"WithRows": func(s *table.Scheme) error {
+			_, err := s.WithRows(g, []graph.NodeID{bad + 1}, [][]graph.Port{rowOf(bad + 1)})
+			return err
+		},
+		"RowCopy": func(s *table.Scheme) error { _, err := s.RowCopy(bad); return err },
+		"Repair": func(s *table.Scheme) error {
+			_, err := s.Repair(apsp, []graph.NodeID{0}, table.MinPort)
+			return err
+		},
+		"Encode": func(s *table.Scheme) error { _, err := Encode(g, s); return err },
+		"Verify": func(s *table.Scheme) error { return s.Preload() },
+	} {
+		if err := fn(open()); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("%s on a poisoned stripe: error %v, want %q...", name, err, want)
+		}
+	}
+	p, err := open().WithRows(g, []graph.NodeID{0}, [][]graph.Port{rowOf(0)})
+	if err != nil {
+		t.Fatalf("WithRows of an intact stripe: %v", err)
+	}
+	if got := p.Port(bad, p.Init(bad, 0)); got != graph.NoPort {
+		t.Fatalf("poisoned router %d answers port %d", bad, got)
+	}
+	if got, want := p.Port(1, p.Init(1, bad)), sch.Port(1, sch.Init(1, bad)); got != want {
+		t.Fatalf("patched scheme: Port(1 -> %d) = %d, built %d", bad, got, want)
+	}
 }

@@ -163,18 +163,15 @@ func MapBytes(data []byte) (*Mapped, error) {
 }
 
 // openMapped parses the container and attaches the lazily-decoding
-// scheme view: table.Lazy for tables, lazyWhole for every other kind.
+// scheme view: a table.Scheme whose stripes are proven on first touch
+// (table.NewLazy) for tables, lazyWhole for every other kind.
 func openMapped(b backing, size int64) (*Mapped, error) {
 	m, err := parseContainer(b, size)
 	if err != nil {
 		return nil, err
 	}
 	if m.kind == KindTable {
-		lz, err := table.NewLazy(m.g, m.offs, m.payloadBytes)
-		if err != nil {
-			return nil, err
-		}
-		m.s = lz
+		m.s = table.NewLazy(m.g, m.offs, m.payloadBytes)
 	} else {
 		// Schemes with shared sections (landmark epilogues, label
 		// permutations) cannot be row-sliced; they stay whole-payload
@@ -346,11 +343,12 @@ func (m *Mapped) Scheme() routing.Scheme { return m.s }
 func (m *Mapped) Kind() uint64 { return m.kind }
 
 // Verify forces full payload validation now — everything a heap
-// ReadFile would have checked — instead of on first touch. The
-// conformance and fuzz suites call it to make lazy errors observable.
+// ReadFile would have checked — instead of on first touch: for tables
+// it is (*table.Scheme).Preload. The conformance and fuzz suites call
+// it to make lazy errors observable.
 func (m *Mapped) Verify() error {
-	if lz, ok := m.s.(*table.Lazy); ok {
-		return lz.Preload()
+	if ts, ok := m.s.(*table.Scheme); ok {
+		return ts.Preload()
 	}
 	_, err := m.s.(*lazyWhole).resolve()
 	return err

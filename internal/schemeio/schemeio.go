@@ -128,6 +128,9 @@ func Encode(g *graph.Graph, s routing.Scheme) (*Encoded, error) {
 	var routerStart int
 	switch t := s.(type) {
 	case *table.Scheme:
+		if err := t.Preload(); err != nil {
+			return nil, err // a lazily opened scheme with a poisoned stripe
+		}
 		w.WriteWireHeader(KindTable, g.Order())
 		rb, routerStart = t.EncodePayload(w)
 	case *interval.Scheme:
