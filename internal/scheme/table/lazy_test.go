@@ -187,3 +187,39 @@ func TestLazyMatchesHeapScheme(t *testing.T) {
 		t.Fatalf("cases hold %d degree-1 routers, %d RLE routers and %d multi-stripe graphs; each must be > 0", narrow, rle, striped)
 	}
 }
+
+// TestLazyRetainsCodeBytes pins what a proven lazy scheme keeps: after
+// Preload its stripes hold at most the payload bytes, one n-port row
+// per RLE router and 32 bytes per router more (stripe entries, offsets,
+// field widths, row slots, 8 pad bytes and a shared boundary byte per
+// stripe), and Preload allocates no more than that plus one n-port
+// scratch row per worker and 64 KiB of allocator rounding. A stripe
+// arena of n-port rows would be about eight times the payload.
+func TestLazyRetainsCodeBytes(t *testing.T) {
+	n := 5*lazyStripe + 17
+	g := gen.RandomConnected(n, 8.0/float64(n), xrand.New(3))
+	s, err := New(g, shortest.NewAPSPParallel(g, 0), MinPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, payload := lazyOver(t, g, s)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := l.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	retained, rleRows := Retained(l)
+	if rleRows == 0 {
+		t.Fatal("no RLE router: the pin would not cover materialized rows")
+	}
+	bound := payload + 4*n*rleRows + 32*n
+	if retained > bound {
+		t.Fatalf("stripes retain %d bytes, bound %d (payload %d, %d RLE rows, n=%d)", retained, bound, payload, rleRows, n)
+	}
+	scratch := 4 * n * min(runtime.GOMAXPROCS(0), len(l.stripes))
+	if alloc := int(after.TotalAlloc - before.TotalAlloc); alloc > bound+scratch+64<<10 {
+		t.Fatalf("Preload allocated %d bytes, bound %d + scratch %d + 64 KiB", alloc, bound, scratch)
+	}
+}
