@@ -9,8 +9,7 @@
 //     touch, so cold-start cost is independent of scheme size.
 //
 // BenchmarkMappedVerify adds the cost a reloaded generation pays before
-// it goes live: the mapped open plus Verify, which decodes and checks
-// every stripe.
+// it goes live: the mapped open plus Verify, which proves every stripe.
 //
 // CI archives these as BENCH_startup.json (see DESIGN.md "Bench
 // trajectory"); EXPERIMENTS.md E22 reads the v2-full vs v2-mapped ratio
@@ -97,8 +96,10 @@ func BenchmarkLoadContainer(b *testing.B) {
 
 // BenchmarkMappedVerify times OpenMapped + Verify on random-family
 // tables: the reload a serving generation pays before its swap, where
-// every row span is decoded, checked for exact consumption and proven
-// canonical in the same decoding pass.
+// every row span is checked for exact consumption and proven
+// canonical, a raw row on its packed fields a 64-bit word at a time
+// (coding.(*BitReader).ScanFixed) without being unpacked, an RLE row
+// while it is decoded.
 func BenchmarkMappedVerify(b *testing.B) {
 	dir := b.TempDir()
 	for _, n := range []int{2048, 4096} {

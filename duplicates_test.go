@@ -133,6 +133,12 @@ var duplicateLedger = []duplicate{
 		keep:        testOracle,
 	},
 	{
+		reference:   "scalar check-and-count loop over ReadFixedInto fields (scanFixedScalar)",
+		candidate:   "coding (*BitReader).ScanFixed proving raw table rows in SWAR lanes of 64-bit words",
+		conformance: "TestScanFixedMatchesScalar",
+		keep:        testOracle,
+	},
+	{
 		reference:   "per-destination pickOracle (early-exit scan of the neighbour rows, every row priced run by run)",
 		candidate:   "port-outer row kernel (shortest.ArcRows.MinPortRow) with table's in-order RunGreedy pass and run-bounded pricing",
 		conformance: "TestRowKernelMatchesPickOracle",

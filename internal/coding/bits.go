@@ -16,6 +16,7 @@ package coding
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -307,6 +308,108 @@ func (r *BitReader) ReadFixedInto(dst []int32, width int) error {
 		dst[i] = int32(v)
 	}
 	return nil
+}
+
+// FieldRangeError is ScanFixed's report of the first field not below
+// its limit.
+type FieldRangeError struct {
+	Value, Limit uint64
+}
+
+func (e *FieldRangeError) Error() string {
+	return fmt.Sprintf("coding: field %d not below %d", e.Value, e.Limit)
+}
+
+// ScanFixed consumes count consecutive fields of width bits (0..32),
+// the fields ReadFixedInto would unpack, without storing them. It
+// returns runs, the number of maximal runs of equal consecutive
+// fields, and runs2, the number of those runs of length two or more,
+// and fails with a *FieldRangeError naming the first field that is not
+// below limit. Bounds are checked first, as in ReadFixedInto: a scan
+// longer than what remains consumes the rest and fails with "read past
+// end at bit nbit". Otherwise all count fields are consumed, also when
+// one is out of range.
+//
+// The fields are checked in SWAR lanes, 64/width to a 64-bit window,
+// each in its own width-bit slice of the word (lane 0, the first field,
+// at the top). Per window, one subtraction over the lanes with their top
+// bits set compares every field with limit, and the window XOR-ed with
+// itself shifted one field marks the lanes that differ from the field
+// before them; the last field and its "equal to the one before" flag
+// carry into the next window.
+//
+//repolint:hotpath
+func (r *BitReader) ScanFixed(count, width int, limit uint64) (runs, runs2 int, err error) {
+	if width < 0 || width > 32 {
+		return 0, 0, fmt.Errorf("coding: fixed field width %d out of range [0,32]", width)
+	}
+	if count < 0 {
+		return 0, 0, fmt.Errorf("coding: field count %d is negative", count)
+	}
+	if count*width > r.nbit-r.pos {
+		r.pos = r.nbit
+		return 0, 0, fmt.Errorf("coding: read past end at bit %d", r.pos)
+	}
+	if count == 0 {
+		return 0, 0, nil
+	}
+	if width == 0 {
+		if limit == 0 {
+			return 0, 0, &FieldRangeError{Value: 0, Limit: limit}
+		}
+		return 1, min(count-1, 1), nil
+	}
+	w := uint(width)
+	lanes := 64 / width
+	// top has each lane's top bit set, low each lane's other bits, lim
+	// each lane's low bits of limit. A lane's field f is below limit
+	// iff limit's top bit is above f's, or the top bits agree and
+	// f's low bits are below limit's; (f|top) - lim keeps its lane's
+	// top bit exactly when f's low bits are not below limit's, and
+	// borrows from no other lane.
+	var top, lim uint64
+	for j := 0; j < lanes; j++ {
+		top |= 1 << (63 - uint(j)*w)
+		lim |= (limit & (1<<(w-1) - 1)) << (64 - uint(j+1)*w)
+	}
+	step := uint(lanes) * w
+	low := ^uint64(0) << (64 - step) &^ top
+	checked := top // the lanes range-checked: none if limit >= 2^width
+	if limit>>w != 0 {
+		checked = 0
+	}
+	topOr := top // if limit's top bit is clear, a field's set top bit is out of range
+	if limit>>(w-1)&1 != 0 {
+		topOr = 0
+	}
+	buf, pos, end := r.buf, r.pos, r.pos+count*width
+	r.pos = end
+	// carry holds the field before the window in lane 0, and eqLast at
+	// bit 63 whether that field equals the one before it. The first field
+	// starts a run, so it is preceded by itself with its low bit flipped.
+	carry := srcWindow(buf, pos)&^(^uint64(0)>>w) ^ 1<<(64-w)
+	var eqLast uint64
+	for pos < end {
+		used := min(step, uint(end-pos))
+		valid := ^uint64(0) << ((64 - used) & 63)
+		x := srcWindow(buf, pos) & valid
+		ge := (x | top) - lim
+		if bad := (ge&(x|topOr) | x&topOr) & checked & valid; bad != 0 {
+			j := uint(bits.LeadingZeros64(bad)) / w
+			v := x << (j * w & 63) >> ((64 - w) & 63)
+			return 0, 0, &FieldRangeError{Value: v, Limit: limit}
+		}
+		d := x ^ (x>>(w&63) | carry)
+		live := top & valid
+		ne := ((d&low + low) | d) & live
+		eq := live &^ ne
+		runs += bits.OnesCount64(ne)
+		runs2 += bits.OnesCount64(eq &^ (eq>>(w&63) | eqLast))
+		carry = x << ((used - w) & 63)
+		eqLast = eq << ((used - w) & 63)
+		pos += int(used)
+	}
+	return runs, runs2, nil
 }
 
 // window returns the buffer bits from pos on, left-justified in a

@@ -49,10 +49,11 @@ func AppendPortRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, de
 // DecodeRowFrom parses one self-delimiting row code from a shared
 // reader into a fresh row of n entries — the streaming inverse of
 // AppendPortRowCode and of each row EncodePayload writes. It accepts
-// only the canonical code of the row (see decodeRowInto).
+// only the canonical code of the row (see decodeRowInto), and unpacks
+// a raw row after proving it on its packed fields.
 func DecodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph.Port, error) {
 	row := make([]graph.Port, n)
-	if err := decodeRowInto(r, row, x, deg); err != nil {
+	if err := decodeRowInto(r, row, x, deg, true); err != nil {
 		return nil, err
 	}
 	return row, nil
@@ -61,8 +62,9 @@ func DecodeRowFrom(r *coding.BitReader, n int, x graph.NodeID, deg int) ([]graph
 // DecodePayload parses a payload written by EncodePayload against the
 // graph the scheme was built on, returning a scheme that routes
 // bit-identically to the encoded one. Each router's span is proven
-// canonical (proveRow) into one scratch row, in sequence, and its
-// code is copied into its stripe. Malformed bytes
+// canonical (proveRow: a raw row on its packed fields, unpacked into
+// one scratch row only when its RLE price is in doubt), in sequence,
+// and its code is copied into its stripe. Malformed bytes
 // (out-of-range ports, overrunning runs, non-canonical row codes,
 // truncation) error, never panic; every allocation is sized by g or by
 // the bits already proven, not by attacker-controlled counts.

@@ -249,14 +249,59 @@ func TestDecodeRowMatchesReencodeOracle(t *testing.T) {
 // a row or an error, never panic or loop, and accept exactly the inputs
 // the re-encode oracle accepts, with the same row, and the stripe proof
 // of the mapped reader must accept and answer alike (checkDecodeRow).
+// Degrees up to 256 and rows up to 300 destinations reach field widths
+// 1-8 and raw rows that span several of the proof's 64-bit windows. The
+// seeds add canonical codes at widths 5 and 6, raw and RLE, each row's
+// raw spelling (non-canonical for the RLE rows, one of them priced
+// exactly because the run bound leaves it in doubt), and each raw
+// spelling with one field equal to the degree.
 func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x34}, 8, 1, 3)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 12, 0, 4)
 	f.Add([]byte{0x80, 0x01}, 5, 2, 2)
+	rng := xrand.New(37)
+	for _, sd := range []struct{ n, x, deg, stay int }{
+		{61, 17, 23, 0},    // width 5, raw, no runs
+		{150, 149, 29, 21}, // width 5, RLE one bit below raw
+		{97, 0, 40, 0},     // width 6, raw, no runs
+		{290, 200, 57, 21}, // width 6, raw with runs
+		{120, 33, 19, 97},  // width 5, RLE
+		{64, 5, 50, 95},    // width 6, RLE
+	} {
+		x := graph.NodeID(sd.x)
+		row := seedRow(rng, sd.n, x, sd.deg, sd.stay)
+		w := coding.NewBitWriter()
+		AppendPortRowCode(w, row, x, sd.deg)
+		f.Add(slices.Clone(w.Bytes()), sd.n, sd.x, sd.deg)
+		f.Add(spellRaw(row, x, sd.deg), sd.n, sd.x, sd.deg) // the raw spelling, canonical or not
+		row[(sd.x+1)%sd.n] = graph.Port(sd.deg + 1)         // port-1 == deg: out of range
+		f.Add(spellRaw(row, x, sd.deg), sd.n, sd.x, sd.deg)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, n, x, deg int) {
-		if n < 2 || n > 64 || deg < 1 || deg > 16 || x < 0 || x >= n {
+		if n < 2 || n > 300 || deg < 1 || deg > 256 || x < 0 || x >= n {
 			return
 		}
 		checkDecodeRow(t, data, n, graph.NodeID(x), deg)
 	})
+}
+
+// seedRow returns a row of n ports in [1, deg] (NoPort at x) that keeps
+// the previous destination's port with probability stay percent and
+// otherwise moves to another port.
+func seedRow(rng *xrand.Rand, n int, x graph.NodeID, deg, stay int) []graph.Port {
+	row := make([]graph.Port, n)
+	prev := graph.NoPort
+	for v := range row {
+		if graph.NodeID(v) == x {
+			continue
+		}
+		p := prev
+		if prev == graph.NoPort || rng.Intn(100) >= stay {
+			for p == prev {
+				p = graph.Port(1 + rng.Intn(deg))
+			}
+		}
+		row[v], prev = p, p
+	}
+	return row
 }

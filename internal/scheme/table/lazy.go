@@ -14,9 +14,12 @@ package table
 // decoded from the copy with a reader confined to exactly its
 // [offs[i], offs[i+1]) bits, must consume the span exactly, and must be
 // the one code the canonical row coder emits for its row — proven by
-// decodeRowInto, into a scratch row reused across the stripe, the
-// per-span restatement of Decode's "decodes successfully == re-encodes
-// byte-identically" gate without the re-encode. So the bytes served are
+// decodeRowInto, the per-span restatement of Decode's "decodes
+// successfully == re-encodes byte-identically" gate without the
+// re-encode. A raw row is proven on its packed fields, a 64-bit word at
+// a time (coding.(*BitReader).ScanFixed), and unpacked into the scratch
+// row reused across the stripe only when its RLE price is in doubt; an
+// RLE row is decoded into that scratch row and kept. So the bytes served are
 // the bytes proven, and no lookup reads the container backing again. A
 // stripe that fails any check is poisoned, not fatal: its routers
 // answer NoPort, so a corrupt span surfaces as a per-route RouteError
@@ -66,9 +69,9 @@ func (s *Scheme) stripe(si int, scratch []graph.Port) *stripe {
 }
 
 // prove fills lazy stripe si: it cuts the stripe's code bytes out of
-// the payload, then proves every router's span canonical with proveSpan
-// into scratch (n ports, reused row after row; nil allocates one) and
-// checks it for exact consumption.
+// the payload, then proves every router's span canonical with proveSpan,
+// with scratch (n ports, reused row after row; nil allocates one) for
+// the rows that must be unpacked, and checks it for exact consumption.
 func (s *Scheme) prove(st *stripe, si int, scratch []graph.Port) error {
 	blob, err := s.payload()
 	if err != nil {

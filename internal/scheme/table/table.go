@@ -24,6 +24,7 @@ package table
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -178,13 +179,14 @@ const rleWidth = 0xff
 
 // proveRow is the payload proof of one router, shared by DecodePayload
 // and the proof of a lazy stripe: the code at r's position must be
-// canonical (decodeRowInto, decoding into scratch, whose prior contents
-// do not matter). It returns a fresh copy of the row when the code is
-// RLE and nil when it is raw, where rawPort answers from the code
-// itself.
+// canonical (decodeRowInto without keep, with scratch, whose prior
+// contents do not matter). It returns a fresh copy of the row when the
+// code is RLE and nil when it is raw, where rawPort answers from the
+// code itself, so a raw row is proven on its packed fields and never
+// unpacked unless its RLE price is in doubt.
 func proveRow(r *coding.BitReader, scratch []graph.Port, x graph.NodeID, deg int) ([]graph.Port, error) {
 	start := r.Pos()
-	if err := decodeRowInto(r, scratch, x, deg); err != nil {
+	if err := decodeRowInto(r, scratch, x, deg, false); err != nil {
 		return nil, err
 	}
 	return rleCopy(scratch, x, deg, r.Pos()-start), nil
@@ -372,8 +374,7 @@ func (s *Scheme) RowCopy(x graph.NodeID) ([]graph.Port, error) {
 // rowInto decodes router x's row into row (n entries), NoPort at x,
 // proving a lazy stripe with scratch first (see stripe). A stored code
 // was proven or written canonical, so a raw one is unpacked without a
-// second proof: after the flag bit, one w-bit field of port-1 per
-// destination but x.
+// second proof (unpackRaw, from after the flag bit).
 func (s *Scheme) rowInto(x graph.NodeID, row, scratch []graph.Port) error {
 	st, i := s.stripe(int(x)/lazyStripe, scratch), int(x)%lazyStripe
 	if st.err != nil {
@@ -383,14 +384,21 @@ func (s *Scheme) rowInto(x graph.NodeID, row, scratch []graph.Port) error {
 		copy(row, st.rle[i])
 		return nil
 	}
-	r := coding.NewBitReaderAt(st.code, int(st.bit(i))+1, int(st.bit(i+1)))
-	_ = r.ReadFixedInto(row[:x], int(st.wid[i])) // in bounds: the code is exactly these fields
-	_ = r.ReadFixedInto(row[x+1:], int(st.wid[i]))
+	unpackRaw(coding.NewBitReaderAt(st.code, int(st.bit(i))+1, int(st.bit(i+1))), row, x, int(st.wid[i]))
+	row[x] = graph.NoPort
+	return nil
+}
+
+// unpackRaw unpacks the fields of a proven raw code, which r holds
+// exactly (one w-bit field of port-1 per destination but x), into row
+// as ports, leaving row[x] as it was.
+func unpackRaw(r *coding.BitReader, row []graph.Port, x graph.NodeID, w int) {
+	_ = r.ReadFixedInto(row[:x], w) // in bounds: r holds exactly these fields
+	_ = r.ReadFixedInto(row[x+1:], w)
 	for v := range row {
 		row[v]++
 	}
-	row[x] = graph.NoPort
-	return nil
+	row[x]--
 }
 
 // LocalBits implements routing.LocalCoder straight off the stripe's
@@ -439,7 +447,7 @@ func pricedRowBits(row []graph.Port, x graph.NodeID, deg, runs, r2 int) int {
 	w := coding.BitsFor(uint64(deg))
 	n := len(row)
 	raw := (n - 1) * w
-	if runs*(1+w)+2*r2 >= raw {
+	if rawByBound(runs, r2, w, raw) {
 		return 1 + raw
 	}
 	rle := 0
@@ -465,6 +473,21 @@ func pricedRowBits(row []graph.Port, x graph.NodeID, deg, runs, r2 int) int {
 	}
 	return 1 + raw
 }
+
+// portError restates a raw row scan's out-of-range field as the port
+// it decodes to; other errors pass through.
+func portError(err error, deg int) error {
+	var fe *coding.FieldRangeError
+	if errors.As(err, &fe) {
+		return fmt.Errorf("table: decoded port %d exceeds degree %d", fe.Value+1, deg)
+	}
+	return err
+}
+
+// rawByBound reports whether a row of runs runs, r2 of them of length
+// two or more, with w-bit ports, is raw by the lower bound on its RLE
+// cost alone (see pricedRowBits).
+func rawByBound(runs, r2, w, raw int) bool { return runs*(1+w)+2*r2 >= raw }
 
 // writeRowCode appends router x's row code, the fixed coding strategy
 // LocalBits meters: one flag bit, then the raw or run-length-compressed
@@ -504,9 +527,9 @@ func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bi
 }
 
 // decodeRowInto parses one row code into a caller-provided row of n
-// entries — a fresh row for a delta row, one reused scratch row for a
-// payload proof (proveRow) — and accepts it only if it is the code
-// writeRowCode emits for the row it decodes to:
+// entries — a fresh row for a delta row (keep), one reused scratch row
+// for a payload proof (proveRow) — and accepts it only if it is the
+// code writeRowCode emits for the row it decodes to:
 //
 //	raw (flag 0): every port below deg, and the row's RLE cost, with
 //	runs merged across the skipped x as encodedRowBits merges them, at
@@ -516,10 +539,14 @@ func writeRowCode(w *coding.BitWriter, row []graph.Port, x graph.NodeID, deg, bi
 //	strictly below the raw cost.
 //
 // Gamma codes and fixed-width fields are bijective, so these checks are
-// the re-encode gate's accept set, proven in the decoding pass. row's
-// prior contents do not affect the verdict; on success every entry
-// except row[x] is assigned, and row[x] is left as it was.
-func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg int) error {
+// the re-encode gate's accept set, proven in the decoding pass. A raw
+// code is proven on its packed fields (coding.(*BitReader).ScanFixed)
+// and unpacked into row only when keep is set or its RLE price has to
+// be computed exactly; an RLE code is always decoded into row. row's
+// prior contents do not affect the verdict; on success with keep, or
+// with an RLE code, every entry except row[x] is assigned, and row[x]
+// is left as it was.
+func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg int, keep bool) error {
 	wbits := coding.BitsFor(uint64(deg))
 	n := len(row)
 	raw := (n - 1) * wbits
@@ -529,34 +556,19 @@ func decodeRowInto(r *coding.BitReader, row []graph.Port, x graph.NodeID, deg in
 		return err
 	}
 	if flag == 0 {
-		// The fields land in row as port-1 and are checked and shifted
-		// to ports here, counting the runs merged across x. row[x] is
-		// not touched.
-		if err := r.ReadFixedInto(row[:x], wbits); err != nil {
-			return err
+		// The fields are proven on the packed code: ScanFixed checks
+		// every port-1 below deg and counts the runs, merged across x
+		// (which has no field). They are unpacked into row only when the
+		// caller keeps it or the bound leaves the RLE price in doubt.
+		fields := r.Pos()
+		runs, r2, err := r.ScanFixed(n-1, wbits, uint64(deg))
+		if err != nil {
+			return portError(err, deg)
 		}
-		if err := r.ReadFixedInto(row[x+1:], wbits); err != nil {
-			return err
+		if !keep && rawByBound(runs, r2, wbits, raw) {
+			return nil
 		}
-		runs, r2, eq, prev := 0, 0, 0, graph.NoPort
-		for v, b := range row {
-			if graph.NodeID(v) == x {
-				continue
-			}
-			if uint32(b) >= uint32(deg) {
-				return fmt.Errorf("table: decoded port %d exceeds degree %d", int64(uint32(b))+1, deg)
-			}
-			p := b + 1
-			row[v] = p
-			was := eq
-			eq = 0
-			if p == prev {
-				eq = 1
-			}
-			runs += 1 - eq
-			r2 += eq &^ was
-			prev = p
-		}
+		unpackRaw(coding.NewBitReaderAt(r.Bytes(), fields, r.Pos()), row, x, wbits)
 		if bits := pricedRowBits(row, x, deg, runs, r2); bits-1 < raw {
 			return fmt.Errorf("table: raw row of %d bits where RLE takes %d", raw, bits-1)
 		}
