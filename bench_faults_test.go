@@ -1,5 +1,5 @@
-// Fault-repair benchmarks: the incremental dirty-set path (refresh +
-// row repair) against the from-scratch rebuild it is bit-identical to,
+// Fault-repair benchmarks: the repair path (dirty-row refresh + table
+// Repair) against the from-scratch rebuild it is bit-identical to,
 // the landmark scheme's post-fault rebuild, plus the generation-patch
 // round trip a serving shard pays to move from generation g to g+1. CI
 // archives these as BENCH_faults.json (see DESIGN.md "Bench trajectory")
@@ -11,16 +11,17 @@
 // Read FaultRepair against FaultRebuild at the same (n, kills). The
 // conservative dirty criterion (|d(v,a)-d(v,b)| = 1 for a removed edge
 // {a,b}) marks nearly every root dirty on small-diameter and bipartite
-// families (2036 of 2048 here), so the repair redoes almost all the
-// work. The rebuild is faster in wall time: about 6x at n=2048 (median
-// of 5 on a 2-vCPU Xeon VM: 646 ms repair, 103 ms rebuild), because
-// it builds the table with NewAPSPParallel (64-source MS-BFS batches on
-// every core) and table.New reads contiguous distance rows over a
-// worker pool, while Repair reads one distance row per dirty
-// destination and the refresh runs scalar BFS, both on one goroutine. The repair's wins
-// are the allocation economy (in-place row refresh vs a from-scratch
-// n² APSP + scheme: ~150x fewer bytes) and the patch record DeltaApply
-// prices (changed rows only vs a full re-encode). The landmark scheme
+// families (2036 of 2048 here), so the repair recomputes: the refresh
+// runs the dirty roots through 64-source MS-BFS batches, and Repair
+// rebuilds every table row and keeps the stripes whose row codes did
+// not change. Both run on one goroutine, because in a server they run
+// beside serving; the rebuild arm builds on every core, so it is faster
+// in wall time (median of 5 on a 2-vCPU Xeon VM at n=2048: 72 ms
+// repair, 40 ms rebuild). The repair's wins are the allocation economy
+// (in-place row refresh vs a from-scratch n² APSP + scheme: about 6x
+// fewer bytes) and the changed-router list that the patch record
+// DeltaApply prices is built from (changed rows only vs a full
+// re-encode). The landmark scheme
 // has no repair path: FaultRebuildLandmark times the streamed rebuild
 // every landmark fault takes (EXPERIMENTS.md "Fault recovery").
 package repro

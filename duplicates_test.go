@@ -65,11 +65,12 @@ var duplicateLedger = []duplicate{
 	},
 	{
 		reference:   "fault rebuild: NewAPSPParallel + table.New on the faulted graph",
-		candidate:   "table.Repair after faults.RefreshRows",
+		candidate:   "table.Repair (one-goroutine rebuild + row-code diff) after APSP.RefreshRows (64-root MS-BFS)",
 		conformance: "TestFaultRepairTableBitIdentical",
 		bench:       &benchPair{"BENCH_faults.json", "BenchmarkFaultRepair/n=2048/kills=8", "BenchmarkFaultRebuild/n=2048/kills=8", "ns/op", 0},
-		keep: "repair is the slower arm (1039 vs 74 ms recorded); it stays only because " +
-			"cmd/routebench churnCycle calls it, and deleting it waits on ROADMAP items 1 and 2",
+		keep: "repair is now the same rebuild on one goroutine plus a code diff, the slower arm in wall " +
+			"time (71.9 vs 39.7 ms recorded, the rebuild on every core) and the lighter one (3.1 vs 20.0 MB/op); " +
+			"it stays only because cmd/routebench churnCycle calls it, and deleting it waits on ROADMAP items 1 and 2",
 	},
 	{
 		reference:   "dense evaluation (NewAPSPParallel table)",

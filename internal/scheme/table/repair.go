@@ -1,44 +1,35 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/shortest"
 )
 
-// Repair re-derives, in place, exactly the table entries a set of edge
-// removals can have invalidated, and returns the routers whose rows
-// changed (ascending). It is the incremental counterpart of a full New
-// on the post-fault graph, bit-identical to it by construction:
-//
-//   - Entry (x,v) is a function of the distance row of v and the live
-//     arcs of x. Removals only DELETE candidates from the lowest-port
-//     scan, so an entry can change only when v's row changed (v is in
-//     the dirty set) or the stored port itself went dead (possible only
-//     at endpoints of removed edges, whose arc lists carry holes).
-//   - Under RunGreedy an entry additionally depends on the previous
-//     destination's chosen port, so any change cascades: subsequent
-//     entries of that row are re-derived until one re-derives to its
-//     stored value, at which point the chain state matches the build
-//     again and the sparse scan resumes.
+// Repair brings s, in place, to the tables New builds under pol on the
+// faulted graph, and returns the routers whose rows changed
+// (ascending). It rebuilds the whole table from apsp on the caller's
+// goroutine (build with one worker) and diffs the canonical row codes:
+// a router's code is a function of (row, router, degree), and a fault
+// keeps every port slot and so every degree, so its code differs
+// exactly when its row does (sameCode). Every stripe holding a changed
+// router adopts the rebuilt stripe; every other stripe keeps its old
+// pointer, so schemes that share it are untouched.
 //
 // apsp must already be refreshed on the post-fault graph (see
-// shortest.RefreshRows), dirty must contain every root whose distance
-// row changed (internal/faults.DirtyRoots computes a sound superset),
-// and pol must be the policy the scheme was built with — the scheme does
-// not record it, and repairing under the wrong policy diverges from the
-// rebuild. Vertex removals are not repairable (a removed vertex
-// disconnects the pair space and New on the post-fault graph errors);
-// Repair returns an error when any destination became unreachable.
-//
-// Each visited router's row is decoded from its stored code into one
-// scratch row and walked there; the changed rows are then patched in
-// with WithRows, so only the stripes holding one are rewritten. A lazy
-// stripe is proven before it is read, and a poisoned one fails the
-// repair with its error, leaving s unchanged.
+// (*shortest.APSP).RefreshRows), and pol must be the policy the scheme was
+// built with — the scheme does not record it, and repairing under the
+// wrong policy reports the rows of the other policy as changed. dirty
+// is the set of roots whose distance row may have changed
+// (internal/faults.DirtyRoots): its ids are range-checked, and it only
+// gates the no-op — an empty dirty set on a graph without a dead port
+// slot returns nil without reading a stripe. Otherwise every stored
+// stripe is proven first, so a poisoned lazy stripe fails the repair
+// with its error, and a fault that disconnected the graph fails it with
+// graph.ErrNotConnected from build; either leaves s unchanged.
 func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) ([]graph.NodeID, error) {
 	g := s.g
 	g.Freeze()
@@ -46,135 +37,77 @@ func (s *Scheme) Repair(apsp *shortest.APSP, dirty []graph.NodeID, pol Policy) (
 	if apsp.Order() != n {
 		return nil, fmt.Errorf("table: repair order mismatch: apsp %d, scheme %d", apsp.Order(), n)
 	}
-	inD := make([]bool, n)
-	ds := make([]graph.NodeID, 0, len(dirty))
 	for _, v := range dirty {
 		if int(v) < 0 || int(v) >= n {
 			return nil, fmt.Errorf("table: dirty root %d outside [0,%d)", v, n)
 		}
-		if !inD[v] {
-			inD[v] = true
-			ds = append(ds, v)
-		}
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	if len(dirty) == 0 && !hasDeadSlot(g) {
+		return nil, nil
+	}
 	scratch := make([]graph.Port, n)
-	var changed []graph.NodeID
-	var rows [][]graph.Port
-	for x := 0; x < n; x++ {
-		xi := graph.NodeID(x)
-		arcs := g.Arcs(xi)
-		hasHole := slices.Contains(arcs, graph.DeadEnd)
-		if !hasHole && len(ds) == 0 {
-			continue
-		}
-		if err := s.rowInto(xi, scratch, scratch); err != nil {
-			return nil, err
-		}
-		rowChanged, err := repairRow(apsp, xi, arcs, ds, inD, hasHole, pol, scratch)
-		if err != nil {
-			return nil, err
-		}
-		if rowChanged {
-			changed = append(changed, xi)
-			rows = append(rows, slices.Clone(scratch))
+	for si := range s.stripes {
+		if st := s.stripe(si, scratch); st.err != nil {
+			return nil, st.err
 		}
 	}
-	c, err := s.WithRows(g, changed, rows)
+	fresh, err := build(g, apsp, nil, pol, 1)
 	if err != nil {
 		return nil, err
 	}
-	s.stripes = c.stripes
+	var changed []graph.NodeID
+	for si, st := range s.stripes {
+		ft, lo, k := fresh.stripes[si], si*lazyStripe, len(changed)
+		for i := range st.wid {
+			if !sameCode(st, ft, i) {
+				changed = append(changed, graph.NodeID(lo+i))
+			}
+		}
+		if len(changed) == k {
+			fresh.stripes[si] = st
+		}
+	}
+	s.stripes = fresh.stripes
 	return changed, nil
 }
 
-// repairRow re-derives the suspect entries of router x's row. hasHole
-// flags x as an endpoint of a removed edge: every entry must then be
-// checked for a dead stored port, so the walk is dense; otherwise only
-// the dirty destinations ds are visited (plus, under RunGreedy, the
-// cascade tail after a change). row holds x's stored row, decoded into
-// the caller's scratch, and a changed row is left there for Repair to
-// patch in.
-func repairRow(apsp *shortest.APSP, x graph.NodeID, arcs []graph.NodeID, ds []graph.NodeID, inD []bool, hasHole bool, pol Policy, row []graph.Port) (bool, error) {
-	n := len(row)
-	rowChanged := false
-	cascade := false
-	idx := 0 // next unconsumed position in ds during sparse scans
-	v := -1
-	for {
-		if hasHole || cascade {
-			v++
-		} else {
-			// Sparse: jump to the next dirty destination.
-			for idx < len(ds) && int(ds[idx]) <= v {
-				idx++
-			}
-			if idx >= len(ds) {
-				break
-			}
-			v = int(ds[idx])
-			idx++
-		}
-		if v >= n {
-			break
-		}
-		if graph.NodeID(v) == x {
-			continue
-		}
-		old := row[v]
-		dead := old != graph.NoPort && arcs[old-1] == graph.DeadEnd
-		if !cascade && !inD[v] && !dead {
-			continue
-		}
-		rowV := apsp.Row(graph.NodeID(v))
-		dxv := rowV[x]
-		chosen := graph.NoPort
-		if pol == RunGreedy {
-			if prev := prevEntry(row, x, v); prev != graph.NoPort {
-				if w := arcs[prev-1]; w != graph.DeadEnd && rowV[w]+1 == dxv {
-					chosen = prev
-				}
-			}
-		}
-		if chosen == graph.NoPort {
-			for i, w := range arcs {
-				if w == graph.DeadEnd {
-					continue
-				}
-				if rowV[w]+1 == dxv {
-					chosen = graph.Port(i + 1)
-					break
-				}
-			}
-		}
-		if chosen == graph.NoPort {
-			return false, fmt.Errorf("table: no shortest first arc %d->%d", x, v)
-		}
-		if chosen != old {
-			row[v] = chosen
-			rowChanged = true
-			cascade = pol == RunGreedy
-		} else if cascade {
-			// Chain state equals the build's again; later entries see the
-			// same prev they were built with.
-			cascade = false
+// hasDeadSlot reports whether some router of g has a port slot whose
+// edge was removed.
+func hasDeadSlot(g *graph.Graph) bool {
+	for x := range g.Order() {
+		if slices.Contains(g.Arcs(graph.NodeID(x)), graph.DeadEnd) {
+			return true
 		}
 	}
-	return rowChanged, nil
+	return false
 }
 
-// prevEntry returns the stored port of the destination immediately
-// before v in label order, skipping x — the RunGreedy chain state the
-// builder's walk would carry into position v. Entries before v are final
-// by the time this is read, so it equals the builder's prev exactly.
-func prevEntry(row []graph.Port, x graph.NodeID, v int) graph.Port {
-	for u := v - 1; u >= 0; u-- {
-		if graph.NodeID(u) == x {
-			continue
+// sameCode reports whether router lo+i holds the same code in stripes a
+// and b: the same length and the same bits.
+func sameCode(a, b *stripe, i int) bool {
+	nbits := a.offs[i+1] - a.offs[i]
+	return nbits == b.offs[i+1]-b.offs[i] && bitsEqual(a.code, a.bit(i), b.code, b.bit(i), nbits)
+}
+
+// bitsEqual reports whether the nbits bits at bit p of x equal those at
+// bit q of y, 64 at a time (window). Either span may start at any bit;
+// each slice must hold 8 bytes past its span's last byte, which a
+// stripe's pad guarantees.
+func bitsEqual(x []byte, p uint64, y []byte, q uint64, nbits uint64) bool {
+	for ; nbits >= 64; nbits -= 64 {
+		if window(x, p) != window(y, q) {
+			return false
 		}
-		return row[u]
+		p, q = p+64, q+64
 	}
-	return graph.NoPort
+	return nbits == 0 || (window(x, p)^window(y, q))>>(64-nbits) == 0
+}
+
+// window returns the 64 bits of c from bit p on, first bit highest. It
+// reads the 9 bytes from p's byte on.
+func window(c []byte, p uint64) uint64 {
+	i, sh := p>>3, p&7
+	return binary.BigEndian.Uint64(c[i:])<<sh | uint64(c[i+8])>>(8-sh)
 }
 
 // WithRows returns a copy-on-write patch of s bound to g: routers[i]'s

@@ -234,20 +234,21 @@ func New(g *graph.Graph, apsp *shortest.APSP, pol Policy) (*Scheme, error) {
 	if apsp == nil {
 		apsp = shortest.NewAPSPParallel(g, 0)
 	}
-	return build(g, apsp, nil, pol)
+	return build(g, apsp, nil, pol, 0)
 }
 
-// build is the shared body of New (w == nil, hop metric) and
-// NewWeighted: it checks the table and fans the stripes out over a
-// par.For pool of GOMAXPROCS workers, one stripe per claim, each
-// written into one buffer. Rows are independent — RunGreedy's chain
-// state never leaves its row — so the finished scheme is the same for
-// every worker count. A table that admits no first arc for some pair
+// build is the shared body of New (w == nil, hop metric), NewWeighted
+// and Repair: it checks the table and fans the stripes out over a
+// par.For pool of workers (GOMAXPROCS when <= 0; Repair passes 1 and so
+// runs on its caller's goroutine), one stripe per claim, each written
+// into one buffer. Rows are independent — RunGreedy's chain state never
+// leaves its row — so the finished scheme is the same for every worker
+// count. A table that admits no first arc for some pair
 // fails the build with the error of the lowest such router (par.For
 // reports the lowest failed claim, and a claim stops at its first
 // failing router), which is also what a serial build reports, so the
 // error text does not depend on the worker count either.
-func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) (*Scheme, error) {
+func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy, workers int) (*Scheme, error) {
 	n := g.Order()
 	if apsp.Order() != n {
 		return nil, fmt.Errorf("table: apsp order %d, graph order %d", apsp.Order(), n)
@@ -257,7 +258,7 @@ func build(g *graph.Graph, apsp *shortest.APSP, w shortest.Weights, pol Policy) 
 	}
 	s := newScheme(g)
 	newScratch := func() *rowScratch { return &rowScratch{row: make([]graph.Port, n)} }
-	err := par.For(0, len(s.stripes), newScratch, func(sc *rowScratch, si int) error {
+	err := par.For(workers, len(s.stripes), newScratch, func(sc *rowScratch, si int) error {
 		return s.buildStripe(apsp, w, pol, si, sc)
 	})
 	if err != nil {
@@ -362,31 +363,21 @@ func (s *Scheme) Next(x graph.NodeID, h routing.Header) routing.Header { return 
 
 // RowCopy returns a copy of router x's full port row (NoPort at x) —
 // the shape WithRows and the schemeio delta codec consume. A lazy
-// stripe is proven first; a poisoned one returns its error.
+// stripe is proven first; a poisoned one returns its error. A stored
+// code was proven or written canonical, so a raw one is unpacked
+// without a second proof (unpackRaw, from after the flag bit).
 func (s *Scheme) RowCopy(x graph.NodeID) ([]graph.Port, error) {
-	row := make([]graph.Port, len(s.hdr))
-	if err := s.rowInto(x, row, nil); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
-// rowInto decodes router x's row into row (n entries), NoPort at x,
-// proving a lazy stripe with scratch first (see stripe). A stored code
-// was proven or written canonical, so a raw one is unpacked without a
-// second proof (unpackRaw, from after the flag bit).
-func (s *Scheme) rowInto(x graph.NodeID, row, scratch []graph.Port) error {
-	st, i := s.stripe(int(x)/lazyStripe, scratch), int(x)%lazyStripe
+	st, i := s.stripe(int(x)/lazyStripe, nil), int(x)%lazyStripe
 	if st.err != nil {
-		return st.err
+		return nil, st.err
 	}
 	if st.wid[i] == rleWidth {
-		copy(row, st.rle[i])
-		return nil
+		return slices.Clone(st.rle[i]), nil
 	}
+	row := make([]graph.Port, len(s.hdr))
 	unpackRaw(coding.NewBitReaderAt(st.code, int(st.bit(i))+1, int(st.bit(i+1))), row, x, int(st.wid[i]))
 	row[x] = graph.NoPort
-	return nil
+	return row, nil
 }
 
 // unpackRaw unpacks the fields of a proven raw code, which r holds

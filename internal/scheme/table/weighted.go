@@ -27,5 +27,5 @@ func NewWeighted(g *graph.Graph, w shortest.Weights, apsp *shortest.APSP, pol Po
 	} else if err := w.Validate(g); err != nil {
 		return nil, err
 	}
-	return build(g, apsp, w, pol)
+	return build(g, apsp, w, pol, 0)
 }

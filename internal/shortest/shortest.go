@@ -128,21 +128,26 @@ type APSP struct {
 // against the current state of g — the incremental-repair counterpart of
 // NewAPSPParallel. After a fault (RemoveEdge/RemoveVertex) only the rows whose
 // BFS cone touched a removed arc can change; callers compute that dirty
-// set (internal/faults.DirtyRoots) and refresh exactly those rows, so
-// an r-row refresh costs r BFS traversals instead of n. Each refreshed
-// row is bit-identical to the matching row of NewAPSPParallel on the
-// mutated graph (BFSInto here, MSBFSInto there: a batched row equals
-// the scalar BFS row, see MSBFSInto). g must have the same order the
-// table was built with.
+// set (internal/faults.DirtyRoots) and refresh exactly those rows. The
+// roots run through MSBFSInto MSBFSWidth at a time on the caller's
+// goroutine, into one reused block from which each row is copied into
+// place, so each refreshed row is bit-identical to the matching row of
+// NewAPSPParallel on the mutated graph. Roots may repeat. g must have
+// the same order the table was built with.
 func (a *APSP) RefreshRows(g *graph.Graph, roots []graph.NodeID) {
 	if g.Order() != a.n {
 		panic(fmt.Sprintf("shortest: RefreshRows order mismatch: graph %d, table %d", g.Order(), a.n))
 	}
 	g.Freeze()
-	var queue []graph.NodeID
-	for _, u := range roots {
-		// Rows were carved with capacity n, so BFSInto reuses them in place.
-		a.dist[u], queue = BFSInto(g, u, a.dist[u], queue)
+	n := a.n
+	var block []int32
+	var scr MSBFSScratch
+	for lo := 0; lo < len(roots); lo += MSBFSWidth {
+		chunk := roots[lo:min(lo+MSBFSWidth, len(roots))]
+		block, _ = MSBFSInto(g, chunk, block, &scr)
+		for i, u := range chunk {
+			copy(a.dist[u], block[i*n:(i+1)*n])
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package shortest
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,6 +233,55 @@ func TestHypercubeDistanceIsHamming(t *testing.T) {
 			}
 			if a.Dist(graph.NodeID(u), graph.NodeID(v)) != ham {
 				t.Fatalf("hypercube distance (%d,%d) != Hamming", u, v)
+			}
+		}
+	}
+}
+
+// TestRefreshRowsMatchesRebuild refreshes a table built before a fault
+// (eight edges and one vertex removed) for root lists that are empty,
+// shorter than one MS-BFS chunk, one chunk, one past it, not a multiple
+// of MSBFSWidth with repeated roots, and every vertex: each refreshed
+// row must equal NewAPSPParallel's on the faulted graph, and every other
+// row must keep its pre-fault value.
+func TestRefreshRowsMatchesRebuild(t *testing.T) {
+	const n = 300
+	g := gen.RandomConnected(n, 6.0/n, xrand.New(11))
+	pre := NewAPSPParallel(g, 0)
+	h := g.Clone()
+	for _, e := range g.Edges()[:8] {
+		h.RemoveEdge(e[0], e[1])
+	}
+	h.RemoveVertex(17)
+	want := NewAPSPParallel(h, 0)
+	rng := xrand.New(12)
+	every := make([]graph.NodeID, n)
+	for u := range every {
+		every[u] = graph.NodeID(u)
+	}
+	repeated := make([]graph.NodeID, 150)
+	for i := range repeated {
+		repeated[i] = graph.NodeID(rng.Intn(n / 2))
+	}
+	for name, roots := range map[string][]graph.NodeID{
+		"nil": nil, "empty": {}, "short": every[40:45], "chunk": every[:MSBFSWidth],
+		"chunk+1": every[100 : 101+MSBFSWidth], "repeated": repeated, "every": every,
+	} {
+		a := &APSP{n: n, dist: make([][]int32, n)}
+		for u := range a.dist {
+			a.dist[u] = append(make([]int32, 0, n), pre.dist[u]...)
+		}
+		a.RefreshRows(h, roots)
+		for u := range n {
+			ref := pre.Row(graph.NodeID(u))
+			for _, r := range roots {
+				if int(r) == u {
+					ref = want.Row(graph.NodeID(u))
+					break
+				}
+			}
+			if !slices.Equal(a.Row(graph.NodeID(u)), ref) {
+				t.Fatalf("%s: row %d differs from the reference", name, u)
 			}
 		}
 	}
