@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/evaluate"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/scheme/interval"
@@ -112,12 +113,28 @@ func benchPairs(n, count int, seed uint64) [][2]graph.NodeID {
 // caller-owned scratch — the per-block cost of the batched distance
 // backends. Divide by 64 to compare against BenchmarkBFS's per-row
 // cost: the batch shares one arc scan across all resident lanes. The
+// n=2048 and n=4096 arms run the random graphs of every other core
+// bench, whose few bulk levels the kernel expands bottom-up; the
+// tree/n=2048 arm (gen's "tree" family, a uniform random tree, here
+// of diameter 154) keeps every level thin, so it times the direction
+// rule's worst case, a traversal the rule must leave top-down. The
 // scratch is warmed outside the timer on the last batch of sources, not
 // the first timed one, as in BenchmarkBFS.
 func BenchmarkMSBFS(b *testing.B) {
-	for _, n := range []int{2048, 4096} {
-		g := benchGraph(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	tree, err := gen.ByName("tree", 2048, xrand.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"n=2048", benchGraph(2048)},
+		{"n=4096", benchGraph(4096)},
+		{"tree/n=2048", tree},
+	} {
+		g, n := arm.g, arm.g.Order()
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			srcs := make([]graph.NodeID, shortest.MSBFSWidth)
 			for j := range srcs {
@@ -171,13 +188,14 @@ func bfsPerRowTable(g *graph.Graph) [][]int32 {
 
 // BenchmarkAPSP measures all-pairs table construction, serial and
 // worker-pool, at the orders where Theorem 1 sweeps and the E18 ladder
-// spend their preprocessing time. serial is a one-BFS-per-row loop
+// spend their preprocessing time, and at n=2048, the order of the
+// routebench tables workloads. serial is a one-BFS-per-row loop
 // (bfsPerRowTable) and parallel-1w is NewAPSPParallel on one worker
-// (64-source MS-BFS passes): both run on one goroutine, so that pair
-// isolates the shared arc scan of the row kernel; parallel uses every
+// (64-source direction-optimizing MS-BFS passes): both run on one
+// goroutine, so that pair isolates the row kernel; parallel uses every
 // core.
 func BenchmarkAPSP(b *testing.B) {
-	for _, n := range []int{512, 4096} {
+	for _, n := range []int{512, 2048, 4096} {
 		g := benchGraph(n)
 		b.Run(fmt.Sprintf("serial/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()

@@ -1,11 +1,27 @@
 package shortest
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/xrand"
 )
+
+// msbfsDirections are the three ways msbfsChunk may expand its levels:
+// the production cost rule and each direction forced on every level.
+// The kernel tests run under all three, so both passes are proven on
+// every input, not only on the levels where the rule picks them.
+var msbfsDirections = []struct {
+	name string
+	dir  msbfsDirection
+}{
+	{"rule", dirRule},
+	{"top-down", dirTopDown},
+	{"bottom-up", dirBottomUp},
+}
 
 // msbfsRows runs MSBFSInto and slices the flat block into per-source
 // rows for comparison.
@@ -55,7 +71,8 @@ func starGraph(n int) *graph.Graph {
 // TestMSBFSIntoEdgeCases is the table-driven edge-case suite: every case
 // asserts each lane's row equals the scalar BFSInto row element for
 // element — including lanes that must stay Unreachable everywhere they
-// cannot reach.
+// cannot reach — under the direction rule and under each forced
+// direction.
 func TestMSBFSIntoEdgeCases(t *testing.T) {
 	wide := make([]graph.NodeID, 65) // > one word: exercises chunking
 	for i := range wide {
@@ -79,12 +96,17 @@ func TestMSBFSIntoEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rows, _, _ := msbfsRows(t, tc.g, tc.sources, nil, nil)
-			for i, s := range tc.sources {
-				want := BFS(tc.g, s)
-				if !reflect.DeepEqual(rows[i], want) {
-					t.Fatalf("lane %d (source %d): row %v, want %v", i, s, rows[i], want)
-				}
+			for _, d := range msbfsDirections {
+				t.Run(d.name, func(t *testing.T) {
+					defer SetMSBFSDirection(d.dir)()
+					rows, _, _ := msbfsRows(t, tc.g, tc.sources, nil, nil)
+					for i, s := range tc.sources {
+						want := BFS(tc.g, s)
+						if !reflect.DeepEqual(rows[i], want) {
+							t.Fatalf("lane %d (source %d): row %v, want %v", i, s, rows[i], want)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -135,6 +157,53 @@ func TestMSBFSIntoReusesScratch(t *testing.T) {
 	}
 }
 
+// TestMSBFSIntoAllocationFree pins the steady state of a warmed scratch
+// and dist block: MSBFSInto allocates nothing per call, in either
+// direction and under the rule, on a batch wider than one chunk.
+func TestMSBFSIntoAllocationFree(t *testing.T) {
+	g := gen.RandomConnected(300, 0.03, xrand.New(3))
+	g.Freeze()
+	srcs := make([]graph.NodeID, 2*MSBFSWidth+5)
+	for i := range srcs {
+		srcs[i] = graph.NodeID(i * 7 % g.Order())
+	}
+	for _, d := range msbfsDirections {
+		t.Run(d.name, func(t *testing.T) {
+			defer SetMSBFSDirection(d.dir)()
+			dist, scr := MSBFSInto(g, srcs, nil, nil)
+			if allocs := testing.AllocsPerRun(20, func() {
+				dist, scr = MSBFSInto(g, srcs, dist, scr)
+			}); allocs != 0 {
+				t.Fatalf("warmed MSBFSInto allocates %.1f times per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestTranspose64 checks the bit-matrix transpose behind the tiled lane
+// writes against the element-by-element definition.
+func TestTranspose64(t *testing.T) {
+	r := xrand.New(4)
+	for trial := 0; trial < 20; trial++ {
+		var m, want [MSBFSWidth]uint64
+		for i := range m {
+			m[i] = r.Uint64()
+			if trial%4 == 0 {
+				m[i] &= r.Uint64() & r.Uint64() & r.Uint64() // sparse rows
+			}
+		}
+		for i := range m {
+			for w := m[i]; w != 0; w &= w - 1 {
+				want[bits.TrailingZeros64(w)] |= 1 << uint(i)
+			}
+		}
+		transpose64(&m)
+		if m != want {
+			t.Fatalf("trial %d: transpose differs from the definition", trial)
+		}
+	}
+}
+
 // FuzzMSBFS pins the batch kernel to BFSInto on the graphs
 // fuzzPairGraph decodes from data[1:] — dead ports left by removed edges,
 // removed vertices, several components. data[0] sets the source count
@@ -142,7 +211,8 @@ func TestMSBFSIntoReusesScratch(t *testing.T) {
 // the bytes of data[1:] read cyclically modulo n, duplicates included.
 // One dist block and one scratch serve two calls — the full list, then
 // its reversed second half — so state a wide batch leaves behind would
-// surface in the narrower one.
+// surface in the narrower one. Every input runs under the direction rule
+// and under each forced direction.
 func FuzzMSBFS(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
@@ -159,23 +229,31 @@ func FuzzMSBFS(f *testing.F) {
 			srcs[i] = graph.NodeID(int(rest[i%len(rest)]) % n)
 		}
 		var (
-			dist  []int32
-			scr   *MSBFSScratch
 			want  []int32
 			queue []graph.NodeID
 		)
-		for pass := 0; pass < 2; pass++ {
-			dist, scr = MSBFSInto(g, srcs, dist, scr)
-			for i, s := range srcs {
-				want, queue = BFSInto(g, s, want, queue)
-				if !reflect.DeepEqual(dist[i*n:(i+1)*n], want) {
-					t.Fatalf("pass %d: lane %d (source %d) = %v, BFSInto = %v", pass, i, s, dist[i*n:(i+1)*n], want)
+		for _, d := range msbfsDirections {
+			func() {
+				defer SetMSBFSDirection(d.dir)()
+				var (
+					dist []int32
+					scr  *MSBFSScratch
+				)
+				batch := append([]graph.NodeID(nil), srcs...)
+				for pass := 0; pass < 2; pass++ {
+					dist, scr = MSBFSInto(g, batch, dist, scr)
+					for i, s := range batch {
+						want, queue = BFSInto(g, s, want, queue)
+						if !reflect.DeepEqual(dist[i*n:(i+1)*n], want) {
+							t.Fatalf("%s, pass %d: lane %d (source %d) = %v, BFSInto = %v", d.name, pass, i, s, dist[i*n:(i+1)*n], want)
+						}
+					}
+					batch = batch[len(batch)/2:]
+					for i, j := 0, len(batch)-1; i < j; i, j = i+1, j-1 {
+						batch[i], batch[j] = batch[j], batch[i]
+					}
 				}
-			}
-			srcs = srcs[len(srcs)/2:]
-			for i, j := 0, len(srcs)-1; i < j; i, j = i+1, j-1 {
-				srcs[i], srcs[j] = srcs[j], srcs[i]
-			}
+			}()
 		}
 	})
 }

@@ -10,12 +10,14 @@ import (
 // on the multi-thousand-vertex Theorem 1 instances this is the dominant
 // preprocessing cost. workers <= 0 selects GOMAXPROCS (par.Workers).
 // Workers claim MSBFSWidth-source batches and advance all lanes of a
-// batch through one shared scan of each frontier vertex's arcs
-// (MSBFSInto), instead of one BFS per row. The graph is frozen to its CSR layout before the pool
-// fans out, every row is carved out of one contiguous n×n block (so the
-// finished table is row-major contiguous, like the rows the streaming
-// backends hand out), and each worker reuses its MS-BFS scratch across
-// the batches it wins.
+// batch through one direction-optimizing MS-BFS (MSBFSInto): sparse
+// levels share one scan of each frontier vertex's arcs, bulk levels one
+// bottom-up sweep of the vertices some lane has not reached, instead of
+// one BFS per row. The graph is frozen to its CSR layout before the
+// pool fans out, every row is carved out of one contiguous n×n block (so
+// the finished table is row-major contiguous, like the rows the
+// streaming backends hand out), and each worker reuses its MS-BFS
+// scratch across the batches it wins.
 //
 // Each row is bit-identical to BFS from its source, the serial
 // one-BFS-per-row reference the conformance tests compare against (rows

@@ -129,11 +129,12 @@ type APSP struct {
 // NewAPSPParallel. After a fault (RemoveEdge/RemoveVertex) only the rows whose
 // BFS cone touched a removed arc can change; callers compute that dirty
 // set (internal/faults.DirtyRoots) and refresh exactly those rows. The
-// roots run through MSBFSInto MSBFSWidth at a time on the caller's
-// goroutine, into one reused block from which each row is copied into
-// place, so each refreshed row is bit-identical to the matching row of
-// NewAPSPParallel on the mutated graph. Roots may repeat. g must have
-// the same order the table was built with.
+// roots run through the direction-optimizing MSBFSInto MSBFSWidth at a
+// time on the caller's goroutine, into one reused block from which each
+// row is copied into place, so each refreshed row is bit-identical to
+// BFSInto from its root on the mutated graph, and so to the matching row
+// of NewAPSPParallel. Roots may repeat. g must have the same order the
+// table was built with.
 func (a *APSP) RefreshRows(g *graph.Graph, roots []graph.NodeID) {
 	if g.Order() != a.n {
 		panic(fmt.Sprintf("shortest: RefreshRows order mismatch: graph %d, table %d", g.Order(), a.n))

@@ -242,8 +242,9 @@ func TestHypercubeDistanceIsHamming(t *testing.T) {
 // (eight edges and one vertex removed) for root lists that are empty,
 // shorter than one MS-BFS chunk, one chunk, one past it, not a multiple
 // of MSBFSWidth with repeated roots, and every vertex: each refreshed
-// row must equal NewAPSPParallel's on the faulted graph, and every other
-// row must keep its pre-fault value.
+// row must equal BFSInto's on the faulted graph, one scalar BFS per row
+// (not NewAPSPParallel, which runs the MS-BFS kernel under test), and
+// every other row must keep its pre-fault value.
 func TestRefreshRowsMatchesRebuild(t *testing.T) {
 	const n = 300
 	g := gen.RandomConnected(n, 6.0/n, xrand.New(11))
@@ -253,7 +254,11 @@ func TestRefreshRowsMatchesRebuild(t *testing.T) {
 		h.RemoveEdge(e[0], e[1])
 	}
 	h.RemoveVertex(17)
-	want := NewAPSPParallel(h, 0)
+	want := make([][]int32, n)
+	var queue []graph.NodeID
+	for u := range want {
+		want[u], queue = BFSInto(h, graph.NodeID(u), nil, queue)
+	}
 	rng := xrand.New(12)
 	every := make([]graph.NodeID, n)
 	for u := range every {
@@ -276,7 +281,7 @@ func TestRefreshRowsMatchesRebuild(t *testing.T) {
 			ref := pre.Row(graph.NodeID(u))
 			for _, r := range roots {
 				if int(r) == u {
-					ref = want.Row(graph.NodeID(u))
+					ref = want[u]
 					break
 				}
 			}
